@@ -185,10 +185,6 @@ class SmoothingKernel:
     def taps(self) -> int:
         return self.weights.size
 
-    @property
-    def is_dirac(self) -> bool:
-        return self.taps == 1 or bool(np.all(self.weights[1:] == 0.0))
-
 
 def dirac_kernel(grid_step: float) -> SmoothingKernel:
     return SmoothingKernel(weights=np.array([1.0 / grid_step]), grid_step=grid_step)
@@ -264,17 +260,17 @@ def kernel_smooth(
         raise DomainError("series times must be strictly ascending")
     if not np.allclose(steps, kernel.grid_step, rtol=1e-9, atol=1e-12):
         raise DomainError("series grid step does not match the kernel grid step")
-    vectors = [np.asarray(v, dtype=float) for _, v in series]
-    if kernel.is_dirac and kernel.taps == 1:
+    if kernel.taps == 1:
         return [(float(ts), v.copy()) for ts, v in series]
-    coeffs = kernel.weights * kernel.grid_step
-    out = []
-    for j in range(kernel.taps - 1, len(series)):
-        acc = np.zeros_like(vectors[j])
-        for i, c in enumerate(coeffs):
-            acc += c * vectors[j - i]
-        out.append((float(times[j]), acc))
-    return out
+    stacked = np.array([np.asarray(v, dtype=float) for _, v in series])
+    lag = kernel.taps - 1
+    count = len(series) - lag
+    # tap by tap over all outputs: each output keeps the operation order of
+    # its explicit sum 0 + c_0 R(t_j) + c_1 R(t_j - ds) + ..., bit for bit
+    acc = np.zeros((count,) + stacked.shape[1:])
+    for i, c in enumerate(kernel.weights * kernel.grid_step):
+        acc += c * stacked[lag - i : lag - i + count]
+    return [(float(times[lag + j]), acc[j]) for j in range(count)]
 
 
 def recursive_chord_series(

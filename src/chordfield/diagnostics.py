@@ -16,7 +16,7 @@ import numpy as np
 from .chord import SmoothingKernel, kernel_smooth
 from .errors import DivergenceError, DomainError
 from .proxy import NS_TRIAL, derive_stream
-from .transport import integrate_rk4
+from .transport import _guard_state, integrate_rk4
 
 # multiplicative slack applied to theoretical bounds to absorb the
 # finite-difference error in their grid-estimated constants
@@ -70,10 +70,11 @@ def _axis_grids(bounds, t_range, grid):
     return axes, ts
 
 
-def _evaluate_lattice(fn, axes, ts):
-    """Evaluate fn(x, t) on the dense lattice; returns array indexed
-    [t, x1, ..., xd, component]. The field's output dimension may differ
-    from the spatial dimension."""
+def _lattice(fn, axes, ts):
+    """fn(x, t) on the dense lattice as ``(values, dudt, jac)``: values indexed
+    [t, x1, ..., xd, component] (the output dimension may differ from the
+    spatial one), their central-difference time derivative (zero on a single
+    time slice) and Jacobian indexed [..., component, axis]."""
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
     probe = np.asarray(fn(points[0], float(ts[0])), dtype=float)
@@ -82,7 +83,13 @@ def _evaluate_lattice(fn, axes, ts):
         for j, x in enumerate(points):
             out[i, j] = fn(x, float(t))
     shape = (ts.size,) + tuple(len(a) for a in axes) + (probe.shape[0],)
-    return out.reshape(shape)
+    values = out.reshape(shape)
+    if ts[-1] > ts[0]:
+        dudt = np.gradient(values, ts[1] - ts[0], axis=0)
+    else:
+        dudt = np.zeros_like(values)
+    grads = [np.gradient(values, a[1] - a[0], axis=1 + k) for k, a in enumerate(axes)]
+    return values, dudt, np.stack(grads, axis=-1)
 
 
 def _sup_norm(values) -> float:
@@ -91,17 +98,9 @@ def _sup_norm(values) -> float:
     return float(np.sqrt((flat * flat).sum(axis=1).max()))
 
 
-def _sup_jacobian(values, axes) -> float:
-    """Largest spectral norm of the spatial Jacobian over the lattice."""
-    in_dim = len(axes)
-    out_dim = values.shape[-1]
-    grads = []
-    for k in range(in_dim):
-        spacing = axes[k][1] - axes[k][0]
-        grads.append(np.gradient(values, spacing, axis=1 + k))
-    # grads[k][..., c] = d u_c / d x_k; assemble per-site Jacobians
-    stacked = np.stack(grads, axis=-1)  # [..., component, axis]
-    flat = stacked.reshape(-1, out_dim, in_dim)
+def _sup_spectral(jac) -> float:
+    """Largest spectral norm over the lattice's per-site Jacobians."""
+    flat = jac.reshape(-1, jac.shape[-2], jac.shape[-1])
     return float(max(np.linalg.norm(j, 2) for j in flat))
 
 
@@ -115,17 +114,14 @@ def consistency_proxy(
 
     ``fn(x, t)`` is any evaluable field over the box ``bounds`` and the time
     interval ``t_range``. Central differences on a ``grid``-point lattice per
-    axis. Returns the proxy and its three components.
+    axis. Returns the proxy and its three components
+    ``(sup||du/dt||, sup||grad u||, sup||u||)``; the middle one is the
+    ``stability_margin`` of the same lattice.
     """
-    axes, ts = _axis_grids(bounds, t_range, grid)
-    values = _evaluate_lattice(fn, axes, ts)
-    if ts[-1] > ts[0]:
-        dt_values = np.gradient(values, ts[1] - ts[0], axis=0)
-        sup_dt = _sup_norm(dt_values)
-    else:
-        sup_dt = 0.0
+    values, dudt, jac = _lattice(fn, *_axis_grids(bounds, t_range, grid))
+    sup_dt = _sup_norm(dudt)
     sup_u = _sup_norm(values)
-    sup_jac = _sup_jacobian(values, axes)
+    sup_jac = _sup_spectral(jac)
     return sup_dt + sup_jac * sup_u, (sup_dt, sup_jac, sup_u)
 
 
@@ -136,28 +132,14 @@ def stability_margin(
     grid: int,
 ) -> float:
     """Grid supremum of the spatial Jacobian's spectral norm."""
-    axes, ts = _axis_grids(bounds, t_range, grid)
-    values = _evaluate_lattice(fn, axes, ts)
-    return _sup_jacobian(values, axes)
+    return _sup_spectral(_lattice(fn, *_axis_grids(bounds, t_range, grid))[2])
 
 
 def _local_m_f(fn, corner_lo, corner_hi, t_lo, t_hi, grid=7):
     """Grid estimate of sup||du/dt + (grad u) u|| over a local box."""
     axes = [np.linspace(lo, hi, grid) for lo, hi in zip(corner_lo, corner_hi)]
-    ts = np.linspace(t_lo, t_hi, grid)
-    values = _evaluate_lattice(fn, axes, ts)
-    if t_hi > t_lo:
-        dudt = np.gradient(values, ts[1] - ts[0], axis=0)
-    else:
-        dudt = np.zeros_like(values)
-    dim = len(axes)
-    grads = []
-    for k in range(dim):
-        spacing = axes[k][1] - axes[k][0]
-        grads.append(np.gradient(values, spacing, axis=1 + k))
-    jac = np.stack(grads, axis=-1)  # [..., comp, axis]
-    material = dudt + np.einsum("...ca,...a->...c", jac, values)
-    return _sup_norm(material)
+    values, dudt, jac = _lattice(fn, axes, np.linspace(t_lo, t_hi, grid))
+    return _sup_norm(dudt + np.einsum("...ca,...a->...c", jac, values))
 
 
 def lte_check(
@@ -221,9 +203,9 @@ def global_error_sweep(
         try:
             s = 0.0
             for _ in range(steps):
-                x = x + h * fn(x, s)
-                if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e6:
-                    raise DivergenceError("euler run diverged", last_state=x)
+                x_next = x + h * fn(x, s)
+                _guard_state(x_next, x, "the euler run")
+                x = x_next
                 s += h
             errors.append(float(np.linalg.norm(x - reference)))
         except DivergenceError:
@@ -237,6 +219,12 @@ def global_error_sweep(
     log_e = np.log([e for _, e in finite])
     slope = float(np.polyfit(log_h, log_e, 1)[0])
     return errors, slope
+
+
+def _trial_noise(seed: int, trial: int, shape) -> np.ndarray:
+    """Standard normals of one risk trial, from its own Philox sub-stream."""
+    key = np.array([derive_stream(seed, NS_TRIAL, trial), 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
 def risk_experiment(
@@ -270,19 +258,10 @@ def risk_experiment(
     mse_naive = 0.0
     mse_chord = 0.0
     for trial in range(trials):
-        gen = np.random.Generator(
-            np.random.Philox(
-                key=np.array(
-                    [derive_stream(seed, NS_TRIAL, trial), 0], dtype=np.uint64
-                )
-            )
-        )
-        noisy = u_star + noise_sigma * gen.standard_normal((count, dim))
+        noisy = u_star + noise_sigma * _trial_noise(seed, trial, (count, dim))
         series = [(float(ts), noisy[j]) for j, ts in enumerate(times)]
         smoothed = kernel_smooth(series, kernel)
         smooth_arr = np.array([v for _, v in smoothed])
-        if kernel.taps == 1:
-            smooth_arr = noisy  # identity kernel: compare identical arrays
         diff_naive = noisy[interior] - u_star[interior]
         diff_chord = smooth_arr - u_star[interior]
         mse_naive += float((diff_naive**2).sum(axis=1).mean())
@@ -317,14 +296,7 @@ def risk_experiment_symmetric(
     mse_naive = 0.0
     mse_chord = 0.0
     for trial in range(trials):
-        gen = np.random.Generator(
-            np.random.Philox(
-                key=np.array(
-                    [derive_stream(seed, NS_TRIAL, trial), 0], dtype=np.uint64
-                )
-            )
-        )
-        noisy = u_star + noise_sigma * gen.standard_normal((count, dim))
+        noisy = u_star + noise_sigma * _trial_noise(seed, trial, (count, dim))
         smooth = np.zeros_like(noisy[interior])
         base = np.arange(count)[interior]
         for off, w in zip(offsets, weights):

@@ -30,6 +30,7 @@ from .diagnostics import (
     BOUND_SLACK,
     DiagnosticsReport,
     bb_energy,
+    consistency_proxy,
     global_error_sweep,
     lte_check,
     projection_energy_gap,
@@ -44,7 +45,6 @@ from .schedules import (
 )
 from .transport import (
     chordedit,
-    chordedit_multi_noise,
     integrate_rk4,
     make_control_field,
     multi_step_transport,
@@ -88,6 +88,16 @@ def write_text(path, text: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _write_summary(cfg: ExperimentConfig, lines: list[str]) -> None:
+    write_text(os.path.join(cfg.output_dir, "summary.txt"), "\n".join(lines) + "\n")
+
+
+def _model_and_params(cfg: ExperimentConfig):
+    """The configured backbone (on its schedule) and chord parameters."""
+    model = build_backbone(cfg.backbone, build_schedule(cfg.schedule))
+    return model, build_chord_params(cfg.chord)
 
 
 def _dist_to_nearest_mode(point, mixture) -> float:
@@ -149,9 +159,7 @@ def run_coeffs(cfg: ExperimentConfig) -> int:
 
 
 def run_toy(cfg: ExperimentConfig) -> int:
-    schedule = build_schedule(cfg.schedule)
-    model = build_backbone(cfg.backbone, schedule)
-    params = build_chord_params(cfg.chord)
+    model, params = _model_and_params(cfg)
     count = int(cfg.params.get("particles", 500))
     if count < 100:
         raise UsageError("toy transport needs at least 100 particles")
@@ -216,7 +224,7 @@ def run_toy(cfg: ExperimentConfig) -> int:
             f" (se {r['distance_se']:.6f}), mean energy {r['energy']:.6f},"
             f" diverged {r['diverged']}"
         )
-    write_text(os.path.join(cfg.output_dir, "summary.txt"), "\n".join(lines) + "\n")
+    _write_summary(cfg, lines)
     return EXIT_OK
 
 
@@ -225,9 +233,7 @@ def run_toy(cfg: ExperimentConfig) -> int:
 
 
 def run_step_sweep(cfg: ExperimentConfig) -> int:
-    schedule = build_schedule(cfg.schedule)
-    model = build_backbone(cfg.backbone, schedule)
-    params = build_chord_params(cfg.chord)
+    model, params = _model_and_params(cfg)
     s_values = [int(s) for s in cfg.params.get("s_values", [])]
     if len(s_values) < 3 or 1 not in s_values:
         raise UsageError("step sweep needs at least 3 step counts including 1")
@@ -293,7 +299,7 @@ def run_step_sweep(cfg: ExperimentConfig) -> int:
             + " ".join(f"S={s}:{prof[s]:.6f}" for s in sorted(prof))
             + f" max/min {ratio:.4f}"
         )
-    write_text(os.path.join(cfg.output_dir, "summary.txt"), "\n".join(lines) + "\n")
+    _write_summary(cfg, lines)
     return EXIT_OK
 
 
@@ -302,9 +308,7 @@ def run_step_sweep(cfg: ExperimentConfig) -> int:
 
 
 def run_noise_ablation(cfg: ExperimentConfig) -> int:
-    schedule = build_schedule(cfg.schedule)
-    model = build_backbone(cfg.backbone, schedule)
-    params = build_chord_params(cfg.chord)
+    model, params = _model_and_params(cfg)
     n_values = [int(n) for n in cfg.params.get("n_values", [])]
     seed_count = int(cfg.params.get("seeds", 0))
     if not n_values:
@@ -319,11 +323,7 @@ def run_noise_ablation(cfg: ExperimentConfig) -> int:
             for seed_idx in range(seed_count):
                 cell_seed = derive_stream(cfg.seed, NS_CELL, seed_idx)
                 x = sample_particles(model, 1, cell_seed).points[0]
-                res = (
-                    chordedit_multi_noise(model, x, run_params, cell_seed)
-                    if n > 1
-                    else chordedit(model, x, run_params, cell_seed)
-                )
+                res = chordedit(model, x, run_params, cell_seed)
                 rows.append(
                     (
                         method,
@@ -349,7 +349,7 @@ def run_noise_ablation(cfg: ExperimentConfig) -> int:
             lines.append(
                 f"{method} n={n}: mean {errs.mean():.6f} cov {cov:.6f}"
             )
-    write_text(os.path.join(cfg.output_dir, "summary.txt"), "\n".join(lines) + "\n")
+    _write_summary(cfg, lines)
     return EXIT_OK
 
 
@@ -379,7 +379,7 @@ def run_risk(cfg: ExperimentConfig) -> int:
     for name, _, _, mn, mc in rows:
         lines.append(f"{name}: mse_naive {mn:.6f} mse_chord {mc:.6f}")
     lines.append(f"noise floor d*sigma^2 = {2 * sigma * sigma:.6f}")
-    write_text(os.path.join(cfg.output_dir, "summary.txt"), "\n".join(lines) + "\n")
+    _write_summary(cfg, lines)
     return EXIT_OK
 
 
@@ -388,9 +388,7 @@ def run_risk(cfg: ExperimentConfig) -> int:
 
 
 def run_error_order(cfg: ExperimentConfig) -> int:
-    schedule = build_schedule(cfg.schedule)
-    model = build_backbone(cfg.backbone, schedule)
-    params = build_chord_params(cfg.chord)
+    model, params = _model_and_params(cfg)
     h_values = [float(h) for h in cfg.params.get("h_values", [])]
     horizon = float(cfg.params.get("horizon", 1.0))
     if len(h_values) < 4:
@@ -421,7 +419,7 @@ def run_error_order(cfg: ExperimentConfig) -> int:
         f"naive slope {slopes['naive']:.4f}",
         f"chord/naive error ratio at smallest h: {ratio:.4f}",
     ]
-    write_text(os.path.join(cfg.output_dir, "summary.txt"), "\n".join(lines) + "\n")
+    _write_summary(cfg, lines)
     return EXIT_OK
 
 
@@ -442,9 +440,7 @@ def _band_limited_profile(count, ds, seed, dim=1):
 
 
 def run_diagnostics(cfg: ExperimentConfig) -> int:
-    schedule = build_schedule(cfg.schedule)
-    model = build_backbone(cfg.backbone, schedule)
-    params = build_chord_params(cfg.chord)
+    model, params = _model_and_params(cfg)
     grid = int(cfg.params.get("grid", 12))
     slack = float(cfg.params.get("lte_slack", BOUND_SLACK))
     report = DiagnosticsReport()
@@ -470,8 +466,6 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
     # Lipschitz margin, on a separable synthetic field; the pass verdict must
     # survive a 2x grid refinement
     def margin_pair(grid_pts):
-        from .diagnostics import consistency_proxy, stability_margin
-
         sm = np.array([v for _, v in smoothed])
         t0 = smoothed[0][0]
 
@@ -488,10 +482,10 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
 
         t_range = (t0, float(smoothed[-1][0]))
         bounds = [(-1.5, 1.5)]
-        c_raw, _ = consistency_proxy(raw_fn, bounds, t_range, grid_pts)
-        c_smooth, _ = consistency_proxy(smooth_fn, bounds, t_range, grid_pts)
-        m_raw = stability_margin(raw_fn, bounds, t_range, grid_pts)
-        m_smooth = stability_margin(smooth_fn, bounds, t_range, grid_pts)
+        c_raw, (_, m_raw, _) = consistency_proxy(raw_fn, bounds, t_range, grid_pts)
+        c_smooth, (_, m_smooth, _) = consistency_proxy(
+            smooth_fn, bounds, t_range, grid_pts
+        )
         return c_raw, c_smooth, m_raw, m_smooth
 
     c_raw, c_smooth, m_raw, m_smooth = margin_pair(len(smoothed))
@@ -600,7 +594,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
     lines.append("checks:")
     for name in sorted(report.checks):
         lines.append(f"  {name}: {'pass' if report.checks[name] else 'FAIL'}")
-    write_text(os.path.join(cfg.output_dir, "summary.txt"), "\n".join(lines) + "\n")
+    _write_summary(cfg, lines)
     if failed:
         raise InvariantFailure("failing checks: " + ", ".join(failed))
     return EXIT_OK

@@ -41,6 +41,11 @@ CONSISTENCY = "consistency"
 PARAMETERIZATION_KINDS = (NOISE_EPS, DATA_X0, V_PRED, SCORE, VELOCITY, CONSISTENCY)
 
 
+def _check_time(t: float) -> None:
+    if not (0.0 <= t <= 1.0):
+        raise DomainError(f"t = {t} outside [0, 1]")
+
+
 @dataclass
 class Schedule:
     """A noise path with derivative access and numerical guards.
@@ -55,7 +60,8 @@ class Schedule:
                 uniform, strictly increasing grid covering [0, 1] with the
                 tabulated beta, required for ``vp_generic``.
 
-    The path methods each stand alone and recompute what they build on.
+    The path methods each stand alone, recompute what they build on and
+    raise ``DomainError`` outside t in [0, 1].
     ``path_scalars(schedule, t)`` returns alpha, sigma, alpha_dot and
     sigma_dot at one t from a single evaluation, bit-identical to the
     methods; it is computed per call and not cached, since a schedule is
@@ -127,11 +133,13 @@ class Schedule:
         return float(self._beta_cum[i] + bg[i] * dt + 0.5 * slope * dt * dt)
 
     def alpha(self, t: float) -> float:
+        _check_time(t)
         if self.kind == LINEAR_INTERP:
             return 1.0 - t
         return math.exp(-0.5 * self._beta_integral(t))
 
     def sigma(self, t: float) -> float:
+        _check_time(t)
         if self.kind == LINEAR_INTERP:
             return t
         a = self.alpha(t)
@@ -139,12 +147,14 @@ class Schedule:
 
     def alpha_dot(self, t: float) -> float:
         """Analytic d(alpha)/dt."""
+        _check_time(t)
         if self.kind == LINEAR_INTERP:
             return -1.0
         return -0.5 * self.beta(t) * self.alpha(t)
 
     def sigma_dot(self, t: float) -> float:
         """Analytic d(sigma)/dt; singular at sigma = 0 for vp kinds."""
+        _check_time(t)
         if self.kind == LINEAR_INTERP:
             return 1.0
         s = self.sigma(t)
@@ -190,8 +200,7 @@ def path_scalars(schedule: Schedule, t: float) -> PathScalars:
     bit-identical to ``alpha(t)``, ``sigma(t)``, ``alpha_dot(t)`` and
     ``sigma_dot(t)``. Computed per call and never cached.
     """
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"t = {t} outside [0, 1]")
+    _check_time(t)
     if schedule.kind == LINEAR_INTERP:
         return PathScalars(t, 1.0 - t, t, -1.0, 1.0)
     a = math.exp(-0.5 * schedule._beta_integral(t))
@@ -211,8 +220,7 @@ def derivatives(schedule: Schedule, t: float) -> tuple[float, float]:
     h = schedule.fd_step
     if t - h < 0.0:
         raise DomainError(f"t - fd_step = {t - h} below 0")
-    if t > 1.0:
-        raise DomainError(f"t = {t} outside [0, 1]")
+    _check_time(t)
     a1, s1 = schedule.alpha(t), schedule.sigma(t)
     a0, s0 = schedule.alpha(t - h), schedule.sigma(t - h)
     return (a1 - a0) / h, (s1 - s0) / h
@@ -259,8 +267,7 @@ def coefficient(
     """
     if kind not in PARAMETERIZATION_KINDS:
         raise DomainError(f"unknown parameterization kind {kind!r}")
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"t = {t} outside [0, 1]")
+    _check_time(t)
     if kind == VELOCITY:
         return 1.0
     if kind == CONSISTENCY:

@@ -4,13 +4,12 @@ The full edit is a single explicit Euler step of size ``step_scale`` along
 the chord field evaluated at the source anchor, optionally followed by one
 denoising refinement under the target condition. Multi-step variants split
 the step scale and re-anchor the field at the current state each sub-step;
-the query times stay fixed (the estimator is defined at one noise level), a
-time-marching mode exists behind a flag for exploration.
+the query times stay fixed (the estimator is defined at one noise level).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,8 +138,15 @@ def proximal_refine(
     return posterior_x0(model, z, t_c, "tar")
 
 
+def _guard_state(x, last, context):
+    """Reject a non-finite or runaway state; the error carries ``last``."""
+    if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > DIVERGENCE_NORM:
+        raise DivergenceError(f"state diverged during {context}", last_state=last)
+
+
 def _finish(model, params, seed, x_src, u_hat, fields):
     x_pred = x_src + params.step_scale * u_hat
+    _guard_state(x_pred, x_src, "the transport step")
     if params.use_prox:
         eps = None
         if params.prox_shared_noise:
@@ -175,45 +181,10 @@ def chordedit(
     return _finish(model, params, seed, x_src, u_hat, fields)
 
 
-def chordedit_multi_noise(
-    model: BackboneModel, x_src: np.ndarray, params: ChordParams, seed: int
-) -> TransportResult:
-    """Multi-noise variant: one chord field per draw, averaged before the step.
-
-    Draw i uses the same keyed noise as draw i of the single-batch path, so
-    the n = 1 case coincides bit-exactly with ``chordedit``.
-    """
-    x_src = np.asarray(x_src, dtype=float)
-    batch_prev, batch_curr = _batches(params, seed, model.dim)
-    per_draw = []
-    fields = []
-    for i in range(params.n):
-        sub_prev = _SingleDraw(batch_prev, i)
-        sub_curr = _SingleDraw(batch_curr, i)
-        r_prev = proxy_field(model, x_src, params.t - params.delta, sub_prev)
-        r_curr = proxy_field(model, x_src, params.t, sub_curr)
-        per_draw.append(chord_field(r_prev, r_curr, params.t, params.delta))
-        fields.append((params.t - params.delta, r_prev))
-        fields.append((params.t, r_curr))
-    u_sum = per_draw[0].copy()
-    for u in per_draw[1:]:
-        u_sum += u
-    u_hat = u_sum / params.n
-    return _finish(model, params, seed, x_src, u_hat, fields)
-
-
-class _SingleDraw:
-    """View of one draw of a batch, presented as an n = 1 batch."""
-
-    def __init__(self, batch: SharedNoiseBatch, index: int):
-        self.n = 1
-        self.dim = batch.dim
-        self.draws = batch.draws[index : index + 1]
-
-
-def _guard_state(x, context):
-    if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > DIVERGENCE_NORM:
-        raise DivergenceError(f"state diverged during {context}", last_state=None)
+# chord_field is linear in its two inputs, so the mean of one chord field per
+# draw is the chord field of the draw-averaged proxy fields: the multi-noise
+# variant is the same estimator as the single-batch path.
+chordedit_multi_noise = chordedit
 
 
 def multi_step_transport(
@@ -223,15 +194,13 @@ def multi_step_transport(
     steps: int,
     field_kind: str,
     seed: int,
-    march_times: bool = False,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Split the step scale over ``steps`` sub-steps, re-anchoring each time.
 
     Every sub-step re-estimates the field at the current state (the anchor
     follows the trajectory) and advances by ``step_scale / steps`` times the
-    field. Query times stay fixed unless ``march_times`` is set, in which case
-    they walk linearly from t down to delta across the sub-steps. Returns the
-    trajectory (including the start point) and the per-sub-step fields.
+    field. Query times stay fixed. Returns the trajectory (including the start
+    point) and the per-sub-step fields.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
@@ -239,21 +208,11 @@ def multi_step_transport(
     sub = params.step_scale / steps
     trajectory = [x.copy()]
     per_step_fields = []
+    field = make_control_field(model, params, field_kind, seed)
     for s_idx in range(steps):
-        if march_times and steps > 1:
-            t_s = params.t - (s_idx / steps) * (params.t - params.delta)
-            step_params = replace(params, t=t_s)
-        else:
-            step_params = params
-        field = make_control_field(model, step_params, field_kind, seed)
         u = field(x)
         x = x + sub * u
-        last = trajectory[-1]
-        try:
-            _guard_state(x, f"sub-step {s_idx + 1}/{steps}")
-        except DivergenceError as err:
-            err.last_state = last
-            raise
+        _guard_state(x, trajectory[-1], f"sub-step {s_idx + 1}/{steps}")
         trajectory.append(x.copy())
         per_step_fields.append(u)
     return trajectory, per_step_fields
@@ -277,8 +236,7 @@ def integrate_rk4(field, x0: np.ndarray, s_from: float, s_to: float, steps: int)
         k3 = field(x + 0.5 * h * k2, s_half)
         k4 = field(x + h * k3, s1)
         x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x_next)) or np.linalg.norm(x_next) > DIVERGENCE_NORM:
-            raise DivergenceError("reference integration diverged", last_state=x)
+        _guard_state(x_next, x, "reference integration")
         x = x_next
     return x
 

@@ -213,6 +213,23 @@ class TestKernelSmooth:
             direct = chord_field(series[j - lag][1], series[j][1], t, delta)
             np.testing.assert_allclose(smoothed, direct, atol=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(shipped_causal_kernels(0.05)))
+    def test_bit_equal_to_explicit_weighted_sum(self, name):
+        rng = np.random.default_rng(10)
+        ds = 0.05
+        kernel = shipped_causal_kernels(ds)[name]
+        series = [(j * ds, rng.normal(size=3)) for j in range(20)]
+        out = kernel_smooth(series, kernel)
+        lag = kernel.taps - 1
+        assert len(out) == len(series) - lag
+        for idx, (ts, smoothed) in enumerate(out):
+            j = idx + lag
+            expected = np.zeros(3)
+            for i, w in enumerate(kernel.weights):
+                expected += (w * kernel.grid_step) * series[j - i][1]
+            assert ts == series[j][0]
+            np.testing.assert_array_equal(smoothed, expected)
+
     def test_grid_mismatch_rejected(self):
         series = [(j * 0.07, np.zeros(2)) for j in range(10)]
         with pytest.raises(DomainError):

@@ -220,6 +220,21 @@ class TestToy:
         )
         assert code == 3
 
+    def test_single_step_mass_divergence_is_exit_three(self, tmp_path):
+        # the same absurd step scale in one step trips the same guard
+        code = main(
+            [
+                "toy",
+                "--out",
+                str(tmp_path / "run"),
+                "--override",
+                "chord.step_scale=1e9",
+                "--override",
+                "params.particles=100",
+            ]
+        )
+        assert code == 3
+
 
 class TestStepSweep:
     def test_energy_trends(self, tmp_path):

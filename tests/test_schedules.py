@@ -124,6 +124,15 @@ class TestPathScalars:
             with pytest.raises(DomainError):
                 path_scalars(sched, t)
 
+    @pytest.mark.parametrize("kind", sorted(SCHEDULES))
+    def test_path_methods_reject_out_of_range(self, kind):
+        # no extrapolation of the beta table or the linear path past [0, 1]
+        sched = self.SCHEDULES[kind]()
+        for t in (-0.2, -1e-12, 1.0 + 1e-12, 1.5, math.nan):
+            for method in (sched.alpha, sched.sigma, sched.alpha_dot, sched.sigma_dot):
+                with pytest.raises(DomainError):
+                    method(t)
+
 
 class TestDerivatives:
     def test_linear_exact(self):

@@ -88,6 +88,15 @@ class TestChordedit:
             params.t,
         ]
 
+    def test_runaway_step_raises_with_source_state(self):
+        # the single step goes through the same norm guard as the sub-steps
+        model = preset_model("two_blob_1d")
+        x = np.array([-2.0])
+        params = ChordParams(step_scale=1e9)
+        with pytest.raises(DivergenceError) as err:
+            chordedit(model, x, params, seed=0)
+        np.testing.assert_array_equal(err.value.last_state, x)
+
     def test_defaults_land_in_target_basin_1d(self):
         # transport defaults on the 1-D preset under the experiment schedule;
         # oracle cross-check via the reference denoising flow below
