@@ -7,6 +7,10 @@ heads are available in closed form. The model exposes the same observable
 surface a distilled text-to-image backbone would: a single head selected by
 ``output_kind`` whose residual between conditions, scaled by the matching
 time-only coefficient, reproduces the velocity residual exactly.
+
+``posterior_x0``, ``posterior_eps``, ``velocity``, ``observable`` and
+``delta_drift`` take one query of shape (d,) or rows of shape (..., d); each
+row's result is bit-identical to that of the row queried alone.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ class GaussianMixtureCondition:
             raise DomainError("means must be finite")
         if not np.all(np.isfinite(self.scales)) or np.any(self.scales <= 0):
             raise DomainError("scales must be positive and finite")
+        self._stack = _Stack((self,))
 
     @property
     def n_components(self) -> int:
@@ -82,6 +87,7 @@ class BackboneModel:
             raise DomainError("source and target mixtures must share the dimension")
         if self.output_kind not in PARAMETERIZATION_KINDS:
             raise DomainError(f"unknown output kind {self.output_kind!r}")
+        self._pair = _Stack((self.target, self.source))
 
     @property
     def dim(self) -> int:
@@ -106,80 +112,76 @@ def marginal_moments(
     return a * cond.means[component], var
 
 
-class _Posterior:
-    """Posterior means of one or more mixtures at one time, query by query.
+class _Stack:
+    """The components of one or more mixtures on one axis, and the posterior
+    kernel over them.
 
-    What depends on the time alone (variances, log-normalisers, log-weights,
-    shrink factors) is computed once here, on the components of all the
-    mixtures stacked; each query then takes one pass over the stack, and each
-    mixture is normalised on its own. Built per call, never kept.
+    Holds what no query changes (means, squared scales, log-weights and where
+    each mixture starts); it is built once, with the mixture or model that
+    owns it. A query is an array of rows of shape (..., d). Every step is
+    elementwise or a reduction within one row in a fixed order, so a row's
+    result does not depend on how many rows come with it.
     """
 
-    def __init__(self, mixtures, alpha: float, sigma: float):
-        self.alpha, self.sigma = alpha, sigma
-        self.parts, start = [], 0
-        for mixture in mixtures:
-            self.parts.append(slice(start, start + mixture.n_components))
-            start += mixture.n_components
-        weights = np.concatenate([m.weights for m in mixtures])
+    def __init__(self, mixtures):
+        sizes = [m.n_components for m in mixtures]
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.sizes = np.array(sizes)
         self.means = np.concatenate([m.means for m in mixtures])
-        scales = np.concatenate([m.scales for m in mixtures])
-        scales_sq = scales**2
-        self.variances = alpha * alpha * scales_sq + sigma * sigma
-        self.log_norm = self.means.shape[1] * np.log(2.0 * math.pi * self.variances)
-        self.log_weights = np.log(weights)
-        self.scaled_means = alpha * self.means
-        self.pull = ((alpha * scales_sq) / self.variances)[:, None]
+        self.scales_sq = np.concatenate([m.scales for m in mixtures]) ** 2
+        self.log_weights = np.log(np.concatenate([m.weights for m in mixtures]))
 
-    def log_mass(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Log of weight times noised kernel at z, per stacked component, and
-        the offsets ``z - alpha * means`` it was computed from."""
-        diff = z - self.scaled_means
-        sq = np.einsum("kd,kd->k", diff, diff)
-        return self.log_weights + -0.5 * (sq / self.variances + self.log_norm), diff
+    def log_mass(self, z: np.ndarray, alpha: float, sigma: float):
+        """Log of weight times noised kernel at each row, per stacked
+        component (..., K), with the offsets ``z - alpha * means`` (..., K, d)
+        and the noised variances (K,) it was computed from."""
+        variances = alpha * alpha * self.scales_sq + sigma * sigma
+        diff = z[..., None, :] - alpha * self.means
+        sq = np.einsum("...kd,...kd->...k", diff, diff)
+        log_norm = self.means.shape[1] * np.log(2.0 * math.pi * variances)
+        return self.log_weights + -0.5 * (sq / variances + log_norm), diff, variances
 
-    def responsibilities(self, log_mass: np.ndarray) -> list[np.ndarray]:
-        """Component weights of each mixture, normalised on its own."""
-        out = []
-        for part in self.parts:
-            mass = log_mass[part]
-            peak = float(np.maximum.reduce(mass))
-            # max-subtraction keeps far-tail queries finite; only a non-finite
-            # peak (every component at -inf, where a linear-space computation
-            # would already have returned 0/0 = NaN) is genuinely degenerate
-            if not math.isfinite(peak):
-                raise DegeneratePosteriorError(
-                    "posterior mass underflowed for every mixture component"
-                )
-            shifted = np.exp(mass - peak)
-            out.append(shifted / np.add.reduce(shifted))
-        return out
+    def responsibilities(self, z: np.ndarray, log_mass: np.ndarray) -> np.ndarray:
+        """Component weights per row (..., K), each mixture normalised on its own."""
+        peaks = np.maximum.reduceat(log_mass, self.starts, axis=-1)
+        # max-subtraction keeps far-tail queries finite; only a non-finite
+        # peak (every component at -inf, where a linear-space computation
+        # would already have returned 0/0 = NaN) is genuinely degenerate,
+        # unless the query itself was not finite
+        if not np.isfinite(peaks).all():
+            if not np.isfinite(z).all():
+                raise DomainError("posterior query must be finite")
+            raise DegeneratePosteriorError(
+                "posterior mass underflowed for every mixture component"
+            )
+        shifted = np.exp(log_mass - np.repeat(peaks, self.sizes, axis=-1))
+        totals = np.add.reduceat(shifted, self.starts, axis=-1)
+        return shifted / np.repeat(totals, self.sizes, axis=-1)
 
-    def x0(self, z: np.ndarray) -> np.ndarray:
-        """E[x0 | z] under each mixture: one row each, in the order given."""
-        if self.sigma == 0.0:
-            return np.stack([z / self.alpha] * len(self.parts))
-        log_mass, diff = self.log_mass(z)
-        component_means = self.means + self.pull * diff
-        out = np.empty((len(self.parts), z.shape[0]))
-        for row, resp, part in zip(out, self.responsibilities(log_mass), self.parts):
-            np.matmul(resp, component_means[part], out=row)
-        return out
+    def x0(self, z: np.ndarray, scalars: PathScalars) -> np.ndarray:
+        """E[x0 | z] under each mixture, for each row: shape (..., mixtures, d)."""
+        alpha, sigma = scalars.alpha, scalars.sigma
+        if sigma == 0.0:
+            return np.repeat((z / alpha)[..., None, :], self.starts.size, axis=-2)
+        log_mass, diff, variances = self.log_mass(z, alpha, sigma)
+        resp = self.responsibilities(z, log_mass)
+        pull = (alpha * self.scales_sq / variances)[:, None]
+        component_means = self.means + pull * diff
+        return np.add.reduceat(resp[..., None] * component_means, self.starts, axis=-2)
 
 
 def _log_responsibilities(
     cond: GaussianMixtureCondition, z: np.ndarray, alpha: float, sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior component weights and variances of one mixture."""
-    posterior = _Posterior((cond,), alpha, sigma)
-    (resp,) = posterior.responsibilities(posterior.log_mass(z)[0])
-    return resp, posterior.variances
+    log_mass, _, variances = cond._stack.log_mass(z, alpha, sigma)
+    return cond._stack.responsibilities(z, log_mass), variances
 
 
 def _posterior_x0(
     mixture: GaussianMixtureCondition, z: np.ndarray, scalars: PathScalars
 ) -> np.ndarray:
-    return _Posterior((mixture,), scalars.alpha, scalars.sigma).x0(z)[0]
+    return mixture._stack.x0(z, scalars)[..., 0, :]
 
 
 def _drift(z: np.ndarray, x0: np.ndarray, scalars: PathScalars) -> np.ndarray:
@@ -214,19 +216,23 @@ def _head(
     raise AssertionError("unreachable")
 
 
-def _head_residual(model: BackboneModel, scalars: PathScalars):
-    """z -> observable(tar) - observable(src) at the time of ``scalars``.
+def _observe(
+    model: BackboneModel,
+    mixture: GaussianMixtureCondition,
+    z: np.ndarray,
+    scalars: PathScalars,
+) -> np.ndarray:
+    """The ``output_kind`` head of one mixture at each row of z."""
+    return _head(model, z, _posterior_x0(mixture, z, scalars), scalars)
 
-    Both conditions' posteriors come from one pass over their stacked
-    components; the time-only work is done once, here.
-    """
-    posterior = _Posterior((model.target, model.source), scalars.alpha, scalars.sigma)
 
-    def residual(z: np.ndarray) -> np.ndarray:
-        head_tar, head_src = _head(model, z, posterior.x0(z), scalars)
-        return head_tar - head_src
-
-    return residual
+def _head_residual(
+    model: BackboneModel, z: np.ndarray, scalars: PathScalars
+) -> np.ndarray:
+    """observable(tar) - observable(src) at each row of z, from one pass over
+    both conditions' stacked components."""
+    heads = _head(model, z[..., None, :], model._pair.x0(z, scalars), scalars)
+    return heads[..., 0, :] - heads[..., 1, :]
 
 
 def posterior_x0(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.ndarray:
@@ -268,17 +274,15 @@ def observable(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.n
     """
     z = np.asarray(z, dtype=float)
     mixture = model.condition(cond)
-    scalars = path_scalars(model.schedule, t)
-    return _head(model, z, _posterior_x0(mixture, z, scalars), scalars)
+    return _observe(model, mixture, z, path_scalars(model.schedule, t))
 
 
 def delta_drift(model: BackboneModel, z: np.ndarray, t: float) -> np.ndarray:
     """Velocity residual between target and source conditions at (z, t)."""
     z = np.asarray(z, dtype=float)
     scalars = path_scalars(model.schedule, t)
-    posterior = _Posterior((model.target, model.source), scalars.alpha, scalars.sigma)
-    drift_tar, drift_src = _drift(z, posterior.x0(z), scalars)
-    return drift_tar - drift_src
+    drifts = _drift(z[..., None, :], model._pair.x0(z, scalars), scalars)
+    return drifts[..., 0, :] - drifts[..., 1, :]
 
 
 def log_marginal_density(
@@ -288,7 +292,7 @@ def log_marginal_density(
     z = np.asarray(z, dtype=float)
     mixture = model.condition(cond)
     a, s = evaluate(model.schedule, t)
-    log_mass, _ = _Posterior((mixture,), a, s).log_mass(z)
+    log_mass, _, _ = mixture._stack.log_mass(z, a, s)
     peak = float(np.max(log_mass))
     return peak + math.log(float(np.sum(np.exp(log_mass - peak))))
 

@@ -9,19 +9,21 @@ numbers scheme that strictly reduces the estimator variance.
 Randomness is generated by the Philox 4x64 counter-based generator. Draw i of
 a batch is keyed by the 128-bit pair ``(seed, i)`` and its coordinates are
 read in order from that stream, so draws are bit-reproducible and independent
-of evaluation order. Auxiliary streams (proximal refinement noise, particle
-sampling, decoupling ablations, per-trial noise) derive their own 64-bit seed
-from the user seed through a splitmix-style mix with a namespaced label.
+of evaluation order; one generator, re-keyed per draw, fills every batch.
+Auxiliary streams (proximal refinement noise, particle sampling, decoupling
+ablations, per-trial noise) derive their own 64-bit seed from the user seed
+through a splitmix-style mix with a namespaced label.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .backbone import BackboneModel, _head_residual, observable
+from .backbone import BackboneModel, _head_residual, _observe
 from .errors import DomainError
 from .schedules import Schedule, coefficient, evaluate, path_scalars
 
@@ -49,6 +51,23 @@ def derive_stream(seed: int, namespace: int, index: int = 0) -> int:
     return _mix64((seed & _MASK64) ^ _mix64(label))
 
 
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+# held while the shared generator is re-keyed and drawn from
+_PHILOX_LOCK = threading.Lock()
+
+
+@cache
+def _shared_generator() -> np.random.Generator:
+    """The one Philox generator that fills every noise batch, re-keyed per draw.
+
+    Setting its state costs a fraction of building a generator, and a draw
+    made after the reset (counter zeroed, key (seed, i), buffer emptied) is
+    bit-identical to one from a fresh ``Philox(key=(seed, i))``. Built on first
+    use, so that importing the package does not import ``numpy.random``.
+    """
+    return np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
+
+
 @dataclass
 class SharedNoiseBatch:
     """n standard-normal vectors in R^dim, deterministic in (seed, n, dim)."""
@@ -66,12 +85,20 @@ class SharedNoiseBatch:
     @cached_property
     def draws(self) -> np.ndarray:
         out = np.empty((self.n, self.dim))
-        key_hi = self.seed & _MASK64
-        for i in range(self.n):
-            gen = np.random.Generator(
-                np.random.Philox(key=np.array([key_hi, i], dtype=np.uint64))
-            )
-            out[i] = gen.standard_normal(self.dim)
+        key = np.array([self.seed & _MASK64, 0], dtype=np.uint64)
+        gen = _shared_generator()
+        with _PHILOX_LOCK:
+            for i in range(self.n):
+                key[1] = i
+                gen.bit_generator.state = {
+                    "bit_generator": "Philox",
+                    "state": {"counter": _ZEROS4, "key": key},
+                    "buffer": _ZEROS4,
+                    "buffer_pos": 4,
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                gen.standard_normal(out=out[i])
         out.setflags(write=False)
         return out
 
@@ -104,19 +131,22 @@ def proxy_field(
     Averages the head residual over the batch draws (identical draws for both
     conditions) and scales by the head's comparison-domain coefficient. For a
     velocity-head model this is exactly the mean of the velocity residual.
-    The schedule scalars at t are evaluated once and serve every draw and
-    both conditions.
+    The schedule scalars at t are evaluated once, and every draw and both
+    conditions go through the posterior in one pass.
     """
     x_tau = np.asarray(x_tau, dtype=float)
     if x_tau.shape != (batch.dim,):
         raise DomainError("anchor dimension does not match the noise batch")
     a_t = coefficient(model.output_kind, model.schedule, t)
     scalars = path_scalars(model.schedule, t)
-    residual = _head_residual(model, scalars)
-    acc = np.zeros(batch.dim)
-    for eps in batch.draws:
-        acc += residual(scalars.alpha * x_tau + scalars.sigma * eps)
-    return a_t * (acc / batch.n)
+    z = scalars.alpha * x_tau + scalars.sigma * batch.draws
+    return a_t * (_draw_sum(_head_residual(model, z, scalars)) / batch.n)
+
+
+def _draw_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the draw axis, added draw by draw in order as a loop from zero
+    would (the final ``+ 0.0`` turns a -0.0 total into that loop's 0.0)."""
+    return np.add.accumulate(rows, axis=0)[-1] + 0.0
 
 
 def proxy_field_decoupled(
@@ -135,12 +165,13 @@ def proxy_field_decoupled(
     if batch_tar.n != batch_src.n:
         raise DomainError("decoupled batches must have equal draw counts")
     a_t = coefficient(model.output_kind, model.schedule, t)
-    acc = np.zeros(batch_tar.dim)
-    for eps_t, eps_s in zip(batch_tar.draws, batch_src.draws):
-        z_t = noising_sample(model.schedule, x_tau, t, eps_t)
-        z_s = noising_sample(model.schedule, x_tau, t, eps_s)
-        acc += observable(model, z_t, t, "tar") - observable(model, z_s, t, "src")
-    return a_t * (acc / batch_tar.n)
+    scalars = path_scalars(model.schedule, t)
+    z_tar = scalars.alpha * x_tau + scalars.sigma * batch_tar.draws
+    z_src = scalars.alpha * x_tau + scalars.sigma * batch_src.draws
+    residual = _observe(model, model.target, z_tar, scalars) - _observe(
+        model, model.source, z_src, scalars
+    )
+    return a_t * (_draw_sum(residual) / batch_tar.n)
 
 
 def sample_proxy_field(

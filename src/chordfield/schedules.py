@@ -19,9 +19,10 @@ holds identically for every schedule, not only variance-preserving ones.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +75,6 @@ class Schedule:
     fd_step: float = 1e-3
     beta_times: np.ndarray | None = None
     beta_values: np.ndarray | None = None
-    _beta_cum: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -106,7 +106,11 @@ class Schedule:
             self.beta_values = b
             # exact cumulative integral of the piecewise-linear interpolant
             seg = 0.5 * (b[1:] + b[:-1]) * steps
-            self._beta_cum = np.concatenate([[0.0], np.cumsum(seg)])
+            cum = np.concatenate([[0.0], np.cumsum(seg)])
+            # Python-float copies: a scalar lookup in them costs a fraction of
+            # a numpy call, and the arithmetic below is that of
+            # np.searchsorted / np.interp, bit for bit
+            self._table = (t.tolist(), b.tolist(), cum.tolist())
 
     # -- core path quantities ------------------------------------------------
 
@@ -119,18 +123,23 @@ class Schedule:
         if self.kind == VP_CONST_BETA:
             return float(self.beta0)
         if self.kind == VP_GENERIC:
-            return float(np.interp(t, self.beta_times, self.beta_values))
+            tg, bg, _ = self._table
+            if not tg[0] < t < tg[-1]:
+                # np.interp: the end values outside the table, NaN stays NaN
+                return bg[0] if t <= tg[0] else bg[-1] if t >= tg[-1] else float(t)
+            i = bisect.bisect_right(tg, t) - 1
+            slope = (bg[i + 1] - bg[i]) / (tg[i + 1] - tg[i])
+            return float(slope * (t - tg[i]) + bg[i])
         raise DomainError(f"schedule kind {self.kind!r} has no beta(t)")
 
     def _beta_integral(self, t: float) -> float:
         if self.kind == VP_CONST_BETA:
             return self.beta0 * t
-        tg, bg = self.beta_times, self.beta_values
-        i = min(int(np.searchsorted(tg, t, side="right")) - 1, tg.size - 2)
-        i = max(i, 0)
+        tg, bg, cum = self._table
+        i = min(max(bisect.bisect_right(tg, t) - 1, 0), len(tg) - 2)
         dt = t - tg[i]
         slope = (bg[i + 1] - bg[i]) / (tg[i + 1] - tg[i])
-        return float(self._beta_cum[i] + bg[i] * dt + 0.5 * slope * dt * dt)
+        return float(cum[i] + bg[i] * dt + 0.5 * slope * dt * dt)
 
     def alpha(self, t: float) -> float:
         _check_time(t)

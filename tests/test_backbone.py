@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordfield.backbone import (
     BackboneModel,
     GaussianMixtureCondition,
+    _head_residual,
     delta_drift,
     log_marginal_density,
     marginal_moments,
@@ -24,8 +27,10 @@ from chordfield.schedules import (
     PARAMETERIZATION_KINDS,
     VELOCITY,
     VP_CONST_BETA,
+    VP_GENERIC,
     Schedule,
     coefficient,
+    path_scalars,
 )
 
 
@@ -133,6 +138,22 @@ class TestPosterior:
         # a query so extreme that every component log-mass is -inf
         with pytest.raises(DegeneratePosteriorError):
             posterior_x0(model, np.array([1e160]), 1e-4, "src")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_is_domain_error(self, bad):
+        model = BackboneModel(
+            schedule=Schedule(kind=LINEAR_INTERP),
+            source=single([-2.0, 0.0], 0.3),
+            target=single([2.0, 0.0], 0.3),
+        )
+        z = np.array([bad, 0.0])
+        for query in (
+            lambda: velocity(model, z, 0.5, "tar"),
+            lambda: posterior_x0(model, z, 0.5, "src"),
+            lambda: delta_drift(model, z, 0.5),
+        ):
+            with pytest.raises(DomainError, match="finite"):
+                query()
 
 
 class TestVelocity:
@@ -301,3 +322,79 @@ class TestDeltaDrift:
             v1 = delta_drift(base, np.array([zval]), t)
             v2 = delta_drift(scaled, np.array([2.5 * zval]), t)
             assert v2[0] == pytest.approx(2.5 * v1[0], rel=1e-10)
+
+
+def _outcome(query):
+    """The array a query returns, or the type of the error it raises."""
+    try:
+        return query()
+    except (IllConditionedMapError, DegeneratePosteriorError) as err:
+        return type(err)
+
+
+def _same(batched, rows):
+    if isinstance(batched, type) or any(isinstance(r, type) for r in rows):
+        assert all(r is batched for r in rows)
+    else:
+        np.testing.assert_array_equal(batched, np.stack(rows))
+
+
+@st.composite
+def _random_models(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    k_src = draw(st.integers(1, 4))
+    k_tar = draw(st.integers(1, 4).filter(lambda k: k != k_src))
+
+    def mixture(k):
+        weights = rng.uniform(0.1, 1.0, k)
+        return GaussianMixtureCondition(
+            weights / weights.sum(),
+            rng.normal(size=(k, dim)) * 2.0,
+            rng.uniform(0.05, 1.5, k),
+        )
+
+    schedule = draw(
+        st.sampled_from(
+            [
+                Schedule(kind=LINEAR_INTERP),
+                Schedule(kind=VP_CONST_BETA, beta0=2.0),
+                Schedule(
+                    kind=VP_GENERIC,
+                    beta_times=np.linspace(0.0, 1.0, 11),
+                    beta_values=0.1 + 9.9 * np.linspace(0.0, 1.0, 11),
+                ),
+            ]
+        )
+    )
+    model = BackboneModel(
+        schedule=schedule,
+        source=mixture(k_src),
+        target=mixture(k_tar),
+        output_kind=draw(st.sampled_from(PARAMETERIZATION_KINDS)),
+    )
+    rows = rng.normal(size=(draw(st.integers(2, 6)), dim)) * rng.uniform(0.1, 6.0)
+    return model, rows
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(_random_models(), st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_kernel_rows_bit_equal_to_one_row_calls(model_rows, t):
+    # the posterior kernel takes (..., d) rows; each row's result must not
+    # depend on the rows that come with it
+    model, rows = model_rows
+    for cond in ("src", "tar"):
+        for query in (posterior_x0, posterior_eps, velocity, observable):
+            _same(
+                _outcome(lambda: query(model, rows, t, cond)),
+                [_outcome(lambda: query(model, z, t, cond)) for z in rows],
+            )
+    _same(
+        _outcome(lambda: delta_drift(model, rows, t)),
+        [_outcome(lambda: delta_drift(model, z, t)) for z in rows],
+    )
+    scalars = path_scalars(model.schedule, t)
+    _same(
+        _outcome(lambda: _head_residual(model, rows, scalars)),
+        [_outcome(lambda: _head_residual(model, z[None], scalars)[0]) for z in rows],
+    )

@@ -391,3 +391,22 @@ class TestReproducibility:
         raw = (out / "coeffs.csv").read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+class TestExitCodes:
+    def test_domain_error_from_a_run_is_usage_error(self, tmp_path, capsys):
+        # the step sizes pass config validation but span less than the
+        # factor of 8 the error-order sweep needs
+        code = main(
+            [
+                "error_order",
+                "--out",
+                str(tmp_path / "run"),
+                "--override",
+                "params.h_values=[0.3,0.2,0.1,0.05]",
+            ]
+        )
+        assert code == 2
+        assert "usage error: step sizes must span at least a factor of 8" in (
+            capsys.readouterr().err
+        )

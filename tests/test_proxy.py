@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,32 @@ class TestSharedNoiseBatch:
     def test_invalid_sizes(self):
         with pytest.raises(DomainError):
             SharedNoiseBatch(seed=0, n=0, dim=2)
+
+    def test_bit_equal_to_a_fresh_generator_per_draw(self):
+        # draw i comes from Philox keyed (seed, i) with its counter at zero;
+        # batches are filled in turn, so no state may leak from one to the next
+        def fresh(seed, n, dim):
+            return np.stack(
+                [
+                    np.random.Generator(
+                        np.random.Philox(
+                            key=np.array([seed & ((1 << 64) - 1), i], dtype=np.uint64)
+                        )
+                    ).standard_normal(dim)
+                    for i in range(n)
+                ]
+            )
+
+        seeds = (0, 1, 2**63 + 5, 2**64 - 1)
+        for n in (1, 4, 7):
+            for dim in (1, 2, 5):
+                for seed, other in zip(seeds, seeds[::-1]):
+                    first = SharedNoiseBatch(seed=seed, n=n, dim=dim).draws
+                    second = SharedNoiseBatch(seed=other, n=7, dim=dim + 1).draws
+                    again = SharedNoiseBatch(seed=seed, n=n, dim=dim).draws
+                    np.testing.assert_array_equal(first, fresh(seed, n, dim))
+                    np.testing.assert_array_equal(second, fresh(other, 7, dim + 1))
+                    np.testing.assert_array_equal(again, first)
 
     def test_derive_stream_separates_namespaces(self):
         seen = {
@@ -134,6 +162,40 @@ class TestProxyField:
                 acc += observable(model, z, t, "tar") - observable(model, z, t, "src")
             expected = coefficient(output_kind, model.schedule, t) * (acc / batch.n)
             np.testing.assert_array_equal(proxy_field(model, x, t, batch), expected)
+
+    @pytest.mark.parametrize("output_kind", PARAMETERIZATION_KINDS)
+    def test_decoupled_equals_per_draw_definition_bit_exact(self, output_kind):
+        # reference: per draw, one noised query under each condition from its
+        # own batch, and one observable call each
+        model = BackboneModel(
+            schedule=Schedule(kind=VP_CONST_BETA, beta0=1.0),
+            source=mixture([[-2.0, 0.5], [1.0, 1.0]], [0.5, 0.3]),
+            target=mixture([[2.0, 0.5], [2.0, -0.5], [0.0, 1.5]], [0.35, 0.2, 0.6]),
+            output_kind=output_kind,
+        )
+        batch_tar = SharedNoiseBatch(seed=5, n=4, dim=2)
+        batch_src = SharedNoiseBatch(seed=6, n=4, dim=2)
+        x = np.array([-1.0, 0.4])
+        for t in (0.3, 0.9):
+            acc = np.zeros(2)
+            for eps_t, eps_s in zip(batch_tar.draws, batch_src.draws):
+                z_t = noising_sample(model.schedule, x, t, eps_t)
+                z_s = noising_sample(model.schedule, x, t, eps_s)
+                obs_tar = observable(model, z_t, t, "tar")
+                acc += obs_tar - observable(model, z_s, t, "src")
+            expected = coefficient(output_kind, model.schedule, t) * (acc / 4)
+            np.testing.assert_array_equal(
+                proxy_field_decoupled(model, x, t, batch_tar, batch_src), expected
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_anchor_is_domain_error(self, bad):
+        model = model_2d()
+        batch = SharedNoiseBatch(seed=0, n=2, dim=2)
+        with pytest.raises(DomainError, match="finite"):
+            proxy_field(model, np.array([bad, 0.0]), 0.9, batch)
+        with pytest.raises(DomainError, match="finite"):
+            proxy_field_decoupled(model, np.array([0.0, bad]), 0.9, batch, batch)
 
     def test_noise_head_matches_velocity_head(self):
         sched = Schedule(kind=VP_CONST_BETA, beta0=1.0)

@@ -115,6 +115,45 @@ class TestPathScalars:
             else:
                 np.testing.assert_array_equal(got.sigma_dot, sched.sigma_dot(t))
 
+    @pytest.mark.parametrize("m", [2, 11, 257])
+    def test_tabulated_lookup_bit_equal_to_numpy_reference(self, m):
+        # reference: the table lookups done with np.searchsorted and
+        # np.interp on the arrays, at every node, at both float neighbours
+        # of each node, at both ends and at random points
+        rng = np.random.default_rng(m)
+        tg = np.linspace(0.0, 1.0, m)
+        bg = rng.uniform(0.05, 20.0, m)
+        sched = Schedule(kind=VP_GENERIC, beta_times=tg, beta_values=bg)
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (bg[1:] + bg[:-1]) * np.diff(tg))])
+
+        def reference(t):
+            i = max(min(int(np.searchsorted(tg, t, side="right")) - 1, m - 2), 0)
+            dt = t - tg[i]
+            slope = (bg[i + 1] - bg[i]) / (tg[i + 1] - tg[i])
+            a = math.exp(-0.5 * float(cum[i] + bg[i] * dt + 0.5 * slope * dt * dt))
+            s = math.sqrt(max(1.0 - a * a, 0.0))
+            ad = -0.5 * float(np.interp(t, tg, bg)) * a
+            return [a, s, ad, -a * ad / s if s > 0.0 else math.nan]
+
+        nodes = [float(t) for t in tg]
+        points = nodes + [float(t) for t in rng.uniform(0.0, 1.0, 2000)]
+        points += [math.nextafter(t, -1.0) for t in nodes[1:]]
+        points += [math.nextafter(t, 2.0) for t in nodes[:-1]]
+        got = [path_scalars(sched, t) for t in points]
+        np.testing.assert_array_equal(
+            [
+                [g.alpha, g.sigma, g.alpha_dot, g.sigma_dot if g.sigma else math.nan]
+                for g in got
+            ],
+            [reference(t) for t in points],
+        )
+        # beta alone is defined past the table, where np.interp clamps
+        outside = [-0.5, -1e-300, 1.0 + 1e-15, 3.0, math.nan]
+        np.testing.assert_array_equal(
+            [sched.beta(t) for t in points + outside],
+            [float(np.interp(t, tg, bg)) for t in points + outside],
+        )
+
     @pytest.mark.parametrize("kind", sorted(SCHEDULES))
     def test_out_of_range_rejected_like_evaluate(self, kind):
         sched = self.SCHEDULES[kind]()
