@@ -94,18 +94,51 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
+def _series_arrays(series) -> tuple[np.ndarray, np.ndarray]:
+    """A ``list[(t, vec)]`` series as its ``(times, values)`` arrays."""
+    times = np.array([float(ts) for ts, _ in series])
+    values = np.array([np.asarray(v, dtype=float) for _, v in series])
+    return times, values
+
+
+def _uniform_step(times: np.ndarray, step: float | None = None) -> float:
+    """Spacing of a strictly ascending uniform grid (``step`` when given)."""
+    steps = np.diff(times)
+    if np.any(steps <= 0):
+        raise DomainError("series times must be strictly ascending")
+    ds = float(steps[0]) if step is None else step
+    if not np.allclose(steps, ds, rtol=1e-9, atol=1e-12):
+        raise DomainError("series must sit on a uniform grid with the expected step")
+    return ds
+
+
+def _lag_steps(delta: float, grid_step: float) -> int:
+    """delta / grid_step as a whole number of grid steps, at least one."""
+    lag = delta / grid_step
+    steps = int(round(lag))
+    if steps < 1 or abs(lag - steps) > 1e-9:
+        raise DomainError("delta must be a positive multiple of the grid step")
+    return steps
+
+
 def _validate_window(window_samples, t: float, delta: float):
     if delta > 0.0 and len(window_samples) < 2:
         raise DomainError("a positive window needs at least two samples")
-    times = np.array([float(ts) for ts, _ in window_samples])
+    times, vectors = _series_arrays(window_samples)
     if times.size:
         if np.any(np.diff(times) <= 0):
             raise DomainError("window sample times must be strictly ascending")
         lo, hi = t - delta - 1e-12, t + 1e-12
         if times[0] < lo or times[-1] > hi:
             raise DomainError("window sample times must lie in [t - delta, t]")
-    vectors = np.array([np.asarray(v, dtype=float) for _, v in window_samples])
     return times, vectors
+
+
+def _window_solve(u_prev, times, values, t: float) -> np.ndarray:
+    """Normal-equation solve of the window objective over ``(times, values)``."""
+    weights = _trapezoid_weights(times)
+    total = float(weights.sum())
+    return (t * u_prev + weights @ values) / (t + total)
 
 
 def surrogate_objective(
@@ -151,10 +184,8 @@ def window_minimizer(
     u_prev = np.asarray(u_prev, dtype=float)
     if delta == 0.0:
         return u_prev.copy()
-    times, vectors = _validate_window(window_samples, t, delta)
-    weights = _trapezoid_weights(times)
-    total = float(weights.sum())
-    return (t * u_prev + weights @ vectors) / (t + total)
+    times, values = _validate_window(window_samples, t, delta)
+    return _window_solve(u_prev, times, values, t)
 
 
 @dataclass
@@ -192,10 +223,7 @@ def dirac_kernel(grid_step: float) -> SmoothingKernel:
 
 def chord_two_tap_kernel(t: float, delta: float, grid_step: float) -> SmoothingKernel:
     """Two taps at lags delta and 0 with masses t/(t+delta), delta/(t+delta)."""
-    lag = delta / grid_step
-    taps = int(round(lag))
-    if taps < 1 or abs(lag - taps) > 1e-9:
-        raise DomainError("delta must be a positive multiple of grid_step")
+    taps = _lag_steps(delta, grid_step)
     w = np.zeros(taps + 1)
     w[0] = delta / ((t + delta) * grid_step)
     w[taps] = t / ((t + delta) * grid_step)
@@ -242,6 +270,21 @@ def shipped_causal_kernels(
     }
 
 
+def _causal_smooth(values: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
+    """``kernel_smooth`` over the ``(T, ...)`` values of a series on the
+    kernel's grid: the ``T - taps + 1`` outputs from index ``taps - 1`` on."""
+    if kernel.taps == 1:
+        return values.copy()
+    lag = kernel.taps - 1
+    count = values.shape[0] - lag
+    # tap by tap over all outputs: each output keeps the operation order of
+    # its explicit sum 0 + c_0 R(t_j) + c_1 R(t_j - ds) + ..., bit for bit
+    acc = np.zeros((count,) + values.shape[1:])
+    for i, c in enumerate(kernel.weights * kernel.grid_step):
+        acc += c * values[lag - i : lag - i + count]
+    return acc
+
+
 def kernel_smooth(
     series: list[tuple[float, np.ndarray]], kernel: SmoothingKernel
 ) -> list[tuple[float, np.ndarray]]:
@@ -254,23 +297,10 @@ def kernel_smooth(
     """
     if len(series) < kernel.taps:
         raise DomainError("series shorter than the kernel support")
-    times = np.array([float(ts) for ts, _ in series])
-    steps = np.diff(times)
-    if np.any(steps <= 0):
-        raise DomainError("series times must be strictly ascending")
-    if not np.allclose(steps, kernel.grid_step, rtol=1e-9, atol=1e-12):
-        raise DomainError("series grid step does not match the kernel grid step")
-    if kernel.taps == 1:
-        return [(float(ts), v.copy()) for ts, v in series]
-    stacked = np.array([np.asarray(v, dtype=float) for _, v in series])
-    lag = kernel.taps - 1
-    count = len(series) - lag
-    # tap by tap over all outputs: each output keeps the operation order of
-    # its explicit sum 0 + c_0 R(t_j) + c_1 R(t_j - ds) + ..., bit for bit
-    acc = np.zeros((count,) + stacked.shape[1:])
-    for i, c in enumerate(kernel.weights * kernel.grid_step):
-        acc += c * stacked[lag - i : lag - i + count]
-    return [(float(times[lag + j]), acc[j]) for j in range(count)]
+    times, values = _series_arrays(series)
+    _uniform_step(times, kernel.grid_step)
+    smoothed = _causal_smooth(values, kernel)
+    return list(zip(times[kernel.taps - 1 :].tolist(), smoothed))
 
 
 def recursive_chord_series(
@@ -286,20 +316,14 @@ def recursive_chord_series(
 
     seeded with the raw field over the first window. Diagnostics-only.
     """
-    times = np.array([float(ts) for ts, _ in series])
-    steps = np.diff(times)
-    if times.size < 2 or np.any(steps <= 0):
+    times, values = _series_arrays(series)
+    if times.size < 2:
         raise DomainError("series must be ascending with at least two samples")
-    ds = float(steps[0])
-    if not np.allclose(steps, ds, rtol=1e-9, atol=1e-12):
-        raise DomainError("series must sit on a uniform grid")
-    lag = int(round(delta / ds))
-    if lag < 1 or abs(delta / ds - lag) > 1e-9:
-        raise DomainError("delta must be a positive multiple of the grid step")
-    vectors = [np.asarray(v, dtype=float) for _, v in series]
-    estimates = [v.copy() for v in vectors[:lag]]  # seed: raw fields
-    for j in range(lag, len(series)):
-        window = list(zip(times[j - lag : j + 1], vectors[j - lag : j + 1]))
-        u_star = window_minimizer(estimates[j - lag], window, float(times[j]), delta)
-        estimates.append(u_star)
-    return [(float(times[j]), estimates[j]) for j in range(len(series))]
+    lag = _lag_steps(delta, _uniform_step(times))
+    estimates = values.copy()  # seed: raw fields
+    for j in range(lag, times.size):
+        window = slice(j - lag, j + 1)
+        estimates[j] = _window_solve(
+            estimates[j - lag], times[window], values[window], float(times[j])
+        )
+    return list(zip(times.tolist(), estimates))

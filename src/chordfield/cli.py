@@ -18,7 +18,7 @@ import os
 import sys
 
 from .config import EXPERIMENTS, UsageError, load_config
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, IllConditionedMapError
 from .experiments import (
     EXIT_DIVERGENCE,
     EXIT_INVARIANT,
@@ -67,9 +67,9 @@ def main(argv: list[str] | None = None) -> int:
             overrides=args.override,
         )
         code = RUNNERS[args.experiment](cfg)
-    except (UsageError, DomainError) as err:
-        # a DomainError from a run is a configured value outside the domain
-        # of the operation it reaches
+    except (UsageError, DomainError, IllConditionedMapError) as err:
+        # a DomainError or IllConditionedMapError from a run is a configured
+        # value outside the domain of the operation it reaches
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantFailure as err:

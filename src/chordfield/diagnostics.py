@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chord import SmoothingKernel, kernel_smooth
+from .chord import SmoothingKernel, _causal_smooth
 from .errors import DivergenceError, DomainError
 from .proxy import NS_TRIAL, derive_stream
 from .transport import _guard_state, integrate_rk4
@@ -227,6 +227,31 @@ def _trial_noise(seed: int, trial: int, shape) -> np.ndarray:
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
 
 
+def _risk_trials(u_star, noise_sigma, smooth, interior, trials, seed):
+    """Mean squared errors of the raw and the smoothed noisy series.
+
+    ``smooth(noisy)`` returns the smoothed values at the ``interior`` indices.
+    Both errors are vector norms squared, averaged over the interior points
+    and then over the trials.
+    """
+    if trials < 100:
+        raise DomainError("risk experiments need trials >= 100")
+    u_star = np.asarray(u_star, dtype=float)
+    if u_star.ndim != 2:
+        raise DomainError("u_star must have shape (T, d)")
+    if not range(u_star.shape[0])[interior]:
+        raise DomainError("series shorter than the smoother support")
+    mse_naive = 0.0
+    mse_chord = 0.0
+    for trial in range(trials):
+        noisy = u_star + noise_sigma * _trial_noise(seed, trial, u_star.shape)
+        diff_naive = noisy[interior] - u_star[interior]
+        diff_chord = smooth(noisy) - u_star[interior]
+        mse_naive += float((diff_naive**2).sum(axis=1).mean())
+        mse_chord += float((diff_chord**2).sum(axis=1).mean())
+    return mse_naive / trials, mse_chord / trials
+
+
 def risk_experiment(
     u_star: np.ndarray,
     noise_sigma: float,
@@ -243,30 +268,14 @@ def risk_experiment(
     the raw series and of the causally smoothed series against the truth.
     A single-tap kernel yields bit-equal errors by construction.
     """
-    if trials < 100:
-        raise DomainError("risk experiments need trials >= 100")
-    u_star = np.asarray(u_star, dtype=float)
-    if u_star.ndim != 2:
-        raise DomainError("u_star must have shape (T, d)")
-    count, dim = u_star.shape
-    if count < kernel.taps:
-        raise DomainError("series shorter than the kernel support")
-    ds = kernel.grid_step
-    times = np.arange(count) * ds
-    lag = kernel.taps - 1
-    interior = slice(lag, count)
-    mse_naive = 0.0
-    mse_chord = 0.0
-    for trial in range(trials):
-        noisy = u_star + noise_sigma * _trial_noise(seed, trial, (count, dim))
-        series = [(float(ts), noisy[j]) for j, ts in enumerate(times)]
-        smoothed = kernel_smooth(series, kernel)
-        smooth_arr = np.array([v for _, v in smoothed])
-        diff_naive = noisy[interior] - u_star[interior]
-        diff_chord = smooth_arr - u_star[interior]
-        mse_naive += float((diff_naive**2).sum(axis=1).mean())
-        mse_chord += float((diff_chord**2).sum(axis=1).mean())
-    return mse_naive / trials, mse_chord / trials
+    return _risk_trials(
+        u_star,
+        noise_sigma,
+        lambda noisy: _causal_smooth(noisy, kernel),
+        slice(kernel.taps - 1, None),
+        trials,
+        seed,
+    )
 
 
 def risk_experiment_symmetric(
@@ -283,29 +292,21 @@ def risk_experiment_symmetric(
     moment, hence the smaller quadratic bias regime. Only used inside the
     verification suite; the shipped transport kernels stay causal.
     """
-    if trials < 100:
-        raise DomainError("risk experiments need trials >= 100")
     if half_width < 1:
         raise DomainError("half_width must be >= 1")
-    u_star = np.asarray(u_star, dtype=float)
-    count, dim = u_star.shape
     offsets = np.arange(-half_width, half_width + 1)
     weights = (half_width + 1.0) - np.abs(offsets)
     weights /= weights.sum()
-    interior = slice(half_width, count - half_width)
-    mse_naive = 0.0
-    mse_chord = 0.0
-    for trial in range(trials):
-        noisy = u_star + noise_sigma * _trial_noise(seed, trial, (count, dim))
-        smooth = np.zeros_like(noisy[interior])
-        base = np.arange(count)[interior]
+    interior = slice(half_width, -half_width)
+
+    def smooth(noisy):
+        stop = noisy.shape[0] - half_width
+        acc = np.zeros_like(noisy[interior])
         for off, w in zip(offsets, weights):
-            smooth += w * noisy[base + off]
-        diff_naive = noisy[interior] - u_star[interior]
-        diff_chord = smooth - u_star[interior]
-        mse_naive += float((diff_naive**2).sum(axis=1).mean())
-        mse_chord += float((diff_chord**2).sum(axis=1).mean())
-    return mse_naive / trials, mse_chord / trials
+            acc += w * noisy[half_width + off : stop + off]
+        return acc
+
+    return _risk_trials(u_star, noise_sigma, smooth, interior, trials, seed)
 
 
 def projection_energy_gap(

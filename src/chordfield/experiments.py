@@ -14,9 +14,9 @@ from dataclasses import replace
 import numpy as np
 
 from .chord import (
+    _causal_smooth,
     chord_two_tap_kernel,
     dirac_kernel,
-    kernel_smooth,
     shipped_causal_kernels,
 )
 from .config import (
@@ -450,24 +450,19 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
     ds = 1.0 / 32
     kernel = chord_two_tap_kernel(params.t, 4 * ds, ds)
     t_all, profile = _band_limited_profile(40, ds, cfg.seed, dim=2)
-    series = [(float(ts), profile[j]) for j, ts in enumerate(t_all)]
-    smoothed = kernel_smooth(series, kernel)
-    energy = lambda items: sum(float(v @ v) for _, v in items) * ds
-    sup = lambda items: max(float(np.linalg.norm(v)) for _, v in items)
-    dsup = lambda items: max(
-        float(np.linalg.norm(b - a))
-        for (_, a), (_, b) in zip(items, items[1:])
-    )
-    report.checks["l2_contraction"] = energy(smoothed) < energy(series)
-    report.checks["linf_contraction"] = sup(smoothed) <= sup(series) + 1e-12
-    report.checks["time_diff_contraction"] = dsup(smoothed) <= dsup(series) + 1e-12
+    smoothed = _causal_smooth(profile, kernel)
+    energy = lambda values: float((values * values).sum()) * ds
+    sup = lambda values: float(np.linalg.norm(values, axis=1).max())
+    dsup = lambda values: sup(np.diff(values, axis=0))
+    report.checks["l2_contraction"] = energy(smoothed) < energy(profile)
+    report.checks["linf_contraction"] = sup(smoothed) <= sup(profile) + 1e-12
+    report.checks["time_diff_contraction"] = dsup(smoothed) <= dsup(profile) + 1e-12
 
     # consistency proxy of the raw and smoothed series fields, plus the grid
     # Lipschitz margin, on a separable synthetic field; the pass verdict must
     # survive a 2x grid refinement
     def margin_pair(grid_pts):
-        sm = np.array([v for _, v in smoothed])
-        t0 = smoothed[0][0]
+        t0 = float(t_all[kernel.taps - 1])
 
         def spatial(x):
             return np.array([math.tanh(x[0]), 0.5 * x[0]])
@@ -478,9 +473,9 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
 
         def smooth_fn(x, t):
             j = int(round((t - t0) / ds))
-            return spatial(x) * float(sm[j, 0])
+            return spatial(x) * float(smoothed[j, 0])
 
-        t_range = (t0, float(smoothed[-1][0]))
+        t_range = (t0, float(t_all[-1]))
         bounds = [(-1.5, 1.5)]
         c_raw, (_, m_raw, _) = consistency_proxy(raw_fn, bounds, t_range, grid_pts)
         c_smooth, (_, m_smooth, _) = consistency_proxy(
@@ -488,14 +483,14 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
         )
         return c_raw, c_smooth, m_raw, m_smooth
 
-    c_raw, c_smooth, m_raw, m_smooth = margin_pair(len(smoothed))
+    c_raw, c_smooth, m_raw, m_smooth = margin_pair(smoothed.shape[0])
     report.consistency_naive, report.consistency_chord = c_raw, c_smooth
     report.lipschitz_naive, report.lipschitz_chord = m_raw, m_smooth
     ok_coarse = c_smooth <= c_raw * (1 + 1e-9) and m_smooth <= m_raw * (1 + 1e-9)
     report.checks["consistency_contraction"] = c_smooth <= c_raw * (1 + 1e-9)
     report.checks["lipschitz_contraction"] = m_smooth <= m_raw * (1 + 1e-9)
     # refinement invariance: double the spatial grid, same verdicts
-    c_raw2, c_smooth2, m_raw2, m_smooth2 = margin_pair(2 * len(smoothed))
+    c_raw2, c_smooth2, m_raw2, m_smooth2 = margin_pair(2 * smoothed.shape[0])
     ok_fine = c_smooth2 <= c_raw2 * (1 + 1e-9) and m_smooth2 <= m_raw2 * (1 + 1e-9)
     report.checks["grid_refinement_invariance"] = ok_coarse == ok_fine
 

@@ -61,12 +61,12 @@ class Schedule:
                 uniform, strictly increasing grid covering [0, 1] with the
                 tabulated beta, required for ``vp_generic``.
 
-    The path methods each stand alone, recompute what they build on and
-    raise ``DomainError`` outside t in [0, 1].
-    ``path_scalars(schedule, t)`` returns alpha, sigma, alpha_dot and
-    sigma_dot at one t from a single evaluation, bit-identical to the
-    methods; it is computed per call and not cached, since a schedule is
-    mutable and callers walk through thousands of distinct times.
+    The path methods alpha, sigma, alpha_dot and sigma_dot each return one
+    field of ``path_scalars(schedule, t)``, which evaluates all four at one
+    t and raises ``DomainError`` outside t in [0, 1]; it is computed per
+    call and not cached, since a schedule is mutable and callers walk
+    through thousands of distinct times. Code that needs more than one of
+    the four calls ``path_scalars`` once.
     """
 
     kind: str
@@ -142,42 +142,24 @@ class Schedule:
         return float(cum[i] + bg[i] * dt + 0.5 * slope * dt * dt)
 
     def alpha(self, t: float) -> float:
-        _check_time(t)
-        if self.kind == LINEAR_INTERP:
-            return 1.0 - t
-        return math.exp(-0.5 * self._beta_integral(t))
+        return path_scalars(self, t).alpha
 
     def sigma(self, t: float) -> float:
-        _check_time(t)
-        if self.kind == LINEAR_INTERP:
-            return t
-        a = self.alpha(t)
-        return math.sqrt(max(1.0 - a * a, 0.0))
+        return path_scalars(self, t).sigma
 
     def alpha_dot(self, t: float) -> float:
         """Analytic d(alpha)/dt."""
-        _check_time(t)
-        if self.kind == LINEAR_INTERP:
-            return -1.0
-        return -0.5 * self.beta(t) * self.alpha(t)
+        return path_scalars(self, t).alpha_dot
 
     def sigma_dot(self, t: float) -> float:
         """Analytic d(sigma)/dt; singular at sigma = 0 for vp kinds."""
-        _check_time(t)
-        if self.kind == LINEAR_INTERP:
-            return 1.0
-        s = self.sigma(t)
-        if s == 0.0:
-            raise IllConditionedMapError(
-                "sigma_dot is singular at sigma(t) = 0", time=t
-            )
-        return -self.alpha(t) * self.alpha_dot(t) / s
+        return path_scalars(self, t).sigma_dot
 
 
 class PathScalars:
     """alpha, sigma, alpha_dot and sigma_dot of one schedule at one time t.
 
-    Built by ``path_scalars``. ``sigma_dot`` raises like ``Schedule.sigma_dot``
+    Built by ``path_scalars``. ``sigma_dot`` raises ``IllConditionedMapError``
     where it is singular (sigma = 0 on vp kinds); the other values are plain
     attributes.
     """
@@ -203,11 +185,8 @@ class PathScalars:
 def path_scalars(schedule: Schedule, t: float) -> PathScalars:
     """alpha, sigma and their analytic derivatives at t in [0, 1], at once.
 
-    One beta-integral evaluation serves all four values, where the path
-    methods repeat it up to ten times between them. The formulas and their
-    operation order are those of the path methods, so each value is
-    bit-identical to ``alpha(t)``, ``sigma(t)``, ``alpha_dot(t)`` and
-    ``sigma_dot(t)``. Computed per call and never cached.
+    One beta-integral evaluation serves all four values; the path methods
+    of ``Schedule`` return its fields. Computed per call and never cached.
     """
     _check_time(t)
     if schedule.kind == LINEAR_INTERP:
@@ -229,10 +208,8 @@ def derivatives(schedule: Schedule, t: float) -> tuple[float, float]:
     h = schedule.fd_step
     if t - h < 0.0:
         raise DomainError(f"t - fd_step = {t - h} below 0")
-    _check_time(t)
-    a1, s1 = schedule.alpha(t), schedule.sigma(t)
-    a0, s0 = schedule.alpha(t - h), schedule.sigma(t - h)
-    return (a1 - a0) / h, (s1 - s0) / h
+    now, before = path_scalars(schedule, t), path_scalars(schedule, t - h)
+    return (now.alpha - before.alpha) / h, (now.sigma - before.sigma) / h
 
 
 def derivatives_analytic(schedule: Schedule, t: float) -> tuple[float, float]:
@@ -246,14 +223,6 @@ def _guard(value: float, name: str, floor: float, t: float):
         raise IllConditionedMapError(
             f"{name}(t) = {value:.3e} below floor {floor:.3e} at t = {t}", time=t
         )
-
-
-def _path_derivatives(schedule: Schedule, t: float, mode: str) -> tuple[float, float]:
-    if mode == "analytic":
-        return schedule.alpha_dot(t), schedule.sigma_dot(t)
-    if mode == "fd":
-        return derivatives(schedule, t)
-    raise DomainError(f"unknown derivative_mode {mode!r}")
 
 
 def coefficient(
@@ -282,7 +251,8 @@ def coefficient(
     if kind == CONSISTENCY:
         kind = DATA_X0
 
-    a, s = schedule.alpha(t), schedule.sigma(t)
+    scalars = path_scalars(schedule, t)
+    a, s = scalars.alpha, scalars.sigma
     floor = schedule.alpha_floor
 
     if schedule.is_vp and derivative_mode == "analytic":
@@ -300,7 +270,12 @@ def coefficient(
         if kind == V_PRED:
             return -0.5 * b * a / s
 
-    ad, sd = _path_derivatives(schedule, t, derivative_mode)
+    if derivative_mode == "analytic":
+        ad, sd = scalars.alpha_dot, scalars.sigma_dot
+    elif derivative_mode == "fd":
+        ad, sd = derivatives(schedule, t)
+    else:
+        raise DomainError(f"unknown derivative_mode {derivative_mode!r}")
     if kind == NOISE_EPS:
         _guard(a, "alpha", floor, t)
         return (ad / a) * s - sd
@@ -326,10 +301,11 @@ def epsilon_coefficient_forms(schedule: Schedule, t: float) -> tuple[float, floa
     """
     if not schedule.is_vp:
         raise DomainError("the vp/beta forms are only defined for vp schedules")
-    a, s = schedule.alpha(t), schedule.sigma(t)
+    scalars = path_scalars(schedule, t)
+    a, s = scalars.alpha, scalars.sigma
     _guard(a, "alpha", schedule.alpha_floor, t)
     _guard(s, "sigma", schedule.alpha_floor, t)
-    ad, sd = schedule.alpha_dot(t), schedule.sigma_dot(t)
+    ad, sd = scalars.alpha_dot, scalars.sigma_dot
     general = (ad / a) * s - sd
     vp_form = ad / (a * s)
     beta_form = -schedule.beta(t) / (2.0 * s)

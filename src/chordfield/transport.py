@@ -24,6 +24,7 @@ from .proxy import (
     derive_stream,
     proxy_field,
 )
+from .schedules import path_scalars
 
 # states beyond this norm abort loudly instead of silently overflowing
 DIVERGENCE_NORM = 1e6
@@ -133,8 +134,8 @@ def proximal_refine(
         eps = SharedNoiseBatch(
             seed=derive_stream(seed, NS_PROX), n=1, dim=x_pred.shape[0]
         ).draws[0]
-    a, s = model.schedule.alpha(t_c), model.schedule.sigma(t_c)
-    z = a * x_pred + s * np.asarray(eps, dtype=float)
+    scalars = path_scalars(model.schedule, t_c)
+    z = scalars.alpha * x_pred + scalars.sigma * np.asarray(eps, dtype=float)
     return posterior_x0(model, z, t_c, "tar")
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chordfield.chord import (
     ChordParams,
@@ -307,6 +310,24 @@ class TestRecursiveSeries:
         for _, v in out:
             np.testing.assert_allclose(v, 2.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("lag", [1, 3, 4])
+    def test_bit_equal_to_window_minimizer_loop(self, lag):
+        rng = np.random.default_rng(13)
+        ds = 0.02
+        series = band_limited_series(rng, count=30, ds=ds, dim=3)
+        delta = lag * ds
+        out = recursive_chord_series(series, delta)
+        estimates = [v.copy() for _, v in series[:lag]]
+        for j in range(lag, len(series)):
+            window = series[j - lag : j + 1]
+            estimates.append(
+                window_minimizer(estimates[j - lag], window, series[j][0], delta)
+            )
+        assert len(out) == len(series)
+        for (ts, got), (t_ref, _), expected in zip(out, series, estimates):
+            assert ts == t_ref
+            np.testing.assert_array_equal(got, expected)
+
     def test_recursion_contracts_energy(self):
         rng = np.random.default_rng(12)
         ds = 0.02
@@ -327,3 +348,68 @@ class TestChordParams:
     def test_negative_scale_rejected(self):
         with pytest.raises(DomainError):
             ChordParams(step_scale=-1.0)
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=150, derandomize=True, database=None, deadline=None
+)
+VALUES = st.floats(-1e3, 1e3, allow_subnormal=False)
+# absolute floor for products and squares that underflow
+UNDERFLOW = 1e-300
+
+
+@st.composite
+def kernels_and_series(draw):
+    """A random non-negative unit-mass kernel and a series on its grid."""
+    grid_step = draw(st.sampled_from([0.01, 0.05, 0.25, 1.0]))
+    raw = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6))
+    if sum(raw) < 1e-6:
+        raw[draw(st.integers(0, len(raw) - 1))] = 1.0
+    weights = np.array(raw) / (sum(raw) * grid_step)
+    kernel = SmoothingKernel(weights=weights, grid_step=grid_step)
+    count = draw(st.integers(kernel.taps, kernel.taps + 20))
+    dim = draw(st.integers(1, 3))
+    values = draw(arrays(float, (count, dim), elements=VALUES))
+    return kernel, [(j * grid_step, values[j]) for j in range(count)]
+
+
+def stacked(series):
+    return np.array([v for _, v in series])
+
+
+def at_most(smoothed, raw):
+    return smoothed <= raw * (1.0 + 1e-12) + UNDERFLOW
+
+
+class TestContractionHypothesis:
+    @PROPERTY_SETTINGS
+    @given(kernels_and_series())
+    def test_kernel_smooth_never_increases_energy_sup_or_differences(self, case):
+        kernel, series = case
+        raw = stacked(series)
+        out = stacked(kernel_smooth(series, kernel))
+        energy = lambda v: float((v * v).sum()) * kernel.grid_step
+        sup = lambda v: float(np.linalg.norm(v, axis=1).max())
+        assert at_most(energy(out), energy(raw))
+        assert at_most(sup(out), sup(raw))
+        if out.shape[0] > 1:
+            assert at_most(sup(np.diff(out, axis=0)), sup(np.diff(raw, axis=0)))
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.floats(1e-3, 1.0),
+        st.floats(0.0, 1.0),
+        arrays(float, (2, 3), elements=VALUES),
+    )
+    def test_chord_field_is_convex_combination(self, t, frac, pair):
+        delta = frac * t
+        r_prev, r_curr = pair
+        u = chord_field(r_prev, r_curr, t, delta)
+        weight = t / (t + delta)
+        np.testing.assert_allclose(
+            u, weight * r_prev + (1.0 - weight) * r_curr, rtol=1e-12, atol=1e-9
+        )
+        lo, hi = np.minimum(r_prev, r_curr), np.maximum(r_prev, r_curr)
+        slack = 1e-12 * np.abs(pair).max(axis=0) + UNDERFLOW
+        assert np.all(lo - slack <= u) and np.all(u <= hi + slack)
+        assert at_most(float(u @ u), max(float(r_prev @ r_prev), float(r_curr @ r_curr)))

@@ -410,3 +410,24 @@ class TestExitCodes:
         assert "usage error: step sizes must span at least a factor of 8" in (
             capsys.readouterr().err
         )
+
+    def test_ill_conditioned_map_from_a_run_is_usage_error(self, tmp_path, capsys):
+        # delta = t puts the earlier query at t = 0, where the noise head's
+        # coefficient divides by sigma(0) = 0
+        code = main(
+            [
+                "toy",
+                "--out",
+                str(tmp_path / "run"),
+                "--override",
+                'backbone.output_kind="noise_eps"',
+                "--override",
+                "chord.t=0.9",
+                "--override",
+                "chord.delta=0.9",
+                "--override",
+                "params.particles=100",
+            ]
+        )
+        assert code == 2
+        assert "usage error: sigma(t) = 0.000e+00 below floor" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from chordfield.diagnostics import (
     stability_margin,
 )
 from chordfield.errors import DomainError
+from chordfield.proxy import NS_TRIAL, derive_stream
 
 
 class TestBbEnergy:
@@ -223,6 +224,11 @@ class TestGlobalErrorSweep:
             )
 
 
+def trial_noise(seed, trial, shape):
+    key = np.array([derive_stream(seed, NS_TRIAL, trial), 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+
+
 class TestRiskExperiment:
     def test_noiseless_decomposition(self):
         t = np.arange(40) * 0.05
@@ -267,6 +273,55 @@ class TestRiskExperiment:
             u_star, 0.3, half_width=3, grid_step=0.05, trials=200, seed=4
         )
         assert mse_chord < mse_naive
+
+    @pytest.mark.parametrize("name", sorted(shipped_causal_kernels(0.05)))
+    def test_bit_equal_to_list_trial_loop(self, name):
+        kernel = shipped_causal_kernels(0.05)[name]
+        t = np.arange(24) * 0.05
+        u_star = np.stack([np.sin(t), 1.0 - t], axis=1)
+        got = risk_experiment(u_star, 0.3, kernel, 100, seed=5)
+        lag = kernel.taps - 1
+        mse_naive = mse_chord = 0.0
+        for trial in range(100):
+            noisy = u_star + 0.3 * trial_noise(5, trial, u_star.shape)
+            series = [(float(ts), noisy[j]) for j, ts in enumerate(t)]
+            smoothed = []
+            for j in range(lag, len(series)):
+                out = np.zeros(2)
+                for i, w in enumerate(kernel.weights):
+                    out += (w * kernel.grid_step) * series[j - i][1]
+                smoothed.append(out)
+            smoothed = np.array(smoothed)
+            diff_naive = noisy[lag:] - u_star[lag:]
+            diff_chord = smoothed - u_star[lag:]
+            mse_naive += float((diff_naive**2).sum(axis=1).mean())
+            mse_chord += float((diff_chord**2).sum(axis=1).mean())
+        np.testing.assert_array_equal(got, (mse_naive / 100, mse_chord / 100))
+
+    @pytest.mark.parametrize("half_width", [1, 2, 5])
+    def test_symmetric_bit_equal_to_fancy_index_loop(self, half_width):
+        t = np.arange(24) * 0.05
+        u_star = np.stack([np.cos(t), t * t], axis=1)
+        got = risk_experiment_symmetric(u_star, 0.3, half_width, 0.05, 100, seed=6)
+        offsets = np.arange(-half_width, half_width + 1)
+        weights = (half_width + 1.0) - np.abs(offsets)
+        weights /= weights.sum()
+        base = np.arange(half_width, 24 - half_width)
+        mse_naive = mse_chord = 0.0
+        for trial in range(100):
+            noisy = u_star + 0.3 * trial_noise(6, trial, u_star.shape)
+            smooth = np.zeros_like(noisy[base])
+            for off, w in zip(offsets, weights):
+                smooth += w * noisy[base + off]
+            diff_naive = noisy[base] - u_star[base]
+            diff_chord = smooth - u_star[base]
+            mse_naive += float((diff_naive**2).sum(axis=1).mean())
+            mse_chord += float((diff_chord**2).sum(axis=1).mean())
+        np.testing.assert_array_equal(got, (mse_naive / 100, mse_chord / 100))
+
+    def test_symmetric_series_shorter_than_support_rejected(self):
+        with pytest.raises(DomainError):
+            risk_experiment_symmetric(np.zeros((4, 2)), 0.1, 2, 0.05, 100, seed=0)
 
     def test_trial_floor(self):
         with pytest.raises(DomainError):
