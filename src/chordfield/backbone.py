@@ -11,12 +11,19 @@ time-only coefficient, reproduces the velocity residual exactly.
 ``posterior_x0``, ``posterior_eps``, ``velocity``, ``observable`` and
 ``delta_drift`` take one query of shape (d,) or rows of shape (..., d); each
 row's result is bit-identical to that of the row queried alone.
+
+The posterior kernel splits its work into what depends on the time only
+(``_Stack.at``) and what depends on the rows. A model keeps the time-only
+part of each query time the proxy field asks for, so a transport run, whose
+query times never change, builds it once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,12 +38,17 @@ from .schedules import (
     VELOCITY,
     PathScalars,
     Schedule,
+    coefficient,
     evaluate,
     path_scalars,
 )
 
 SRC = "src"
 TAR = "tar"
+# query times whose constants one model keeps; past this many it starts over
+_TIME_ENTRIES = 64
+# held while a model's per-time entries are trimmed and added to
+_TIMES_LOCK = threading.Lock()
 
 
 @dataclass
@@ -75,7 +87,11 @@ class GaussianMixtureCondition:
 
 @dataclass
 class BackboneModel:
-    """Schedule plus a source and a target mixture, with one observable head."""
+    """Schedule plus a source and a target mixture, with one observable head.
+
+    The schedule, the mixtures and the head are read when the model is built
+    and when a query time is first used; build a new model to change them.
+    """
 
     schedule: Schedule
     source: GaussianMixtureCondition
@@ -88,10 +104,31 @@ class BackboneModel:
         if self.output_kind not in PARAMETERIZATION_KINDS:
             raise DomainError(f"unknown output kind {self.output_kind!r}")
         self._pair = _Stack((self.target, self.source))
+        self._times = {}
 
     @property
     def dim(self) -> int:
         return self.source.dim
+
+    def _time_entry(self, t: float):
+        """(coefficient, PathScalars, ``_pair`` slice) at query time t.
+
+        Built the first time t is asked for and kept; a build that raises
+        keeps nothing, so the error comes again on every call. -0.0 and 0.0
+        are separate entries, since sigma keeps the sign of t on the linear
+        path.
+        """
+        key = t if t != 0.0 else (t, math.copysign(1.0, t))
+        entry = self._times.get(key)
+        if entry is None:
+            a_t = coefficient(self.output_kind, self.schedule, t)
+            scalars = path_scalars(self.schedule, t)
+            entry = (a_t, scalars, self._pair.at(scalars.alpha, scalars.sigma))
+            with _TIMES_LOCK:
+                if len(self._times) >= _TIME_ENTRIES:
+                    self._times.clear()
+                self._times[key] = entry
+        return entry
 
     def condition(self, which: str) -> GaussianMixtureCondition:
         if which == SRC:
@@ -107,18 +144,32 @@ def marginal_moments(
     """Noised mean and isotropic variance of one mixture component."""
     if not (0 <= component < cond.n_components):
         raise DomainError(f"component {component} out of range")
-    a, s = evaluate(schedule, t)
-    var = a * a * float(cond.scales[component]) ** 2 + s * s
-    return a * cond.means[component], var
+    at = cond._stack.at(*evaluate(schedule, t))
+    return at.alpha_means[component], float(at.variances[component])
+
+
+class _Slice(NamedTuple):
+    """A stack's constants at one time: the schedule's alpha and sigma,
+    ``alpha * means`` (K, d), the noised variances (K,), the log-normalisers
+    ``d * log(2 pi var)`` (K,) and the posterior pull
+    ``alpha * scales^2 / var`` (K, 1)."""
+
+    alpha: float
+    sigma: float
+    alpha_means: np.ndarray
+    variances: np.ndarray
+    log_norm: np.ndarray
+    pull: np.ndarray
 
 
 class _Stack:
     """The components of one or more mixtures on one axis, and the posterior
     kernel over them.
 
-    Holds what no query changes (means, squared scales, log-weights and where
-    each mixture starts); it is built once, with the mixture or model that
-    owns it. A query is an array of rows of shape (..., d). Every step is
+    Holds what no query changes (means, squared scales, log-weights, where
+    each mixture starts and which mixture owns each component); it is built
+    once, with the mixture or model that owns it. ``at`` adds what one time
+    fixes. A query is an array of rows of shape (..., d). Every step is
     elementwise or a reduction within one row in a fixed order, so a row's
     result does not depend on how many rows come with it.
     """
@@ -126,20 +177,30 @@ class _Stack:
     def __init__(self, mixtures):
         sizes = [m.n_components for m in mixtures]
         self.starts = np.cumsum([0] + sizes[:-1])
-        self.sizes = np.array(sizes)
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
         self.means = np.concatenate([m.means for m in mixtures])
         self.scales_sq = np.concatenate([m.scales for m in mixtures]) ** 2
         self.log_weights = np.log(np.concatenate([m.weights for m in mixtures]))
 
-    def log_mass(self, z: np.ndarray, alpha: float, sigma: float):
+    def at(self, alpha: float, sigma: float) -> _Slice:
+        """The time-only constants for the schedule scalars alpha and sigma."""
+        variances = alpha * alpha * self.scales_sq + sigma * sigma
+        return _Slice(
+            alpha,
+            sigma,
+            alpha * self.means,
+            variances,
+            self.means.shape[1] * np.log(2.0 * math.pi * variances),
+            (alpha * self.scales_sq / variances)[:, None],
+        )
+
+    def log_mass(self, z: np.ndarray, at: _Slice):
         """Log of weight times noised kernel at each row, per stacked
         component (..., K), with the offsets ``z - alpha * means`` (..., K, d)
-        and the noised variances (K,) it was computed from."""
-        variances = alpha * alpha * self.scales_sq + sigma * sigma
-        diff = z[..., None, :] - alpha * self.means
+        it was computed from."""
+        diff = z[..., None, :] - at.alpha_means
         sq = np.einsum("...kd,...kd->...k", diff, diff)
-        log_norm = self.means.shape[1] * np.log(2.0 * math.pi * variances)
-        return self.log_weights + -0.5 * (sq / variances + log_norm), diff, variances
+        return self.log_weights + -0.5 * (sq / at.variances + at.log_norm), diff
 
     def responsibilities(self, z: np.ndarray, log_mass: np.ndarray) -> np.ndarray:
         """Component weights per row (..., K), each mixture normalised on its own."""
@@ -154,19 +215,17 @@ class _Stack:
             raise DegeneratePosteriorError(
                 "posterior mass underflowed for every mixture component"
             )
-        shifted = np.exp(log_mass - np.repeat(peaks, self.sizes, axis=-1))
+        shifted = np.exp(log_mass - peaks[..., self.owner])
         totals = np.add.reduceat(shifted, self.starts, axis=-1)
-        return shifted / np.repeat(totals, self.sizes, axis=-1)
+        return shifted / totals[..., self.owner]
 
-    def x0(self, z: np.ndarray, scalars: PathScalars) -> np.ndarray:
+    def x0(self, z: np.ndarray, at: _Slice) -> np.ndarray:
         """E[x0 | z] under each mixture, for each row: shape (..., mixtures, d)."""
-        alpha, sigma = scalars.alpha, scalars.sigma
-        if sigma == 0.0:
-            return np.repeat((z / alpha)[..., None, :], self.starts.size, axis=-2)
-        log_mass, diff, variances = self.log_mass(z, alpha, sigma)
+        if at.sigma == 0.0:
+            return np.repeat((z / at.alpha)[..., None, :], self.starts.size, axis=-2)
+        log_mass, diff = self.log_mass(z, at)
         resp = self.responsibilities(z, log_mass)
-        pull = (alpha * self.scales_sq / variances)[:, None]
-        component_means = self.means + pull * diff
+        component_means = self.means + at.pull * diff
         return np.add.reduceat(resp[..., None] * component_means, self.starts, axis=-2)
 
 
@@ -174,14 +233,16 @@ def _log_responsibilities(
     cond: GaussianMixtureCondition, z: np.ndarray, alpha: float, sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior component weights and variances of one mixture."""
-    log_mass, _, variances = cond._stack.log_mass(z, alpha, sigma)
-    return cond._stack.responsibilities(z, log_mass), variances
+    at = cond._stack.at(alpha, sigma)
+    log_mass, _ = cond._stack.log_mass(z, at)
+    return cond._stack.responsibilities(z, log_mass), at.variances
 
 
 def _posterior_x0(
     mixture: GaussianMixtureCondition, z: np.ndarray, scalars: PathScalars
 ) -> np.ndarray:
-    return mixture._stack.x0(z, scalars)[..., 0, :]
+    stack = mixture._stack
+    return stack.x0(z, stack.at(scalars.alpha, scalars.sigma))[..., 0, :]
 
 
 def _drift(z: np.ndarray, x0: np.ndarray, scalars: PathScalars) -> np.ndarray:
@@ -227,11 +288,17 @@ def _observe(
 
 
 def _head_residual(
-    model: BackboneModel, z: np.ndarray, scalars: PathScalars
+    model: BackboneModel,
+    z: np.ndarray,
+    scalars: PathScalars,
+    pair: _Slice | None = None,
 ) -> np.ndarray:
     """observable(tar) - observable(src) at each row of z, from one pass over
-    both conditions' stacked components."""
-    heads = _head(model, z[..., None, :], model._pair.x0(z, scalars), scalars)
+    both conditions' stacked components; ``pair`` is ``model._pair``'s slice
+    at ``scalars``, built here when not given."""
+    if pair is None:
+        pair = model._pair.at(scalars.alpha, scalars.sigma)
+    heads = _head(model, z[..., None, :], model._pair.x0(z, pair), scalars)
     return heads[..., 0, :] - heads[..., 1, :]
 
 
@@ -281,7 +348,8 @@ def delta_drift(model: BackboneModel, z: np.ndarray, t: float) -> np.ndarray:
     """Velocity residual between target and source conditions at (z, t)."""
     z = np.asarray(z, dtype=float)
     scalars = path_scalars(model.schedule, t)
-    drifts = _drift(z[..., None, :], model._pair.x0(z, scalars), scalars)
+    pair = model._pair.at(scalars.alpha, scalars.sigma)
+    drifts = _drift(z[..., None, :], model._pair.x0(z, pair), scalars)
     return drifts[..., 0, :] - drifts[..., 1, :]
 
 
@@ -291,8 +359,8 @@ def log_marginal_density(
     """Log density of the noised mixture marginal (diagnostic helper)."""
     z = np.asarray(z, dtype=float)
     mixture = model.condition(cond)
-    a, s = evaluate(model.schedule, t)
-    log_mass, _, _ = mixture._stack.log_mass(z, a, s)
+    stack = mixture._stack
+    log_mass, _ = stack.log_mass(z, stack.at(*evaluate(model.schedule, t)))
     peak = float(np.max(log_mass))
     return peak + math.log(float(np.sum(np.exp(log_mass - peak))))
 

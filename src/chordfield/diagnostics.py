@@ -101,7 +101,7 @@ def _sup_norm(values) -> float:
 def _sup_spectral(jac) -> float:
     """Largest spectral norm over the lattice's per-site Jacobians."""
     flat = jac.reshape(-1, jac.shape[-2], jac.shape[-1])
-    return float(max(np.linalg.norm(j, 2) for j in flat))
+    return float(np.linalg.norm(flat, 2, axis=(1, 2)).max())
 
 
 def consistency_proxy(
@@ -291,6 +291,10 @@ def risk_experiment_symmetric(
     Complements ``risk_experiment``: symmetric kernels have vanishing first
     moment, hence the smaller quadratic bias regime. Only used inside the
     verification suite; the shipped transport kernels stay causal.
+
+    The smoother works in grid samples (``half_width`` on each side) and its
+    weights sum to one, so ``grid_step`` is ignored; it is kept for the
+    signature's sake.
     """
     if half_width < 1:
         raise DomainError("half_width must be >= 1")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .backbone import BackboneModel, _head_residual, _observe
 from .errors import DomainError
-from .schedules import Schedule, coefficient, evaluate, path_scalars
+from .schedules import Schedule, evaluate
 
 _MASK64 = (1 << 64) - 1
 
@@ -131,16 +131,16 @@ def proxy_field(
     Averages the head residual over the batch draws (identical draws for both
     conditions) and scales by the head's comparison-domain coefficient. For a
     velocity-head model this is exactly the mean of the velocity residual.
-    The schedule scalars at t are evaluated once, and every draw and both
-    conditions go through the posterior in one pass.
+    The coefficient, the schedule scalars and the kernel constants at t are
+    built once per model and reused by later queries at t, and every draw
+    and both conditions go through the posterior in one pass.
     """
     x_tau = np.asarray(x_tau, dtype=float)
     if x_tau.shape != (batch.dim,):
         raise DomainError("anchor dimension does not match the noise batch")
-    a_t = coefficient(model.output_kind, model.schedule, t)
-    scalars = path_scalars(model.schedule, t)
+    a_t, scalars, pair = model._time_entry(t)
     z = scalars.alpha * x_tau + scalars.sigma * batch.draws
-    return a_t * (_draw_sum(_head_residual(model, z, scalars)) / batch.n)
+    return a_t * (_draw_sum(_head_residual(model, z, scalars, pair)) / batch.n)
 
 
 def _draw_sum(rows: np.ndarray) -> np.ndarray:
@@ -164,8 +164,7 @@ def proxy_field_decoupled(
     x_tau = np.asarray(x_tau, dtype=float)
     if batch_tar.n != batch_src.n:
         raise DomainError("decoupled batches must have equal draw counts")
-    a_t = coefficient(model.output_kind, model.schedule, t)
-    scalars = path_scalars(model.schedule, t)
+    a_t, scalars, _ = model._time_entry(t)
     z_tar = scalars.alpha * x_tau + scalars.sigma * batch_tar.draws
     z_src = scalars.alpha * x_tau + scalars.sigma * batch_src.draws
     residual = _observe(model, model.target, z_tar, scalars) - _observe(

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordfield.backbone import (
+    _TIME_ENTRIES,
     BackboneModel,
     GaussianMixtureCondition,
     _head_residual,
+    _log_responsibilities,
     delta_drift,
     log_marginal_density,
     marginal_moments,
@@ -22,6 +27,7 @@ from chordfield.errors import (
     DomainError,
     IllConditionedMapError,
 )
+from chordfield.proxy import SharedNoiseBatch, _draw_sum, proxy_field
 from chordfield.schedules import (
     LINEAR_INTERP,
     PARAMETERIZATION_KINDS,
@@ -30,6 +36,7 @@ from chordfield.schedules import (
     VP_GENERIC,
     Schedule,
     coefficient,
+    epsilon_coefficient_forms,
     path_scalars,
 )
 
@@ -398,3 +405,162 @@ def test_kernel_rows_bit_equal_to_one_row_calls(model_rows, t):
         _outcome(lambda: _head_residual(model, rows, scalars)),
         [_outcome(lambda: _head_residual(model, z[None], scalars)[0]) for z in rows],
     )
+
+
+# times that exercise the per-time entries: both signed zeros, the ends,
+# a vp sigma below the floor, and times the schedule rejects
+_ENTRY_TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e-7, 1.5, -0.25, math.nan]),
+    st.floats(0.0, 1.0),
+)
+_ERRORS = (DomainError, IllConditionedMapError, DegeneratePosteriorError)
+
+
+def _bits_or_error(query):
+    try:
+        return np.asarray(query()).view(np.uint64)
+    except _ERRORS as err:
+        return type(err)
+
+
+def _same_bits(got, want):
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def _fresh_proxy_field(model, x, t, batch):
+    """proxy_field from scratch: reads no per-time entry of the model."""
+    a_t = coefficient(model.output_kind, model.schedule, t)
+    scalars = path_scalars(model.schedule, t)
+    z = scalars.alpha * x + scalars.sigma * batch.draws
+    return a_t * (_draw_sum(_head_residual(model, z, scalars)) / batch.n)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    _random_models(),
+    st.lists(_ENTRY_TIMES, min_size=1, max_size=4),
+    st.lists(st.integers(0, 7), min_size=2, max_size=12),
+    st.integers(1, 4),
+)
+def test_time_entries_bit_equal_to_fresh_builds(model_rows, times, order, n):
+    # interleaved and repeated query times on one model, for every head; a
+    # time whose build raises must raise again on every call
+    drawn, rows = model_rows
+    batch = SharedNoiseBatch(seed=len(order), n=n, dim=drawn.dim)
+    for kind in PARAMETERIZATION_KINDS:
+        model = replace(drawn, output_kind=kind)
+        for i in order:
+            t, x = times[i % len(times)], rows[i % len(rows)]
+            got = _bits_or_error(lambda: proxy_field(model, x, t, batch))
+            want = _bits_or_error(lambda: _fresh_proxy_field(model, x, t, batch))
+            _same_bits(got, want)
+    # many distinct times never grow the model past its bound
+    for t in np.linspace(0.3, 0.7, 2 * _TIME_ENTRIES + 3):
+        got = _bits_or_error(lambda: proxy_field(model, rows[0], t, batch))
+        assert len(model._times) <= _TIME_ENTRIES
+    _same_bits(got, _bits_or_error(lambda: _fresh_proxy_field(model, rows[0], t, batch)))
+
+
+def test_signed_zero_times_keep_separate_entries():
+    # sigma(t) = t on the linear path, so -0.0 and 0.0 give different scalars
+    model = two_basin_1d()
+    batch = SharedNoiseBatch(seed=3, n=2, dim=1)
+    for t in (0.0, -0.0, 0.0):
+        proxy_field(model, np.array([0.5]), t, batch)
+        sigma = model._time_entry(t)[1].sigma
+        assert math.copysign(1.0, sigma) == math.copysign(1.0, t)
+    assert len(model._times) == 2
+
+
+def test_marginal_moments_variance_is_the_kernels():
+    # one noised-variance formula: the moments report the posterior's variances
+    mix = GaussianMixtureCondition(
+        [0.2, 0.3, 0.5], [[-1.0, 0.0], [1.0, 0.5], [0.0, -2.0]], [0.21, 0.43, 1.7]
+    )
+    for sched in (Schedule(kind=LINEAR_INTERP), Schedule(kind=VP_CONST_BETA, beta0=3.0)):
+        for t in np.linspace(0.0, 1.0, 17):
+            a, s = sched.alpha(t), sched.sigma(t)
+            _, variances = _log_responsibilities(mix, np.zeros(2), a, s)
+            for k in range(3):
+                mean, var = marginal_moments(mix, k, sched, t)
+                assert var == variances[k]
+                np.testing.assert_array_equal(mean, a * mix.means[k])
+
+
+@st.composite
+def _random_tables(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(2, 40))
+    betas = rng.uniform(0.05, 20.0, count)
+    return Schedule(
+        kind=VP_GENERIC, beta_times=np.linspace(0.0, 1.0, count), beta_values=betas
+    )
+
+
+# relative to max(1, |velocity residual|), as in acceptance criterion 2
+IDENTITY_RTOL = 1e-8
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    _random_tables(),
+    st.floats(0.05, 0.95),
+    st.sampled_from(PARAMETERIZATION_KINDS),
+    st.integers(0, 2**32 - 1),
+)
+def test_coefficient_identities_on_random_vp_generic_tables(sched, t, kind, seed):
+    rng = np.random.default_rng(seed)
+    model = BackboneModel(
+        schedule=sched,
+        source=GaussianMixtureCondition(
+            [0.4, 0.6], [[-2.0, 0.5], [-1.0, -0.5]], [0.5, 0.3]
+        ),
+        target=GaussianMixtureCondition([1.0], [[2.0, 0.0]], [0.35]),
+        output_kind=kind,
+    )
+    z = rng.normal(size=(5, 2)) * 2.5
+    mapped = coefficient(kind, sched, t) * (
+        observable(model, z, t, "tar") - observable(model, z, t, "src")
+    )
+    direct = delta_drift(model, z, t)
+    for m, d in zip(mapped, direct):
+        assert np.linalg.norm(m - d) <= IDENTITY_RTOL * max(1.0, np.linalg.norm(d))
+    general, vp_form, beta_form = epsilon_coefficient_forms(sched, t)
+    scale = max(abs(general), abs(vp_form), abs(beta_form))
+    assert abs(general - vp_form) <= 1e-6 * scale
+    assert abs(general - beta_form) <= 1e-6 * scale
+
+
+def test_time_entries_from_many_threads_stay_bounded_and_exact():
+    model = two_basin_1d()
+    batch = SharedNoiseBatch(seed=5, n=3, dim=1)
+    times = np.linspace(0.2, 0.8, 3 * _TIME_ENTRIES)
+    x = np.array([0.4])
+    want = [_fresh_proxy_field(model, x, t, batch).view(np.uint64) for t in times]
+    mismatches, sizes = [], []
+
+    def work(offset):
+        for j in range(2 * times.size):
+            i = (offset + 7 * j) % times.size
+            got = proxy_field(model, x, times[i], batch).view(np.uint64)
+            if not np.array_equal(got, want[i]):
+                mismatches.append(i)
+            sizes.append(len(model._times))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(sizes) == 8 * 2 * times.size
+    assert not mismatches
+    assert max(sizes) <= _TIME_ENTRIES

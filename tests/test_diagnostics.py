@@ -11,6 +11,7 @@ from chordfield.chord import (
     uniform_causal_kernel,
 )
 from chordfield.diagnostics import (
+    _sup_spectral,
     bb_energy,
     consistency_proxy,
     global_error_sweep,
@@ -142,6 +143,19 @@ class TestStabilityMargin:
         m_raw = stability_margin(raw_fn, BOUNDS_1D, t_range, 16)
         m_smooth = stability_margin(smooth_fn, BOUNDS_1D, t_range, 16)
         assert m_smooth <= m_raw * (1 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "shape", [(300, 1, 1), (300, 2, 1), (300, 2, 2), (300, 3, 3), (7, 6, 2, 2)]
+)
+def test_sup_spectral_equals_per_site_loop(shape):
+    # one stacked SVD call against one np.linalg.norm(j, 2) per lattice site
+    rng = np.random.default_rng(sum(shape))
+    jac = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[:-2] + (1, 1))
+    flat = jac.reshape(-1, shape[-2], shape[-1])
+    per_site = [np.linalg.norm(j, 2) for j in flat]
+    np.testing.assert_array_equal(np.linalg.norm(flat, 2, axis=(1, 2)), per_site)
+    np.testing.assert_array_equal(_sup_spectral(jac), max(per_site))
 
 
 class TestLteCheck:
