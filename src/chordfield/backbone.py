@@ -105,6 +105,7 @@ class BackboneModel:
             raise DomainError(f"unknown output kind {self.output_kind!r}")
         self._pair = _Stack((self.target, self.source))
         self._times = {}
+        self._refine = None
 
     @property
     def dim(self) -> int:
@@ -129,6 +130,16 @@ class BackboneModel:
                     self._times.clear()
                 self._times[key] = entry
         return entry
+
+    def _refine_entry(self, t: float):
+        """(PathScalars, target-mixture slice) at refinement time t, kept for
+        the last t asked for; a build that raises keeps nothing."""
+        entry = self._refine
+        if entry is None or entry[0] != t:
+            scalars = path_scalars(self.schedule, t)
+            entry = (t, scalars, self.target._stack.at(scalars.alpha, scalars.sigma))
+            self._refine = entry
+        return entry[1:]
 
     def condition(self, which: str) -> GaussianMixtureCondition:
         if which == SRC:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .chord import SmoothingKernel, _causal_smooth
 from .errors import DivergenceError, DomainError
-from .proxy import NS_TRIAL, derive_stream
+from .proxy import NS_TRIAL, _philox_normals, derive_stream
 from .transport import _guard_state, integrate_rk4
 
 # multiplicative slack applied to theoretical bounds to absorb the
@@ -74,16 +74,20 @@ def _lattice(fn, axes, ts):
     """fn(x, t) on the dense lattice as ``(values, dudt, jac)``: values indexed
     [t, x1, ..., xd, component] (the output dimension may differ from the
     spatial one), their central-difference time derivative (zero on a single
-    time slice) and Jacobian indexed [..., component, axis]."""
+    time slice) and Jacobian indexed [..., component, axis].
+
+    A field whose ``autonomous`` attribute is true takes rows and ignores t:
+    one row call fills one time slice, which every slice shares, so its time
+    derivative is exactly zero. Any other ``fn`` is called point by point.
+    """
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    probe = np.asarray(fn(points[0], float(ts[0])), dtype=float)
-    out = np.empty((ts.size, points.shape[0], probe.shape[0]))
-    for i, t in enumerate(ts):
-        for j, x in enumerate(points):
-            out[i, j] = fn(x, float(t))
-    shape = (ts.size,) + tuple(len(a) for a in axes) + (probe.shape[0],)
-    values = out.reshape(shape)
+    if getattr(fn, "autonomous", False):
+        values = np.asarray(fn(points, float(ts[0])), dtype=float)
+        values = np.broadcast_to(values, (ts.size,) + values.shape)
+    else:
+        values = np.array([[fn(x, float(t)) for x in points] for t in ts], dtype=float)
+    values = values.reshape((ts.size,) + tuple(len(a) for a in axes) + (-1,))
     if ts[-1] > ts[0]:
         dudt = np.gradient(values, ts[1] - ts[0], axis=0)
     else:
@@ -149,26 +153,39 @@ def lte_check(
     h: float,
     ref_steps: int = 128,
     grid: int = 7,
-) -> tuple[float, float]:
+):
     """One-step truncation error of explicit Euler against its local bound.
 
     observed = || high-res endpoint - (x + h u(x, t)) ||
     bound    = (h^2 / 2) * sup||du/dt + (grad u) u||  over a box containing
-               the step (grid-estimated).
+               the step (grid-estimated, ``grid`` >= 2 points per axis).
     Callers assert observed <= bound * BOUND_SLACK.
+
+    For one state x (d,) returns the two floats; for rows of states (k, d),
+    which ``fn`` must take, one reference run covers every row and the two
+    are arrays of k values, each equal to that of the row's own check.
     """
     x = np.asarray(x, dtype=float)
     if h <= 0:
         raise DomainError("step h must be positive")
+    if grid < 2:
+        raise DomainError("lte_check needs grid >= 2 points per axis")
     u0 = fn(x, t)
     euler = x + h * u0
     exact = integrate_rk4(fn, x, t, t + h, ref_steps)
-    observed = float(np.linalg.norm(exact - euler))
-    pad = 0.5 * h * float(np.linalg.norm(u0)) + 1e-3
-    corner_lo = np.minimum.reduce([x, euler, exact]) - pad
-    corner_hi = np.maximum.reduce([x, euler, exact]) + pad
-    m_f = _local_m_f(fn, corner_lo, corner_hi, t, t + h, grid=grid)
-    return observed, 0.5 * h * h * m_f
+    observed, bound = [], []
+    for x_r, u_r, euler_r, exact_r in zip(
+        *(np.atleast_2d(a) for a in (x, u0, euler, exact))
+    ):
+        observed.append(float(np.linalg.norm(exact_r - euler_r)))
+        pad = 0.5 * h * float(np.linalg.norm(u_r)) + 1e-3
+        corner_lo = np.minimum.reduce([x_r, euler_r, exact_r]) - pad
+        corner_hi = np.maximum.reduce([x_r, euler_r, exact_r]) + pad
+        m_f = _local_m_f(fn, corner_lo, corner_hi, t, t + h, grid=grid)
+        bound.append(0.5 * h * h * m_f)
+    if x.ndim == 1:
+        return observed[0], bound[0]
+    return np.array(observed), np.array(bound)
 
 
 def global_error_sweep(
@@ -221,18 +238,14 @@ def global_error_sweep(
     return errors, slope
 
 
-def _trial_noise(seed: int, trial: int, shape) -> np.ndarray:
-    """Standard normals of one risk trial, from its own Philox sub-stream."""
-    key = np.array([derive_stream(seed, NS_TRIAL, trial), 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
-
-
 def _risk_trials(u_star, noise_sigma, smooth, interior, trials, seed):
     """Mean squared errors of the raw and the smoothed noisy series.
 
-    ``smooth(noisy)`` returns the smoothed values at the ``interior`` indices.
-    Both errors are vector norms squared, averaged over the interior points
-    and then over the trials.
+    ``smooth(noisy)`` takes the noisy values (T, ...) and returns the
+    smoothed ones at the ``interior`` indices along the first axis. Both
+    errors are vector norms squared, averaged over the interior points and
+    then over the trials; trial k's noise is the standard-normal stream of
+    Philox key ``(derive_stream(seed, NS_TRIAL, k), 0)``.
     """
     if trials < 100:
         raise DomainError("risk experiments need trials >= 100")
@@ -241,15 +254,16 @@ def _risk_trials(u_star, noise_sigma, smooth, interior, trials, seed):
         raise DomainError("u_star must have shape (T, d)")
     if not range(u_star.shape[0])[interior]:
         raise DomainError("series shorter than the smoother support")
-    mse_naive = 0.0
-    mse_chord = 0.0
-    for trial in range(trials):
-        noisy = u_star + noise_sigma * _trial_noise(seed, trial, u_star.shape)
-        diff_naive = noisy[interior] - u_star[interior]
-        diff_chord = smooth(noisy) - u_star[interior]
-        mse_naive += float((diff_naive**2).sum(axis=1).mean())
-        mse_chord += float((diff_chord**2).sum(axis=1).mean())
-    return mse_naive / trials, mse_chord / trials
+    keys = [(derive_stream(seed, NS_TRIAL, k), 0) for k in range(trials)]
+    noisy = u_star + noise_sigma * _philox_normals(keys, u_star.shape)
+    smoothed = np.moveaxis(smooth(np.moveaxis(noisy, 0, 1)), 1, 0)
+
+    def mse(values):
+        # per trial over contiguous rows, so each mean is that trial's own
+        sq = np.ascontiguousarray(((values - u_star[interior]) ** 2).sum(axis=-1))
+        return float(np.add.accumulate(sq.mean(axis=1))[-1]) / trials
+
+    return mse(noisy[:, interior]), mse(smoothed)
 
 
 def risk_experiment(

@@ -84,23 +84,32 @@ class SharedNoiseBatch:
 
     @cached_property
     def draws(self) -> np.ndarray:
-        out = np.empty((self.n, self.dim))
-        key = np.array([self.seed & _MASK64, 0], dtype=np.uint64)
-        gen = _shared_generator()
-        with _PHILOX_LOCK:
-            for i in range(self.n):
-                key[1] = i
-                gen.bit_generator.state = {
-                    "bit_generator": "Philox",
-                    "state": {"counter": _ZEROS4, "key": key},
-                    "buffer": _ZEROS4,
-                    "buffer_pos": 4,
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-                gen.standard_normal(out=out[i])
+        seed = self.seed & _MASK64
+        out = _philox_normals([(seed, i) for i in range(self.n)], (self.dim,))
         out.setflags(write=False)
         return out
+
+
+def _philox_normals(keys, shape) -> np.ndarray:
+    """Standard normals of shape ``(len(keys), *shape)``: entry i holds what a
+    fresh ``Philox(key=keys[i])`` generator draws first, in C order, and is
+    filled by re-keying the shared generator."""
+    out = np.empty((len(keys),) + tuple(shape))
+    key = np.empty(2, dtype=np.uint64)
+    gen = _shared_generator()
+    with _PHILOX_LOCK:
+        for i, pair in enumerate(keys):
+            key[:] = pair
+            gen.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": _ZEROS4, "key": key},
+                "buffer": _ZEROS4,
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            gen.standard_normal(out=out[i])
+    return out
 
 
 @dataclass
@@ -131,22 +140,24 @@ def proxy_field(
     Averages the head residual over the batch draws (identical draws for both
     conditions) and scales by the head's comparison-domain coefficient. For a
     velocity-head model this is exactly the mean of the velocity residual.
-    The coefficient, the schedule scalars and the kernel constants at t are
-    built once per model and reused by later queries at t, and every draw
-    and both conditions go through the posterior in one pass.
+    ``x_tau`` is one anchor (d,) or rows of anchors (..., d); every anchor
+    and draw goes through the posterior in one pass, and each row's estimate
+    is bit-identical to that of the anchor queried alone. The coefficient,
+    the schedule scalars and the kernel constants at t are built once per
+    model and reused by later queries at t.
     """
     x_tau = np.asarray(x_tau, dtype=float)
-    if x_tau.shape != (batch.dim,):
+    if x_tau.shape[-1:] != (batch.dim,):
         raise DomainError("anchor dimension does not match the noise batch")
     a_t, scalars, pair = model._time_entry(t)
-    z = scalars.alpha * x_tau + scalars.sigma * batch.draws
+    z = scalars.alpha * x_tau[..., None, :] + scalars.sigma * batch.draws
     return a_t * (_draw_sum(_head_residual(model, z, scalars, pair)) / batch.n)
 
 
 def _draw_sum(rows: np.ndarray) -> np.ndarray:
-    """Sum over the draw axis, added draw by draw in order as a loop from zero
-    would (the final ``+ 0.0`` turns a -0.0 total into that loop's 0.0)."""
-    return np.add.accumulate(rows, axis=0)[-1] + 0.0
+    """Sum over the draw axis -2, added draw by draw in order as a loop from
+    zero would (the final ``+ 0.0`` turns a -0.0 total into that loop's 0.0)."""
+    return np.add.accumulate(rows, axis=-2)[..., -1, :] + 0.0
 
 
 def proxy_field_decoupled(

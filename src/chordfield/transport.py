@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import BackboneModel, posterior_x0, sample_condition, velocity
+from .backbone import BackboneModel, sample_condition, velocity
 from .chord import ChordParams, chord_field
 from .errors import DivergenceError, DomainError
 from .proxy import (
@@ -24,7 +24,6 @@ from .proxy import (
     derive_stream,
     proxy_field,
 )
-from .schedules import path_scalars
 
 # states beyond this norm abort loudly instead of silently overflowing
 DIVERGENCE_NORM = 1e6
@@ -91,9 +90,11 @@ def make_control_field(
     """Autonomous control field x -> u(x) with frozen noise draws.
 
     The naive field is the raw proxy field at the main query time; the chord
-    field blends the queries at t - delta and t. The returned callable accepts
-    an optional pseudo-time argument (ignored) so that integrators can treat
-    it like any other field.
+    field blends the queries at t - delta and t. The returned callable takes
+    one state (d,) or rows of states (..., d), each row's value bit-identical
+    to that of the row alone, and an optional pseudo-time argument (ignored)
+    so that integrators can treat it like any other field; its ``autonomous``
+    attribute is True to say so.
     """
     if field_kind not in FIELD_KINDS:
         raise DomainError(f"field kind must be one of {FIELD_KINDS}")
@@ -104,13 +105,14 @@ def make_control_field(
         def field(x, s=0.0):
             return proxy_field(model, x, params.t, batch_curr)
 
-        return field
+    else:
 
-    def field(x, s=0.0):
-        r_prev = proxy_field(model, x, params.t - params.delta, batch_prev)
-        r_curr = proxy_field(model, x, params.t, batch_curr)
-        return chord_field(r_prev, r_curr, params.t, params.delta)
+        def field(x, s=0.0):
+            r_prev = proxy_field(model, x, params.t - params.delta, batch_prev)
+            r_curr = proxy_field(model, x, params.t, batch_curr)
+            return chord_field(r_prev, r_curr, params.t, params.delta)
 
+    field.autonomous = True
     return field
 
 
@@ -134,14 +136,18 @@ def proximal_refine(
         eps = SharedNoiseBatch(
             seed=derive_stream(seed, NS_PROX), n=1, dim=x_pred.shape[0]
         ).draws[0]
-    scalars = path_scalars(model.schedule, t_c)
+    scalars, at = model._refine_entry(t_c)
     z = scalars.alpha * x_pred + scalars.sigma * np.asarray(eps, dtype=float)
-    return posterior_x0(model, z, t_c, "tar")
+    return model.target._stack.x0(z, at)[..., 0, :]
 
 
 def _guard_state(x, last, context):
-    """Reject a non-finite or runaway state; the error carries ``last``."""
-    if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > DIVERGENCE_NORM:
+    """Reject a non-finite or runaway state, one (d,) or rows (k, d); the error
+    carries ``last``. Each row is judged by its own norm, so rows trip the
+    guard exactly when one of them alone would."""
+    if not np.isfinite(x).all() or (
+        np.linalg.norm(x) if x.ndim == 1 else max(map(np.linalg.norm, x), default=0.0)
+    ) > DIVERGENCE_NORM:
         raise DivergenceError(f"state diverged during {context}", last_state=last)
 
 
@@ -220,7 +226,12 @@ def multi_step_transport(
 
 
 def integrate_rk4(field, x0: np.ndarray, s_from: float, s_to: float, steps: int):
-    """Classic fixed-step fourth-order integration of dx/ds = field(x, s)."""
+    """Classic fixed-step fourth-order integration of dx/ds = field(x, s).
+
+    ``x0`` is one state (d,) or rows of states (k, d), integrated together by
+    a field that takes rows; each row's endpoint is bit-identical to that of
+    its own run, and the batch raises ``DivergenceError`` when one row would.
+    """
     if steps < 1:
         raise DomainError("steps must be >= 1")
     x = np.asarray(x0, dtype=float).copy()

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chordfield.backbone import BackboneModel
 from chordfield.chord import (
+    ChordParams,
     chord_two_tap_kernel,
     dirac_kernel,
     kernel_smooth,
@@ -11,6 +15,7 @@ from chordfield.chord import (
     uniform_causal_kernel,
 )
 from chordfield.diagnostics import (
+    _lattice,
     _sup_spectral,
     bb_energy,
     consistency_proxy,
@@ -22,7 +27,10 @@ from chordfield.diagnostics import (
     stability_margin,
 )
 from chordfield.errors import DomainError
+from chordfield.preset_lib import load_preset
 from chordfield.proxy import NS_TRIAL, derive_stream
+from chordfield.schedules import LINEAR_INTERP, VP_CONST_BETA, Schedule
+from chordfield.transport import make_control_field
 
 
 class TestBbEnergy:
@@ -202,6 +210,66 @@ class TestLteCheck:
         assert obs1 / obs2 == pytest.approx(4.0, abs=0.5)
 
 
+    @pytest.mark.parametrize("grid", [1, 0, -1])
+    def test_grid_below_two_rejected(self, grid):
+        with pytest.raises(DomainError, match="grid"):
+            lte_check(lambda x, t: -x, np.ones(2), 0.0, 0.1, grid=grid)
+
+
+@st.composite
+def control_fields(draw):
+    """An autonomous control field of a preset model, and its dimension."""
+    source, target = load_preset(
+        draw(st.sampled_from(["two_blob_1d", "two_blob_2d", "ring_3blob_2d", "stiff_2d"]))
+    )
+    schedule = draw(
+        st.sampled_from([Schedule(kind=LINEAR_INTERP), Schedule(kind=VP_CONST_BETA, beta0=1.0)])
+    )
+    model = BackboneModel(schedule, source, target)
+    params = ChordParams(
+        t=draw(st.floats(0.5, 1.0)),
+        delta=draw(st.sampled_from([0.0, 0.2])),
+        n=draw(st.sampled_from([1, 4])),
+    )
+    kind = draw(st.sampled_from(["naive", "chord"]))
+    return make_control_field(model, params, kind, draw(st.integers(0, 2**32 - 1))), model.dim
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(control_fields(), st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_autonomous_lattice_equals_the_per_point_lattice(drawn, grid, slices, seed):
+    # one row call broadcast over the time slices, against one call per site
+    field, dim = drawn
+    rng = np.random.default_rng(seed)
+    lo = rng.normal(size=dim) * 2.0
+    axes = [np.linspace(a, a + w, grid) for a, w in zip(lo, rng.uniform(0.1, 2.0, dim))]
+    ts = np.linspace(0.0, 0.3, slices)
+    fast = _lattice(field, axes, ts)
+    slow = _lattice(lambda x, t: field(x, t), axes, ts)
+    for got, want in zip(fast, slow):
+        np.testing.assert_array_equal(got, want)
+    assert not fast[1].any()
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(
+    control_fields(),
+    st.integers(1, 4),
+    st.floats(0.01, 0.2),
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_lte_rows_equal_one_check_per_state(drawn, count, h, grid, seed):
+    field, dim = drawn
+    states = np.random.default_rng(seed).normal(size=(count, dim)) * 2.0
+    observed, bound = lte_check(field, states, 0.0, h, ref_steps=16, grid=grid)
+    assert observed.shape == bound.shape == (count,)
+    for k, x in enumerate(states):
+        want = lte_check(field, x, 0.0, h, ref_steps=16, grid=grid)
+        assert all(type(v) is float for v in want)
+        np.testing.assert_array_equal((observed[k], bound[k]), want)
+
+
 class TestGlobalErrorSweep:
     H_VALUES = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
 
@@ -331,6 +399,30 @@ class TestRiskExperiment:
             diff_chord = smooth - u_star[base]
             mse_naive += float((diff_naive**2).sum(axis=1).mean())
             mse_chord += float((diff_chord**2).sum(axis=1).mean())
+        np.testing.assert_array_equal(got, (mse_naive / 100, mse_chord / 100))
+
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @given(
+        st.sampled_from(sorted(shipped_causal_kernels(0.05))),
+        st.integers(5, 300),
+        st.integers(1, 3),
+        st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+    )
+    def test_trials_as_one_array_bit_equal_to_one_trial_at_a_time(self, name, length, dim, seed):
+        # long series too: each trial's mean runs over more than one block
+        # of the pairwise sum
+        kernel = shipped_causal_kernels(0.05)[name]
+        u_star = np.cos(np.arange(length * dim, dtype=float)).reshape(length, dim)
+        got = risk_experiment(u_star, 0.3, kernel, 100, seed=seed)
+        lag = kernel.taps - 1
+        mse_naive = mse_chord = 0.0
+        for trial in range(100):
+            noisy = u_star + 0.3 * trial_noise(seed, trial, u_star.shape)
+            smooth = np.zeros_like(noisy[lag:])
+            for i, w in enumerate(kernel.weights * kernel.grid_step):
+                smooth += w * noisy[lag - i : length - i]
+            mse_naive += float(((noisy[lag:] - u_star[lag:]) ** 2).sum(axis=1).mean())
+            mse_chord += float(((smooth - u_star[lag:]) ** 2).sum(axis=1).mean())
         np.testing.assert_array_equal(got, (mse_naive / 100, mse_chord / 100))
 
     def test_symmetric_series_shorter_than_support_rejected(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordfield.backbone import (
     BackboneModel,
@@ -9,10 +11,16 @@ from chordfield.backbone import (
     delta_drift,
     observable,
 )
-from chordfield.errors import DomainError
+from chordfield.errors import (
+    DegeneratePosteriorError,
+    DomainError,
+    IllConditionedMapError,
+)
 from chordfield.proxy import (
     NS_COND_DECOUPLE,
+    NS_TRIAL,
     SharedNoiseBatch,
+    _philox_normals,
     derive_stream,
     noising_sample,
     proxy_field,
@@ -23,6 +31,7 @@ from chordfield.schedules import (
     LINEAR_INTERP,
     PARAMETERIZATION_KINDS,
     VP_CONST_BETA,
+    VP_GENERIC,
     Schedule,
     coefficient,
 )
@@ -304,3 +313,89 @@ class TestEstimatorStatistics:
         var_shared = np.array(shared).var(axis=0).sum()
         var_decoupled = np.array(decoupled).var(axis=0).sum()
         assert var_shared <= var_decoupled
+
+
+SCHEDULES = (
+    Schedule(kind=LINEAR_INTERP),
+    Schedule(kind=VP_CONST_BETA, beta0=2.0),
+    Schedule(
+        kind=VP_GENERIC,
+        beta_times=np.linspace(0.0, 1.0, 11),
+        beta_values=0.1 + 9.9 * np.linspace(0.0, 1.0, 11),
+    ),
+)
+
+
+def _bits_or_error(query):
+    """The bits of a query's array, or the type of the error it raises."""
+    try:
+        return np.asarray(query()).view(np.uint64)
+    except (IllConditionedMapError, DegeneratePosteriorError) as err:
+        return type(err)
+
+
+@st.composite
+def _mixtures_and_anchors(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 3))
+
+    def mixture():
+        k = int(rng.integers(1, 4))
+        weights = rng.uniform(0.1, 1.0, k)
+        return GaussianMixtureCondition(
+            weights / weights.sum(), rng.normal(size=(k, dim)) * 2.0, rng.uniform(0.05, 1.5, k)
+        )
+
+    p, p1, p2 = (draw(st.integers(1, 4)) for _ in range(3))
+    scale = rng.uniform(0.1, 6.0)
+    return (
+        mixture(),
+        mixture(),
+        rng.normal(size=(p, dim)) * scale,
+        rng.normal(size=(p1, p2, dim)) * scale,
+    )
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(_mixtures_and_anchors(), st.one_of(st.just(0.0), st.floats(0.0, 1.0)), st.integers(0, 2**64 - 1))
+def test_anchor_rows_bit_equal_to_one_call_per_anchor(drawn, t, seed):
+    # (P, d) and (P1, P2, d) anchors through one pass, against one call per
+    # anchor: every head, every schedule kind, n = 1 and 4
+    source, target, flat, nested = drawn
+    for schedule in SCHEDULES:
+        for kind in PARAMETERIZATION_KINDS:
+            model = BackboneModel(schedule, source, target, output_kind=kind)
+            for n in (1, 4):
+                batch = SharedNoiseBatch(seed=seed, n=n, dim=source.dim)
+                for anchors in (flat, nested):
+                    got = _bits_or_error(lambda: proxy_field(model, anchors, t, batch))
+                    rows = anchors.reshape(-1, source.dim)
+                    want = [_bits_or_error(lambda: proxy_field(model, x, t, batch)) for x in rows]
+                    if isinstance(got, type):
+                        assert all(w is got for w in want)
+                    else:
+                        assert got.shape == anchors.shape
+                        np.testing.assert_array_equal(got.reshape(rows.shape), np.stack(want))
+
+
+@pytest.mark.parametrize("shape", [(), (4, 3), (2, 2, 1), (0, 3)])
+def test_anchor_rows_with_a_wrong_trailing_dimension_rejected(shape):
+    batch = SharedNoiseBatch(seed=0, n=2, dim=2)
+    with pytest.raises(DomainError, match="dimension"):
+        proxy_field(model_2d(), np.zeros(shape), 0.9, batch)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1)), min_size=1, max_size=4),
+    st.integers(0, 5),
+    st.integers(1, 3),
+)
+def test_trial_noise_bit_equal_to_a_fresh_philox_per_trial(seeds, length, dim):
+    # the risk study's (trials, T, d) noise, trial k keyed
+    # (derive_stream(seed, NS_TRIAL, k), 0), against one new generator per trial
+    keys = [(derive_stream(seed, NS_TRIAL, k), 0) for seed in seeds + [2**64 - 1] for k in range(3)]
+    got = _philox_normals(keys, (length, dim))
+    for pair, values in zip(keys, got):
+        fresh = np.random.Generator(np.random.Philox(key=np.array(pair, dtype=np.uint64)))
+        np.testing.assert_array_equal(values, fresh.standard_normal((length, dim)))

@@ -2,13 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordfield.backbone import BackboneModel, GaussianMixtureCondition, posterior_x0
 from chordfield.chord import ChordParams
-from chordfield.errors import DivergenceError, DomainError
+from chordfield.errors import DivergenceError, DomainError, IllConditionedMapError
 from chordfield.preset_lib import load_preset
-from chordfield.schedules import LINEAR_INTERP, VP_CONST_BETA, Schedule
+from chordfield.schedules import (
+    LINEAR_INTERP,
+    PARAMETERIZATION_KINDS,
+    VP_CONST_BETA,
+    VP_GENERIC,
+    Schedule,
+    path_scalars,
+)
 from chordfield.transport import (
+    DIVERGENCE_NORM,
     chordedit,
     chordedit_multi_noise,
     integrate_rk4,
@@ -450,3 +460,137 @@ class TestRk4:
 
         with pytest.raises(DivergenceError):
             integrate_rk4(field, np.array([1.0]), 0.0, 1.0, steps=100)
+
+
+PRESETS = ("two_blob_1d", "two_blob_2d", "ring_3blob_2d", "stiff_2d")
+SCHEDULES = (
+    Schedule(kind=LINEAR_INTERP),
+    Schedule(kind=VP_CONST_BETA, beta0=1.0),
+    Schedule(
+        kind=VP_GENERIC,
+        beta_times=np.linspace(0.0, 1.0, 6),
+        beta_values=0.1 + 4.0 * np.linspace(0.0, 1.0, 6) ** 2,
+    ),
+)
+
+
+@st.composite
+def control_fields_and_states(draw):
+    """A control field of a preset model and rows of states near its source."""
+    model = preset_model(
+        draw(st.sampled_from(PRESETS)),
+        draw(st.sampled_from(SCHEDULES)),
+        draw(st.sampled_from(PARAMETERIZATION_KINDS)),
+    )
+    t = draw(st.floats(0.4, 1.0))
+    params = ChordParams(
+        t=t, delta=draw(st.sampled_from([0.0, 0.1, 0.25])), n=draw(st.sampled_from([1, 4]))
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    field = make_control_field(model, params, draw(st.sampled_from(["naive", "chord"])), seed)
+    rng = np.random.default_rng(seed)
+    count = draw(st.integers(1, 4))
+    picks = rng.integers(0, model.source.n_components, count)
+    return field, model.source.means[picks] + rng.normal(size=(count, model.dim))
+
+
+def _run_or_error(run):
+    try:
+        return run()
+    except (DivergenceError, IllConditionedMapError) as err:
+        return err
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(control_fields_and_states(), st.integers(1, 5), st.floats(0.05, 1.0))
+def test_rk4_rows_bit_equal_to_one_run_per_row(drawn, steps, span):
+    field, states = drawn
+    assert field.autonomous
+    got = _run_or_error(lambda: integrate_rk4(field, states, 0.0, span, steps))
+    want = [_run_or_error(lambda: integrate_rk4(field, x, 0.0, span, steps)) for x in states]
+    if isinstance(got, Exception):
+        assert all(type(w) is type(got) for w in want)
+    else:
+        np.testing.assert_array_equal(got, np.stack(want))
+
+
+# norms of the row that may run away: at the guard's limit give or take an
+# ulp, anywhere below twice the limit, or infinite
+_ROW_NORMS = st.one_of(
+    st.integers(-1, 1).map(lambda j: DIVERGENCE_NORM + j * np.spacing(DIVERGENCE_NORM)),
+    st.floats(0.0, 2 * DIVERGENCE_NORM),
+    st.just(math.inf),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    _ROW_NORMS,
+    st.integers(0, 5),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 1.0, 5.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_rows_trip_the_guard_exactly_when_one_row_alone_does(norm, safe, dim, growth, seed):
+    # one row that may run away among rows that never do (e^5 < 1000)
+    rng = np.random.default_rng(seed)
+    norms = rng.uniform(0.0, DIVERGENCE_NORM / 1000, safe + 1)
+    runaway = int(rng.integers(0, safe + 1))
+    norms[runaway] = norm
+    unit = rng.normal(size=(safe + 1, dim))
+    states = unit / np.linalg.norm(unit, axis=1, keepdims=True) * norms[:, None]
+
+    def field(x, s):
+        with np.errstate(invalid="ignore"):
+            return growth * x
+
+    batch = _run_or_error(lambda: integrate_rk4(field, states, 0.0, 1.0, 4))
+    alone = [_run_or_error(lambda: integrate_rk4(field, x, 0.0, 1.0, 4)) for x in states]
+    if not isinstance(alone[runaway], DivergenceError):
+        assert not isinstance(batch, Exception)
+        np.testing.assert_array_equal(batch, np.stack(alone))
+        return
+    assert isinstance(batch, DivergenceError)
+    # the error carries every row's state from before the step that tripped
+    assert batch.last_state.shape == states.shape
+    np.testing.assert_array_equal(batch.last_state[runaway], alone[runaway].last_state)
+
+
+def test_rows_at_the_guards_limit_trip_exactly_when_alone():
+    # a row whose norm sits within an ulp of the limit: a batch norm that
+    # rounds differently from the one-row norm would flip some verdicts
+    rng = np.random.default_rng(7)
+
+    def still(x, s):
+        return np.zeros_like(x)
+
+    for dim in (2, 3, 4):
+        unit = rng.normal(size=(200, dim))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        for j in (-1, 0, 1):
+            for row in unit * (DIVERGENCE_NORM + j * np.spacing(DIVERGENCE_NORM)):
+                alone = _run_or_error(lambda: integrate_rk4(still, row, 0.0, 1.0, 1))
+                rows = np.stack([1e-3 * row, row])
+                batch = _run_or_error(lambda: integrate_rk4(still, rows, 0.0, 1.0, 1))
+                assert isinstance(batch, DivergenceError) == isinstance(alone, DivergenceError)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(PRESETS),
+    st.sampled_from(SCHEDULES),
+    st.sampled_from(PARAMETERIZATION_KINDS),
+    st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_refinement_bit_equal_to_the_target_posterior(name, schedule, kind, times, seed):
+    # the refinement keeps its time's constants on the model; it must agree
+    # with the public posterior, and raise nothing for heads whose
+    # coefficient is undefined at t_c
+    model = preset_model(name, schedule, kind)
+    rng = np.random.default_rng(seed)
+    for t_c in times + times[::-1]:
+        x, eps = rng.normal(size=(2, model.dim)) * 2.0
+        scalars = path_scalars(schedule, t_c)
+        want = posterior_x0(model, scalars.alpha * x + scalars.sigma * eps, t_c, "tar")
+        np.testing.assert_array_equal(proximal_refine(model, x, t_c, seed, eps=eps), want)
