@@ -95,7 +95,7 @@ DEFAULTS: dict[str, dict] = {
         "schedule": {"kind": VP_GENERIC, "beta_ramp": dict(_RAMP)},
         "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
         "chord": {"t": 0.7, "delta": 0.25, "use_prox": False},
-        "params": {"grid": 12, "lte_slack": 1.05, "lte_states": 8},
+        "params": {"lte_slack": 1.05, "lte_states": 8},
     },
 }
 

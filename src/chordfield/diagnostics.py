@@ -14,13 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chord import SmoothingKernel, _causal_smooth
-from .errors import DivergenceError, DomainError
+from .errors import DomainError
 from .proxy import NS_TRIAL, _philox_normals, derive_stream
-from .transport import _guard_state, integrate_rk4
+from .transport import _guard_rows, integrate_rk4
 
 # multiplicative slack applied to theoretical bounds to absorb the
 # finite-difference error in their grid-estimated constants
 BOUND_SLACK = 1.05
+
+# risk trials drawn, smoothed and reduced together, so that memory stays
+# bounded however many trials are asked for
+RISK_CHUNK = 256
 
 
 @dataclass
@@ -194,7 +198,7 @@ def global_error_sweep(
     h_values: list[float],
     horizon: float = 1.0,
     ref_steps: int = 4096,
-) -> tuple[list[float], float]:
+):
     """Euler endpoint errors against a high-res reference, with a rate fit.
 
     For each h (which must divide the horizon) the field is integrated by
@@ -203,39 +207,61 @@ def global_error_sweep(
     diverged run, excluded from the fit) and the least-squares slope of
     log error against log h; the slope is NaN when fewer than two finite,
     nonzero errors remain or when the field is integrated exactly.
+
+    For one state x0 (d,) returns that ``(errors, slope)`` pair; for rows of
+    states (k, d), which ``fn`` must take, one reference run and one Euler
+    march per h cover every row, and k pairs are returned, each equal to that
+    of the row's own sweep. The reference raises ``DivergenceError`` when any
+    row diverges in it; a row that diverges in an Euler run is frozen at its
+    last good state and gets inf for that h while the other rows go on.
     """
     hs = [float(h) for h in h_values]
     if len(hs) < 4:
         raise DomainError("need at least 4 step sizes")
     if max(hs) / min(hs) < 8.0 - 1e-12:
         raise DomainError("step sizes must span at least a factor of 8")
+    steps = [round(horizon / h) for h in hs]
+    for h, n in zip(hs, steps):
+        if n < 1 or abs(n * h - horizon) > 1e-9 * horizon:
+            raise DomainError(f"h = {h} does not divide the horizon {horizon}")
     x0 = np.asarray(x0, dtype=float)
     reference = integrate_rk4(fn, x0, 0.0, horizon, ref_steps)
-    errors = []
-    for h in hs:
-        steps = round(horizon / h)
-        if steps < 1 or abs(steps * h - horizon) > 1e-9 * horizon:
-            raise DomainError(f"h = {h} does not divide the horizon {horizon}")
-        x = x0.copy()
-        try:
-            s = 0.0
-            for _ in range(steps):
-                x_next = x + h * fn(x, s)
-                _guard_state(x_next, x, "the euler run")
-                x = x_next
-                s += h
-            errors.append(float(np.linalg.norm(x - reference)))
-        except DivergenceError:
-            errors.append(math.inf)
+    errors = [_euler_errors(fn, x0, h, n, reference) for h, n in zip(hs, steps)]
+    sweeps = [(list(row), _error_slope(hs, row)) for row in zip(*errors)]
+    return sweeps[0] if x0.ndim == 1 else sweeps
+
+
+def _euler_errors(fn, x0, h, steps, reference):
+    """Each row's Euler endpoint error against ``reference``, inf for a row
+    that trips the guard. A tripped row stays at its last good state, where
+    ``fn`` has already been evaluated, so evaluating it again cannot raise."""
+    x = x0.copy()
+    live = np.ones(x.shape[:-1], dtype=bool)
+    s = 0.0
+    for _ in range(steps):
+        x_next = x + h * fn(x, s)
+        live &= _guard_rows(x_next)
+        if not live.any():
+            break
+        x = np.where(live[..., None], x_next, x)
+        s += h
+    return [
+        float(np.linalg.norm(x_r - ref_r)) if ok else math.inf
+        for x_r, ref_r, ok in zip(np.atleast_2d(x), np.atleast_2d(reference), live.flat)
+    ]
+
+
+def _error_slope(hs, errors):
+    """Least-squares slope of log error against log h over the finite,
+    nonzero errors; NaN when fewer than two remain."""
     finite = [
         (h, e) for h, e in zip(hs, errors) if math.isfinite(e) and e > 1e-14
     ]
     if len(finite) < 2:
-        return errors, math.nan
+        return math.nan
     log_h = np.log([h for h, _ in finite])
     log_e = np.log([e for _, e in finite])
-    slope = float(np.polyfit(log_h, log_e, 1)[0])
-    return errors, slope
+    return float(np.polyfit(log_h, log_e, 1)[0])
 
 
 def _risk_trials(u_star, noise_sigma, smooth, interior, trials, seed):
@@ -254,16 +280,25 @@ def _risk_trials(u_star, noise_sigma, smooth, interior, trials, seed):
         raise DomainError("u_star must have shape (T, d)")
     if not range(u_star.shape[0])[interior]:
         raise DomainError("series shorter than the smoother support")
-    keys = [(derive_stream(seed, NS_TRIAL, k), 0) for k in range(trials)]
-    noisy = u_star + noise_sigma * _philox_normals(keys, u_star.shape)
-    smoothed = np.moveaxis(smooth(np.moveaxis(noisy, 0, 1)), 1, 0)
-
-    def mse(values):
-        # per trial over contiguous rows, so each mean is that trial's own
-        sq = np.ascontiguousarray(((values - u_star[interior]) ** 2).sum(axis=-1))
-        return float(np.add.accumulate(sq.mean(axis=1))[-1]) / trials
-
-    return mse(noisy[:, interior]), mse(smoothed)
+    totals = [0.0, 0.0]
+    for start in range(0, trials, RISK_CHUNK):
+        stop = min(start + RISK_CHUNK, trials)
+        keys = [(derive_stream(seed, NS_TRIAL, k), 0) for k in range(start, stop)]
+        # in place: every extra chunk-sized temporary is memory the allocator
+        # hands back and faults in again, which made the default run slower
+        noisy = _philox_normals(keys, u_star.shape)
+        noisy *= noise_sigma
+        noisy += u_star
+        smoothed = np.moveaxis(smooth(np.moveaxis(noisy, 0, 1)), 1, 0)
+        for i, values in enumerate((noisy[:, interior], smoothed)):
+            err = values - u_star[interior]
+            err *= err
+            # per trial over contiguous rows, so each mean is that trial's own;
+            # the running total adds them in trial order across the chunks
+            sq = np.ascontiguousarray(err.sum(axis=-1))
+            means = np.concatenate(([totals[i]], sq.mean(axis=1)))
+            totals[i] = float(np.add.accumulate(means)[-1])
+    return totals[0] / trials, totals[1] / trials
 
 
 def risk_experiment(

@@ -395,9 +395,15 @@ def run_error_order(cfg: ExperimentConfig) -> int:
         raise UsageError("error order needs at least 4 step sizes")
     x0 = sample_particles(model, 1, cfg.seed).points[0]
     rows, slopes, smallest = [], {}, {}
-    for method in ("chord", "naive"):
-        field = make_control_field(model, params, method, cfg.seed)
-        errors, slope = global_error_sweep(field, x0, h_values, horizon=horizon)
+    methods = ("chord", "naive")
+    # both methods as rows of one run: one query at t serves the two fields
+    sweeps = global_error_sweep(
+        make_control_field(model, params, methods, cfg.seed),
+        np.stack([x0, x0]),
+        h_values,
+        horizon=horizon,
+    )
+    for method, (errors, slope) in zip(methods, sweeps):
         slopes[method] = slope
         smallest[method] = errors[int(np.argmin(h_values))]
         for h, err in zip(h_values, errors):
@@ -441,8 +447,10 @@ def _band_limited_profile(count, ds, seed, dim=1):
 
 def run_diagnostics(cfg: ExperimentConfig) -> int:
     model, params = _model_and_params(cfg)
-    grid = int(cfg.params.get("grid", 12))
     slack = float(cfg.params.get("lte_slack", BOUND_SLACK))
+    lte_states = int(cfg.params.get("lte_states", 8))
+    if lte_states < 1:
+        raise UsageError("diagnostics needs params.lte_states >= 1")
     report = DiagnosticsReport()
     report.checks = {}
 
@@ -513,7 +521,6 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
 
     # local truncation error against its bound (the hard check)
     field = make_control_field(model, params, "chord", cfg.seed)
-    lte_states = int(cfg.params.get("lte_states", 8))
     xs = np.array(
         [
             sample_particles(model, 1, derive_stream(cfg.seed, NS_CELL, 500 + k)).points[0]
@@ -534,9 +541,12 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
     # global error slope and chord/naive ratio
     x0 = particles.points[0]
     h_values = [0.125, 0.0625, 0.03125, 0.015625]
-    chord_err, chord_slope = global_error_sweep(field, x0, h_values, horizon=params.step_scale)
-    naive_field = make_control_field(model, params, "naive", cfg.seed)
-    naive_err, _ = global_error_sweep(naive_field, x0, h_values, horizon=params.step_scale)
+    (chord_err, chord_slope), (naive_err, _) = global_error_sweep(
+        make_control_field(model, params, ("chord", "naive"), cfg.seed),
+        np.stack([x0, x0]),
+        h_values,
+        horizon=params.step_scale,
+    )
     report.global_error_slope = chord_slope
     report.global_error_ratio = chord_err[-1] / naive_err[-1]
     report.checks["global_error_first_order"] = 0.8 <= chord_slope <= 1.2

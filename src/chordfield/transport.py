@@ -85,32 +85,47 @@ def _batches(params: ChordParams, seed: int, dim: int):
 
 
 def make_control_field(
-    model: BackboneModel, params: ChordParams, field_kind: str, seed: int
+    model: BackboneModel, params: ChordParams, field_kind: str | tuple[str, ...], seed: int
 ):
     """Autonomous control field x -> u(x) with frozen noise draws.
 
     The naive field is the raw proxy field at the main query time; the chord
-    field blends the queries at t - delta and t. The returned callable takes
-    one state (d,) or rows of states (..., d), each row's value bit-identical
-    to that of the row alone, and an optional pseudo-time argument (ignored)
-    so that integrators can treat it like any other field; its ``autonomous``
+    field blends the queries at t - delta and t. For one kind (a string) the
+    returned callable takes one state (d,) or rows of states (..., d); for a
+    tuple of distinct kinds it takes rows (..., len(kinds), d) and evaluates
+    kind j on [..., j, :], with one query at t over every row (both kinds use
+    the same noise batch there) and one at t - delta over the chord rows.
+    Each row's value is bit-identical to that of the row alone under its
+    kind's own field. An optional pseudo-time argument is ignored, so that
+    integrators can treat the field like any other; its ``autonomous``
     attribute is True to say so.
     """
-    if field_kind not in FIELD_KINDS:
-        raise DomainError(f"field kind must be one of {FIELD_KINDS}")
+    single = not isinstance(field_kind, tuple)
+    kinds = (field_kind,) if single else field_kind
+    if not kinds or not all(kind in FIELD_KINDS for kind in kinds):
+        raise DomainError(f"field kinds must be drawn from {FIELD_KINDS}")
+    if len(set(kinds)) < len(kinds):
+        raise DomainError("field kinds must be distinct")
+    # the chord rows as a basic index, so selecting them makes a view
+    chord = None
+    if CHORD in kinds:
+        j = kinds.index(CHORD)
+        chord = Ellipsis if single else (Ellipsis, slice(j, j + 1), slice(None))
+    t, delta = params.t, params.delta
     batch_prev, batch_curr = _batches(params, seed, model.dim)
 
-    if field_kind == NAIVE:
-
-        def field(x, s=0.0):
-            return proxy_field(model, x, params.t, batch_curr)
-
-    else:
-
-        def field(x, s=0.0):
-            r_prev = proxy_field(model, x, params.t - params.delta, batch_prev)
-            r_curr = proxy_field(model, x, params.t, batch_curr)
-            return chord_field(r_prev, r_curr, params.t, params.delta)
+    def field(x, s=0.0):
+        x = np.asarray(x, dtype=float)
+        u = proxy_field(model, x, t, batch_curr)
+        if chord is None:
+            return u
+        r_prev = proxy_field(model, x[chord], t - delta, batch_prev)
+        blend = chord_field(r_prev, u[chord], t, delta)
+        if kinds == (CHORD,):
+            # every row is a chord row: the blend is the whole field
+            return blend
+        u[chord] = blend
+        return u
 
     field.autonomous = True
     return field
@@ -141,14 +156,27 @@ def proximal_refine(
     return model.target._stack.x0(z, at)[..., 0, :]
 
 
+def _guard_rows(x):
+    """Whether each state of ``x``, one (d,) or rows (k, d), is finite and
+    within ``DIVERGENCE_NORM``, shaped ``x.shape[:-1]``. Each row is judged by
+    its own norm, so a row's verdict in a batch is its verdict alone."""
+    if x.ndim == 1:
+        return np.isfinite(x).all() and np.linalg.norm(x) <= DIVERGENCE_NORM
+    return np.array(
+        [np.isfinite(r).all() and np.linalg.norm(r) <= DIVERGENCE_NORM for r in x],
+        dtype=bool,
+    )
+
+
 def _guard_state(x, last, context):
     """Reject a non-finite or runaway state, one (d,) or rows (k, d); the error
-    carries ``last``. Each row is judged by its own norm, so rows trip the
-    guard exactly when one of them alone would."""
-    if not np.isfinite(x).all() or (
-        np.linalg.norm(x) if x.ndim == 1 else max(map(np.linalg.norm, x), default=0.0)
-    ) > DIVERGENCE_NORM:
-        raise DivergenceError(f"state diverged during {context}", last_state=last)
+    carries ``last`` and, for rows, names the rows that tripped the guard."""
+    ok = _guard_rows(x)
+    # one state's verdict is a scalar, whose .all() costs more than the check
+    if ok if x.ndim == 1 else ok.all():
+        return
+    tripped = "" if x.ndim == 1 else f" (rows {np.flatnonzero(~ok).tolist()})"
+    raise DivergenceError(f"state diverged during {context}{tripped}", last_state=last)
 
 
 def _finish(model, params, seed, x_src, u_hat, fields):

@@ -342,6 +342,37 @@ class TestErrorOrder:
         assert 0.8 <= slopes["naive"] <= 1.2
         assert ratio <= 1.05
 
+    def test_paired_run_equals_one_sweep_per_method(self, tmp_path):
+        from chordfield.diagnostics import global_error_sweep
+        from chordfield.experiments import _model_and_params
+        from chordfield.transport import make_control_field, sample_particles
+
+        # the naive row diverges at every step size, the chord row only at
+        # some, so each row is frozen on its own
+        overrides = ["params.horizon=64", "params.h_values=[16,8,4,2]"]
+        out = tmp_path / "run"
+        flags = [f for o in overrides for f in ("--override", o)]
+        assert main(["error_order", "--out", str(out), "--seed", "2", *flags]) == 0
+        cfg = load_config("error_order", overrides=overrides)
+        model, params = _model_and_params(cfg)
+        x0 = sample_particles(model, 1, 2).points[0]
+        h_values = cfg.params["h_values"]
+        rows = read_csv(out / "error_order.csv")
+        diverged = 0
+        for method in ("chord", "naive"):
+            field = make_control_field(model, params, method, 2)
+            errors, _ = global_error_sweep(
+                field, x0, h_values, horizon=cfg.params["horizon"]
+            )
+            got = {float(r["h"]): r["endpoint_error"] for r in rows if r["method"] == method}
+            for h, err in zip(h_values, errors):
+                if math.isfinite(err):
+                    assert float(got[h]) == err
+                else:
+                    assert got[h] == "diverged"
+                    diverged += 1
+        assert diverged == 6
+
 
 class TestDiagnostics:
     def test_default_run_passes(self, tmp_path):
@@ -364,6 +395,13 @@ class TestDiagnostics:
         assert code == 1
         err = capsys.readouterr().err
         assert "lte_bound_with_slack" in err
+
+    @pytest.mark.parametrize("states", [0, -1])
+    def test_no_lte_states_usage_error(self, tmp_path, states):
+        out = tmp_path / "run"
+        flags = ["--override", f"params.lte_states={states}"]
+        assert main(["diagnostics", "--out", str(out), *flags]) == 2
+        assert not (out / "diagnostics.csv").exists()
 
     def test_empty_config_usage_error(self, tmp_path):
         path = tmp_path / "cfg.json"

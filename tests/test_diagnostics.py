@@ -15,6 +15,7 @@ from chordfield.chord import (
     uniform_causal_kernel,
 )
 from chordfield.diagnostics import (
+    RISK_CHUNK,
     _lattice,
     _sup_spectral,
     bb_energy,
@@ -29,7 +30,7 @@ from chordfield.diagnostics import (
 from chordfield.errors import DomainError
 from chordfield.preset_lib import load_preset
 from chordfield.proxy import NS_TRIAL, derive_stream
-from chordfield.schedules import LINEAR_INTERP, VP_CONST_BETA, Schedule
+from chordfield.schedules import LINEAR_INTERP, VP_CONST_BETA, VP_GENERIC, Schedule
 from chordfield.transport import make_control_field
 
 
@@ -306,6 +307,86 @@ class TestGlobalErrorSweep:
             )
 
 
+SWEEP_H = [1 / 8, 1 / 16, 1 / 32, 1 / 64]
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(["two_blob_1d", "two_blob_2d", "ring_3blob_2d", "stiff_2d"]),
+    st.sampled_from(
+        [
+            Schedule(kind=LINEAR_INTERP),
+            Schedule(kind=VP_CONST_BETA, beta0=1.0),
+            Schedule(
+                kind=VP_GENERIC,
+                beta_times=np.linspace(0.0, 1.0, 6),
+                beta_values=0.1 + 4.0 * np.linspace(0.0, 1.0, 6) ** 2,
+            ),
+        ]
+    ),
+    st.sampled_from([0.0, 0.25]),
+    st.sampled_from([1, 4]),
+    st.booleans(),
+    st.sampled_from([("chord", "naive"), ("naive", "chord"), "chord", "naive"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_sweep_rows_equal_one_sweep_per_row(name, schedule, delta, n, share, kinds, same, seed):
+    # a tuple of kinds puts one method on each row; a single kind takes any
+    # number of rows; the rows start from one state or from different ones
+    model = BackboneModel(schedule, *load_preset(name))
+    params = ChordParams(t=0.7, delta=delta, n=n, share_noise_across_times=share)
+    methods = kinds if isinstance(kinds, tuple) else (kinds,) * 3
+    rng = np.random.default_rng(seed)
+    x0 = np.repeat(rng.normal(size=(1, model.dim)), len(methods), axis=0)
+    if not same:
+        x0 = x0 + rng.normal(size=x0.shape)
+    sweeps = global_error_sweep(
+        make_control_field(model, params, kinds, seed), x0, SWEEP_H, ref_steps=32
+    )
+    assert len(sweeps) == len(methods)
+    for x, method, (errors, slope) in zip(x0, methods, sweeps):
+        want = global_error_sweep(
+            make_control_field(model, params, method, seed), x, SWEEP_H, ref_steps=32
+        )
+        assert all(type(e) is float for e in errors)
+        np.testing.assert_array_equal(errors, want[0])
+        np.testing.assert_array_equal(slope, want[1])
+
+
+def test_sweep_rejects_a_step_that_does_not_divide_the_horizon_before_integrating():
+    calls = []
+
+    def fn(x, t):
+        calls.append(t)
+        return -x
+
+    with pytest.raises(DomainError, match="does not divide"):
+        global_error_sweep(fn, np.ones((2, 1)), [1 / 8, 1 / 16, 1 / 32, 0.015])
+    assert calls == []
+
+
+def test_sweep_row_that_diverges_is_frozen_and_alone_gets_inf():
+    # stiff decay on row 0 blows Euler up at the coarse steps, mild decay on
+    # row 1 never does; each row's result is that of its own sweep
+    rates = np.array([[100.0], [1.0]])
+    evaluated = []
+
+    def rows_fn(x, t):
+        evaluated.append(x.copy())
+        return -rates * x
+
+    got = global_error_sweep(rows_fn, np.ones((2, 1)), SWEEP_H, ref_steps=4096)
+    for rate, (errors, slope) in zip(rates[:, 0], got):
+        want = global_error_sweep(lambda x, t: -rate * x, np.ones(1), SWEEP_H, ref_steps=4096)
+        np.testing.assert_array_equal(errors, want[0])
+        np.testing.assert_array_equal(slope, want[1])
+    assert [math.isinf(e) for e in got[0][0]] == [True, True, True, False]
+    assert all(math.isfinite(e) for e in got[1][0])
+    # the frozen row is only ever evaluated at states within the guard
+    assert max(float(np.abs(x[0]).max()) for x in evaluated) <= 1e6
+
+
 def trial_noise(seed, trial, shape):
     key = np.array([derive_stream(seed, NS_TRIAL, trial), 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
@@ -424,6 +505,34 @@ class TestRiskExperiment:
             mse_naive += float(((noisy[lag:] - u_star[lag:]) ** 2).sum(axis=1).mean())
             mse_chord += float(((smooth - u_star[lag:]) ** 2).sum(axis=1).mean())
         np.testing.assert_array_equal(got, (mse_naive / 100, mse_chord / 100))
+
+    @pytest.mark.parametrize("trials", [RISK_CHUNK - 1, RISK_CHUNK, 2 * RISK_CHUNK + 7])
+    def test_trials_in_chunks_bit_equal_to_one_trial_at_a_time(self, trials):
+        kernel = shipped_causal_kernels(0.05)["triangular"]
+        t = np.arange(12) * 0.05
+        u_star = np.stack([np.sin(t), 1.0 - t], axis=1)
+        got = risk_experiment(u_star, 0.3, kernel, trials, seed=8)
+        got_symmetric = risk_experiment_symmetric(u_star, 0.3, 2, 0.05, trials, seed=8)
+        lag = kernel.taps - 1
+        sums = np.zeros(4)
+        for trial in range(trials):
+            noisy = u_star + 0.3 * trial_noise(8, trial, u_star.shape)
+            causal = sum(
+                w * noisy[lag - i : len(t) - i]
+                for i, w in enumerate(kernel.weights * kernel.grid_step)
+            )
+            centered = np.zeros_like(noisy[2:-2])
+            for off, w in zip(range(-2, 3), np.array([1.0, 2.0, 3.0, 2.0, 1.0]) / 9.0):
+                centered += w * noisy[2 + off : len(t) - 2 + off]
+            pairs = [
+                (noisy[lag:], u_star[lag:]),
+                (causal, u_star[lag:]),
+                (noisy[2:-2], u_star[2:-2]),
+                (centered, u_star[2:-2]),
+            ]
+            for k, (values, truth) in enumerate(pairs):
+                sums[k] += float(((values - truth) ** 2).sum(axis=1).mean())
+        np.testing.assert_array_equal(got + got_symmetric, tuple(sums / trials))
 
     def test_symmetric_series_shorter_than_support_rejected(self):
         with pytest.raises(DomainError):

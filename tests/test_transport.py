@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from chordfield.backbone import BackboneModel, GaussianMixtureCondition, posterior_x0
 from chordfield.chord import ChordParams
-from chordfield.errors import DivergenceError, DomainError, IllConditionedMapError
+from chordfield.errors import (
+    DegeneratePosteriorError,
+    DivergenceError,
+    DomainError,
+    IllConditionedMapError,
+)
 from chordfield.preset_lib import load_preset
 from chordfield.schedules import (
     LINEAR_INTERP,
@@ -19,6 +24,8 @@ from chordfield.schedules import (
 )
 from chordfield.transport import (
     DIVERGENCE_NORM,
+    _guard_rows,
+    _guard_state,
     chordedit,
     chordedit_multi_noise,
     integrate_rk4,
@@ -594,3 +601,108 @@ def test_refinement_bit_equal_to_the_target_posterior(name, schedule, kind, time
         scalars = path_scalars(schedule, t_c)
         want = posterior_x0(model, scalars.alpha * x + scalars.sigma * eps, t_c, "tar")
         np.testing.assert_array_equal(proximal_refine(model, x, t_c, seed, eps=eps), want)
+
+
+def _value_or_error_type(run):
+    try:
+        return run()
+    except (DivergenceError, DomainError, IllConditionedMapError, DegeneratePosteriorError) as err:
+        return type(err)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(PRESETS),
+    st.sampled_from(SCHEDULES),
+    st.sampled_from(PARAMETERIZATION_KINDS),
+    st.sampled_from([0.0, 0.1, 0.25]),
+    st.sampled_from([1, 4]),
+    st.booleans(),
+    st.sampled_from([("chord", "naive"), ("naive", "chord")]),
+    st.sampled_from([(), (3,), (2, 2)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_kind_rows_bit_equal_to_one_field_per_kind(
+    name, schedule, head, delta, n, share, kinds, lead, seed
+):
+    model = preset_model(name, schedule, head)
+    params = ChordParams(t=0.8, delta=delta, n=n, share_noise_across_times=share)
+    both = make_control_field(model, params, kinds, seed)
+    assert both.autonomous
+    rows = np.random.default_rng(seed).normal(size=lead + (len(kinds), model.dim)) * 2.0
+    got = _value_or_error_type(lambda: both(rows))
+    want = [
+        _value_or_error_type(lambda: make_control_field(model, params, kind, seed)(rows[..., j, :]))
+        for j, kind in enumerate(kinds)
+    ]
+    if isinstance(got, type):
+        assert got in want
+    else:
+        assert got.shape == rows.shape
+        np.testing.assert_array_equal(got, np.stack(want, axis=-2))
+
+
+@pytest.mark.parametrize(
+    "kinds, shape, queries",
+    [
+        ("naive", (2,), [(0.9, (2,))]),
+        ("chord", (2,), [(0.9, (2,)), (0.75, (2,))]),
+        ("chord", (5, 2), [(0.9, (5, 2)), (0.75, (5, 2))]),
+        (("chord", "naive"), (2, 2), [(0.9, (2, 2)), (0.75, (1, 2))]),
+        (("naive", "chord"), (3, 2, 2), [(0.9, (3, 2, 2)), (0.75, (3, 1, 2))]),
+        (("naive",), (2, 1, 2), [(0.9, (2, 1, 2))]),
+    ],
+)
+def test_one_query_at_t_serves_every_kind(monkeypatch, kinds, shape, queries):
+    # one proxy query at t over all rows, one at t - delta over the chord rows
+    import chordfield.transport as transport
+
+    seen = []
+    query = transport.proxy_field
+
+    def counted(model, x, t, batch):
+        seen.append((t, np.shape(x)))
+        return query(model, x, t, batch)
+
+    monkeypatch.setattr(transport, "proxy_field", counted)
+    model = preset_model("two_blob_2d")
+    field = make_control_field(model, ChordParams(t=0.9, delta=0.15), kinds, seed=3)
+    assert field(np.ones(shape)).shape == shape
+    assert sorted(seen, reverse=True) == queries
+
+
+@pytest.mark.parametrize(
+    "kinds", [(), ("chord", "midpoint"), ("chord", "chord"), ["chord", "naive"], None]
+)
+def test_empty_unknown_or_repeated_kinds_rejected(kinds):
+    with pytest.raises(DomainError):
+        make_control_field(preset_model("two_blob_2d"), ChordParams(), kinds, seed=0)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.one_of(_ROW_NORMS, st.just(math.nan)), min_size=1, max_size=5),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_guard_rows_agree_with_the_guard_row_by_row(norms, dim, seed):
+    unit = np.random.default_rng(seed).normal(size=(len(norms), dim))
+    with np.errstate(invalid="ignore"):
+        states = unit / np.linalg.norm(unit, axis=1, keepdims=True) * np.array(norms)[:, None]
+    ok = _guard_rows(states)
+    assert ok.shape == (len(norms),)
+
+    def trips(x):
+        try:
+            _guard_state(x, x, "a test")
+        except DivergenceError as err:
+            return str(err)
+        return None
+
+    for row, verdict in zip(states, ok):
+        assert _guard_rows(row) == verdict
+        assert (trips(row) is None) == verdict
+    message = trips(states)
+    assert (message is None) == ok.all()
+    if message is not None:
+        assert f"(rows {np.flatnonzero(~ok).tolist()})" in message
