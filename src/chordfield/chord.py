@@ -206,8 +206,7 @@ class SmoothingKernel:
             raise DomainError("kernel weights must be a non-empty vector")
         if np.any(self.weights < 0) or not np.all(np.isfinite(self.weights)):
             raise DomainError("kernel weights must be non-negative and finite")
-        if not (self.grid_step > 0):
-            raise DomainError("grid_step must be positive")
+        _check_grid_step(self.grid_step)
         mass = float(self.weights.sum() * self.grid_step)
         if abs(mass - 1.0) > 1e-9:
             raise DomainError(f"kernel mass {mass} is not 1 within 1e-9")
@@ -217,12 +216,20 @@ class SmoothingKernel:
         return self.weights.size
 
 
+def _check_grid_step(grid_step: float) -> None:
+    # before any constructor divides by it
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise DomainError("grid_step must be positive and finite")
+
+
 def dirac_kernel(grid_step: float) -> SmoothingKernel:
+    _check_grid_step(grid_step)
     return SmoothingKernel(weights=np.array([1.0 / grid_step]), grid_step=grid_step)
 
 
 def chord_two_tap_kernel(t: float, delta: float, grid_step: float) -> SmoothingKernel:
     """Two taps at lags delta and 0 with masses t/(t+delta), delta/(t+delta)."""
+    _check_grid_step(grid_step)
     taps = _lag_steps(delta, grid_step)
     w = np.zeros(taps + 1)
     w[0] = delta / ((t + delta) * grid_step)
@@ -231,6 +238,7 @@ def chord_two_tap_kernel(t: float, delta: float, grid_step: float) -> SmoothingK
 
 
 def uniform_causal_kernel(taps: int, grid_step: float) -> SmoothingKernel:
+    _check_grid_step(grid_step)
     if taps < 1:
         raise DomainError("a kernel needs at least one tap")
     w = np.full(taps, 1.0 / (taps * grid_step))
@@ -238,6 +246,7 @@ def uniform_causal_kernel(taps: int, grid_step: float) -> SmoothingKernel:
 
 
 def triangular_causal_kernel(taps: int, grid_step: float) -> SmoothingKernel:
+    _check_grid_step(grid_step)
     if taps < 1:
         raise DomainError("a kernel needs at least one tap")
     ramp = np.arange(taps, 0, -1, dtype=float)  # heaviest at lag 0
@@ -248,6 +257,7 @@ def triangular_causal_kernel(taps: int, grid_step: float) -> SmoothingKernel:
 def exponential_causal_kernel(
     taps: int, grid_step: float, rate: float = 1.0
 ) -> SmoothingKernel:
+    _check_grid_step(grid_step)
     if taps < 1:
         raise DomainError("a kernel needs at least one tap")
     if rate <= 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -264,50 +265,71 @@ def _error_slope(hs, errors):
     return float(np.polyfit(log_h, log_e, 1)[0])
 
 
-def _risk_trials(u_star, noise_sigma, smooth, interior, trials, seed):
-    """Mean squared errors of the raw and the smoothed noisy series.
+def _squared_norms(values, truth):
+    """Per-point ``|values - truth|^2`` of ``(trials, T, d)`` values, which it
+    overwrites: in place, as every chunk-sized temporary is memory the
+    allocator hands back and faults in again."""
+    values -= truth
+    values *= values
+    return values.sum(axis=-1)
+
+
+def _add_means(total, sq):
+    """``total`` plus the per-trial means of ``sq`` (trials, points), added in
+    trial order; each mean runs over that trial's own contiguous row."""
+    means = np.concatenate(([total], np.ascontiguousarray(sq).mean(axis=1)))
+    return float(np.add.accumulate(means)[-1])
+
+
+def _risk_trials(u_star, noise_sigma, smoothers, trials, seed):
+    """Mean squared errors of the raw and the smoothed noisy series: one
+    ``(mse_raw, mse_smoothed)`` pair per ``(smooth, interior)`` smoother.
 
     ``smooth(noisy)`` takes the noisy values (T, ...) and returns the
-    smoothed ones at the ``interior`` indices along the first axis. Both
-    errors are vector norms squared, averaged over the interior points and
-    then over the trials; trial k's noise is the standard-normal stream of
-    Philox key ``(derive_stream(seed, NS_TRIAL, k), 0)``.
+    smoothed ones at the ``interior`` indices along the first axis, in a new
+    array that the errors are then computed in. Every smoother sees the same
+    trials, each drawn once: trial k's noise is the standard-normal stream of
+    Philox key ``(derive_stream(seed, NS_TRIAL, k), 0)``. Both errors are
+    vector norms squared, averaged over the smoother's interior points and
+    then over the trials.
     """
     if trials < 100:
         raise DomainError("risk experiments need trials >= 100")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise DomainError("noise_sigma must be finite and non-negative")
     u_star = np.asarray(u_star, dtype=float)
     if u_star.ndim != 2:
         raise DomainError("u_star must have shape (T, d)")
-    if not range(u_star.shape[0])[interior]:
+    if not smoothers:
+        raise DomainError("risk experiments need at least one smoother")
+    if not all(range(u_star.shape[0])[interior] for _, interior in smoothers):
         raise DomainError("series shorter than the smoother support")
-    totals = [0.0, 0.0]
+    totals = [[0.0, 0.0] for _ in smoothers]
     for start in range(0, trials, RISK_CHUNK):
         stop = min(start + RISK_CHUNK, trials)
         keys = [(derive_stream(seed, NS_TRIAL, k), 0) for k in range(start, stop)]
-        # in place: every extra chunk-sized temporary is memory the allocator
-        # hands back and faults in again, which made the default run slower
         noisy = _philox_normals(keys, u_star.shape)
         noisy *= noise_sigma
         noisy += u_star
-        smoothed = np.moveaxis(smooth(np.moveaxis(noisy, 0, 1)), 1, 0)
-        for i, values in enumerate((noisy[:, interior], smoothed)):
-            err = values - u_star[interior]
-            err *= err
-            # per trial over contiguous rows, so each mean is that trial's own;
-            # the running total adds them in trial order across the chunks
-            sq = np.ascontiguousarray(err.sum(axis=-1))
-            means = np.concatenate(([totals[i]], sq.mean(axis=1)))
-            totals[i] = float(np.add.accumulate(means)[-1])
-    return totals[0] / trials, totals[1] / trials
+        for total, (smooth, interior) in zip(totals, smoothers):
+            smoothed = np.moveaxis(smooth(np.moveaxis(noisy, 0, 1)), 1, 0)
+            total[1] = _add_means(total[1], _squared_norms(smoothed, u_star[interior]))
+        # the raw errors once, over the whole series, after every smoother has
+        # read the chunk: elementwise, so any interior of them has the bits of
+        # that interior's own errors
+        raw = _squared_norms(noisy, u_star)
+        for total, (_, interior) in zip(totals, smoothers):
+            total[0] = _add_means(total[0], raw[:, interior])
+    return [(total[0] / trials, total[1] / trials) for total in totals]
 
 
 def risk_experiment(
     u_star: np.ndarray,
     noise_sigma: float,
-    kernel: SmoothingKernel,
+    kernel: SmoothingKernel | tuple[SmoothingKernel, ...],
     trials: int,
     seed: int,
-) -> tuple[float, float]:
+) -> tuple[float, float] | list[tuple[float, float]]:
     """Monte Carlo risk of the raw versus kernel-smoothed noisy series.
 
     The clean series ``u_star`` (shape (T, d), uniform grid with the kernel's
@@ -316,15 +338,21 @@ def risk_experiment(
     squared error (vector norm, averaged over trials and interior points) of
     the raw series and of the causally smoothed series against the truth.
     A single-tap kernel yields bit-equal errors by construction.
+
+    For a tuple of kernels every kernel smooths the same trials, each drawn
+    once, and the result is a list with one pair per kernel, each equal to
+    that kernel's own pair.
     """
-    return _risk_trials(
+    single = isinstance(kernel, SmoothingKernel)
+    kernels = (kernel,) if single else kernel
+    pairs = _risk_trials(
         u_star,
         noise_sigma,
-        lambda noisy: _causal_smooth(noisy, kernel),
-        slice(kernel.taps - 1, None),
+        [(partial(_causal_smooth, kernel=k), slice(k.taps - 1, None)) for k in kernels],
         trials,
         seed,
     )
+    return pairs[0] if single else pairs
 
 
 def risk_experiment_symmetric(
@@ -359,7 +387,7 @@ def risk_experiment_symmetric(
             acc += w * noisy[half_width + off : stop + off]
         return acc
 
-    return _risk_trials(u_star, noise_sigma, smooth, interior, trials, seed)
+    return _risk_trials(u_star, noise_sigma, [(smooth, interior)], trials, seed)[0]
 
 
 def projection_energy_gap(

@@ -365,11 +365,13 @@ def run_risk(cfg: ExperimentConfig) -> int:
     value = float(p.get("series_value", 1.7))
     ds = float(p.get("grid_step", 0.05))
     taps = int(p.get("taps", 4))
+    if length < 1:
+        raise UsageError("series_length must be >= 1")
     u_star = np.full((length, 2), value)
-    rows = []
-    for name, kernel in sorted(shipped_causal_kernels(ds, taps=taps).items()):
-        mse_naive, mse_chord = risk_experiment(u_star, sigma, kernel, trials, cfg.seed)
-        rows.append((name, sigma, trials, mse_naive, mse_chord))
+    names, kernels = zip(*sorted(shipped_causal_kernels(ds, taps=taps).items()))
+    # one call: every kernel smooths the same trials, each drawn once
+    pairs = risk_experiment(u_star, sigma, kernels, trials, cfg.seed)
+    rows = [(name, sigma, trials, mn, mc) for name, (mn, mc) in zip(names, pairs)]
     write_csv(
         os.path.join(cfg.output_dir, "risk.csv"),
         ["kernel", "noise_sigma", "trials", "mse_naive", "mse_chord"],

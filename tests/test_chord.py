@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,24 @@ class TestSmoothingKernel:
     def test_negative_weight_rejected(self):
         with pytest.raises(DomainError):
             SmoothingKernel(weights=np.array([2.0, -1.0]), grid_step=1.0)
+
+    @pytest.mark.parametrize("grid_step", [0.0, -0.05, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            dirac_kernel,
+            lambda ds: chord_two_tap_kernel(0.9, 0.2, ds),
+            lambda ds: uniform_causal_kernel(4, ds),
+            lambda ds: triangular_causal_kernel(4, ds),
+            lambda ds: exponential_causal_kernel(4, ds, rate=0.8),
+            lambda ds: SmoothingKernel(weights=np.array([1.0]), grid_step=ds),
+        ],
+        ids=["dirac", "chord_two_tap", "uniform", "triangular", "exponential", "dataclass"],
+    )
+    def test_grid_step_not_positive_and_finite_rejected(self, make, grid_step):
+        # checked before a constructor divides by it
+        with pytest.raises(DomainError, match="grid_step"):
+            make(grid_step)
 
     def test_shipped_kernels_all_unit_mass(self):
         for name, k in shipped_causal_kernels(0.02).items():

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from chordfield import diagnostics
 from chordfield.cli import main
 from chordfield.config import DEFAULTS, UsageError, load_config
+from chordfield.proxy import NS_TRIAL, derive_stream
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -323,6 +325,36 @@ class TestRisk:
                 assert r["mse_naive"] == r["mse_chord"]
             else:
                 assert float(r["mse_chord"]) < float(r["mse_naive"])
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "params.grid_step=0",
+            "params.series_length=-3",
+            "params.noise_sigma=NaN",
+            "params.noise_sigma=-0.2",
+        ],
+    )
+    def test_bad_inputs_usage_error(self, tmp_path, override):
+        out = tmp_path / "run"
+        assert main(["risk", "--out", str(out), "--override", override]) == 2
+        assert not (out / "risk.csv").exists()
+
+    def test_each_trial_drawn_once(self, tmp_path, monkeypatch):
+        # every kernel smooths the same trials: one draw per trial key
+        drawn = []
+        philox_normals = diagnostics._philox_normals
+
+        def counting(keys, shape):
+            drawn.extend(keys)
+            return philox_normals(keys, shape)
+
+        monkeypatch.setattr(diagnostics, "_philox_normals", counting)
+        trials = 300
+        flags = ["--seed", "4", "--override", f"params.trials={trials}"]
+        assert main(["risk", "--out", str(tmp_path / "run"), *flags]) == 0
+        keys = [(derive_stream(4, NS_TRIAL, k), 0) for k in range(trials)]
+        assert drawn == keys
 
 
 class TestErrorOrder:

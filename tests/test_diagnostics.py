@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordfield import diagnostics
 from chordfield.backbone import BackboneModel
 from chordfield.chord import (
     ChordParams,
@@ -533,6 +534,47 @@ class TestRiskExperiment:
             for k, (values, truth) in enumerate(pairs):
                 sums[k] += float(((values - truth) ** 2).sum(axis=1).mean())
         np.testing.assert_array_equal(got + got_symmetric, tuple(sums / trials))
+
+    @settings(max_examples=15, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(sorted(shipped_causal_kernels(0.05))),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        ),
+        st.integers(5, 300),
+        st.integers(1, 3),
+        st.one_of(st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+        st.sampled_from([100, RISK_CHUNK - 1, RISK_CHUNK, 2 * RISK_CHUNK + 7]),
+    )
+    def test_kernel_tuple_equals_one_call_per_kernel(self, names, length, dim, seed, trials):
+        kernels = shipped_causal_kernels(0.05)
+        u_star = np.sin(np.arange(length * dim, dtype=float)).reshape(length, dim)
+        got = risk_experiment(u_star, 0.3, tuple(kernels[n] for n in names), trials, seed)
+        assert len(got) == len(names)
+        for name, pair in zip(names, got):
+            want = risk_experiment(u_star, 0.3, kernels[name], trials, seed)
+            np.testing.assert_array_equal(pair, want)
+
+    @pytest.mark.parametrize("position", [None, 0, 2, 5])
+    def test_kernel_tuple_checks_every_support_before_drawing(self, monkeypatch, position):
+        # a kernel longer than the series at the given position, or no kernels
+        def no_draws(keys, shape):
+            raise AssertionError("noise drawn before every support was checked")
+
+        monkeypatch.setattr(diagnostics, "_philox_normals", no_draws)
+        kernels = []
+        if position is not None:
+            kernels = list(shipped_causal_kernels(0.05).values())
+            kernels.insert(position, uniform_causal_kernel(9, 0.05))
+        with pytest.raises(DomainError):
+            risk_experiment(np.zeros((8, 2)), 0.3, tuple(kernels), 100, seed=0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.2])
+    def test_noise_sigma_negative_or_not_finite_rejected(self, sigma):
+        with pytest.raises(DomainError, match="noise_sigma"):
+            risk_experiment(np.zeros((32, 2)), sigma, dirac_kernel(0.05), 100, seed=0)
 
     def test_symmetric_series_shorter_than_support_rejected(self):
         with pytest.raises(DomainError):
