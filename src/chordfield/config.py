@@ -3,19 +3,24 @@
 A configuration is one JSON object with a section per module plus experiment
 parameters. File values override the embedded defaults, command-line flags
 override the file, and ``--override key=value`` (dotted paths, JSON-parsed
-values) wins over everything.
+values) wins over everything. Each experiment declares its parameters, with
+their defaults and domains, once in ``PARAMS``; ``read_params`` resolves them.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from .backbone import BackboneModel, GaussianMixtureCondition
 from .chord import ChordParams
+from .diagnostics import BOUND_SLACK
 from .errors import DomainError
 from .preset_lib import load_preset
 from .schedules import (
@@ -48,56 +53,106 @@ DEFAULTS: dict[str, dict] = {
     "coeffs": {
         "schedule": {"kind": VP_CONST_BETA, "beta0": 2.0},
         "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
-        "chord": {},
-        "params": {"t_start": 0.05, "t_stop": 0.95, "t_count": 19},
     },
     "toy": {
         "schedule": {"kind": VP_CONST_BETA, "beta0": 0.5},
         "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
-        "chord": {"use_prox": True},
-        "params": {"particles": 500, "steps": 1},
     },
     "step_sweep": {
         "schedule": {"kind": VP_GENERIC, "beta_ramp": dict(_RAMP)},
         "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
         "chord": {"t": 0.7, "delta": 0.25, "use_prox": False},
-        "params": {"s_values": [1, 2, 4, 8, 16], "particles": 80},
     },
     "noise_ablation": {
         "schedule": {"kind": LINEAR_INTERP},
         "backbone": {"preset": "stiff_2d", "output_kind": "velocity"},
-        "chord": {"use_prox": True},
-        "params": {"n_values": [1, 2, 4], "seeds": 20},
     },
     "risk": {
         "schedule": {"kind": VP_CONST_BETA, "beta0": 1.0},
         "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
-        "chord": {},
-        "params": {
-            "noise_sigma": 0.2,
-            "trials": 400,
-            "series_length": 64,
-            "series_value": 1.7,
-            "grid_step": 0.05,
-            "taps": 4,
-        },
     },
     "error_order": {
         "schedule": {"kind": VP_GENERIC, "beta_ramp": dict(_RAMP)},
         "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
         "chord": {"t": 0.7, "delta": 0.25, "use_prox": False},
-        "params": {
-            "h_values": [0.125, 0.0625, 0.03125, 0.015625],
-            "horizon": 1.0,
-        },
     },
     "diagnostics": {
         "schedule": {"kind": VP_GENERIC, "beta_ramp": dict(_RAMP)},
         "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
         "chord": {"t": 0.7, "delta": 0.25, "use_prox": False},
-        "params": {"lte_slack": 1.05, "lte_states": 8},
     },
 }
+
+
+class Param(NamedTuple):
+    """A declared experiment parameter: an int or finite float ``kind``, or a
+    non-empty list of one (``[int]``, ``[float]``), within ``[low, high]``.
+    A ``None`` default leaves the parameter unset."""
+
+    experiment: str
+    name: str
+    kind: type | list
+    default: object
+    low: float = -math.inf
+    high: float = math.inf
+
+    def read(self, value):
+        """``value`` checked and converted to ``kind``; ``UsageError`` if bad."""
+        if value is None and self.default is None:
+            return None
+        if isinstance(self.kind, list):
+            if isinstance(value, list) and value:
+                return [self._replace(kind=self.kind[0]).read(v) for v in value]
+            need = "a non-empty list"
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            need = "a number"
+        elif isinstance(value, float) and not math.isfinite(value):
+            need = "finite"
+        elif self.kind is int and int(value) != value:  # 500.0 reads as 500
+            need = "an integer"
+        elif not self.low <= value <= self.high:
+            need = f"in [{self.low}, {self.high}]"
+        else:
+            return self.kind(value)
+        raise UsageError(f"params.{self.name} must be {need}, got {value!r}")
+
+
+PARAMS = (
+    Param("coeffs", "t_start", float, 0.05, 0.0, 1.0),
+    Param("coeffs", "t_stop", float, 0.95, 0.0, 1.0),
+    Param("coeffs", "t_count", int, 19, 1),
+    Param("coeffs", "t_values", [float], None, 0.0, 1.0),
+    Param("toy", "particles", int, 500, 100),
+    Param("toy", "steps", int, 1, 1),
+    Param("step_sweep", "s_values", [int], [1, 2, 4, 8, 16], 1),
+    Param("step_sweep", "particles", int, 80, 1),
+    Param("step_sweep", "reference_steps", int, 128, 1),
+    Param("noise_ablation", "n_values", [int], [1, 2, 4], 1),
+    Param("noise_ablation", "seeds", int, 20, 1),
+    Param("risk", "noise_sigma", float, 0.2, 0.0),
+    Param("risk", "trials", int, 400, 100),
+    Param("risk", "series_length", int, 64, 1),
+    Param("risk", "series_value", float, 1.7),
+    Param("risk", "grid_step", float, 0.05, 0.0),  # the kernels reject 0
+    Param("risk", "taps", int, 4, 1),
+    # the sweep rejects a step size or horizon of 0
+    Param("error_order", "h_values", [float], [0.125, 0.0625, 0.03125, 0.015625], 0.0),
+    Param("error_order", "horizon", float, 1.0, 0.0),
+    Param("diagnostics", "lte_slack", float, BOUND_SLACK, 0.0),
+    Param("diagnostics", "lte_states", int, 8, 1),
+)
+
+
+def read_params(cfg: ExperimentConfig) -> SimpleNamespace:
+    """Every parameter that ``cfg.experiment`` declares, read from
+    ``cfg.params`` or defaulted; undeclared keys are ignored."""
+    if not isinstance(cfg.params, dict):
+        raise UsageError(f"params must be a JSON object, got {cfg.params!r}")
+    resolved = {}
+    for param in PARAMS:
+        if param.experiment == cfg.experiment:
+            resolved[param.name] = param.read(cfg.params.get(param.name, param.default))
+    return SimpleNamespace(**resolved)
 
 
 @dataclass
@@ -147,8 +202,6 @@ def load_config(
             f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)}"
         )
     merged = copy.deepcopy(DEFAULTS[experiment])
-    merged.setdefault("seed", 0)
-    merged.setdefault("output_dir", "out")
     if config_path is not None:
         try:
             with open(config_path, encoding="utf-8") as fh:
@@ -191,11 +244,8 @@ def build_schedule(section: dict) -> Schedule:
     kind = section.get("kind")
     if kind not in (VP_CONST_BETA, VP_GENERIC, LINEAR_INTERP):
         raise UsageError(f"schedule.kind must be set to a known kind, got {kind!r}")
-    kwargs = {
-        "kind": kind,
-        "alpha_floor": float(section.get("alpha_floor", 1e-3)),
-        "fd_step": float(section.get("fd_step", 1e-3)),
-    }
+    # alpha_floor and fd_step, when unset, take the Schedule defaults
+    kwargs = {k: float(section[k]) for k in ("alpha_floor", "fd_step") if k in section}
     if kind == VP_CONST_BETA:
         if "beta0" not in section:
             raise UsageError("vp_const_beta needs schedule.beta0")
@@ -208,11 +258,11 @@ def build_schedule(section: dict) -> Schedule:
             times = np.asarray(table["times"], dtype=float)
             values = np.asarray(table["values"], dtype=float)
         elif "beta_ramp" in section:
-            ramp = section["beta_ramp"]
-            times = np.linspace(0.0, 1.0, int(ramp.get("points", 101)))
-            values = float(ramp.get("base", 0.05)) + float(
-                ramp.get("scale", 4.0)
-            ) * times ** float(ramp.get("power", 4))
+            ramp = {**_RAMP, **section["beta_ramp"]}
+            times = np.linspace(0.0, 1.0, int(ramp["points"]))
+            values = float(ramp["base"]) + float(ramp["scale"]) * times ** float(
+                ramp["power"]
+            )
         else:
             raise UsageError(
                 "vp_generic needs schedule.beta_csv, beta_table or beta_ramp"
@@ -220,7 +270,7 @@ def build_schedule(section: dict) -> Schedule:
         kwargs["beta_times"] = times
         kwargs["beta_values"] = values
     try:
-        return Schedule(**kwargs)
+        return Schedule(kind=kind, **kwargs)
     except DomainError as err:
         raise UsageError(f"invalid schedule section: {err}") from err
 

@@ -219,6 +219,8 @@ def global_error_sweep(
     hs = [float(h) for h in h_values]
     if len(hs) < 4:
         raise DomainError("need at least 4 step sizes")
+    if not all(math.isfinite(v) and v > 0 for v in (horizon, *hs)):
+        raise DomainError("the horizon and step sizes must be positive and finite")
     if max(hs) / min(hs) < 8.0 - 1e-12:
         raise DomainError("step sizes must span at least a factor of 8")
     steps = [round(horizon / h) for h in hs]
@@ -298,8 +300,8 @@ def _risk_trials(u_star, noise_sigma, smoothers, trials, seed):
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise DomainError("noise_sigma must be finite and non-negative")
     u_star = np.asarray(u_star, dtype=float)
-    if u_star.ndim != 2:
-        raise DomainError("u_star must have shape (T, d)")
+    if u_star.ndim != 2 or not np.isfinite(u_star).all():
+        raise DomainError("u_star must be finite, of shape (T, d)")
     if not smoothers:
         raise DomainError("risk experiments need at least one smoother")
     if not all(range(u_star.shape[0])[interior] for _, interior in smoothers):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .config import (
     build_backbone,
     build_chord_params,
     build_schedule,
+    read_params,
 )
 from .diagnostics import (
-    BOUND_SLACK,
     DiagnosticsReport,
     bb_energy,
     consistency_proxy,
@@ -84,14 +84,11 @@ def write_csv(path, header: list[str], rows: list[tuple]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_text(path, text: str) -> None:
+def _write_summary(cfg: ExperimentConfig, lines: list[str]) -> None:
+    path = os.path.join(cfg.output_dir, "summary.txt")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_summary(cfg: ExperimentConfig, lines: list[str]) -> None:
-    write_text(os.path.join(cfg.output_dir, "summary.txt"), "\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _model_and_params(cfg: ExperimentConfig):
@@ -109,30 +106,18 @@ def _dist_to_nearest_mode(point, mixture) -> float:
 
 
 def run_coeffs(cfg: ExperimentConfig) -> int:
+    p = read_params(cfg)
     schedule = build_schedule(cfg.schedule)
-    p = cfg.params
-    if "t_values" in p:
-        t_values = [float(t) for t in p["t_values"]]
-    else:
-        count = int(p.get("t_count", 0))
-        if count < 1:
-            raise UsageError("coeffs needs a non-empty t grid")
-        t_values = list(
-            np.linspace(float(p.get("t_start", 0.05)), float(p.get("t_stop", 0.95)), count)
-        )
-    if not t_values:
-        raise UsageError("coeffs needs a non-empty t grid")
+    t_values = p.t_values or np.linspace(p.t_start, p.t_stop, p.t_count).tolist()
     rows = []
     total = failures = 0
     for t in t_values:
         for kind in PARAMETERIZATION_KINDS:
             total += 1
             try:
-                a_t = coefficient(kind, schedule, float(t))
+                a_t = coefficient(kind, schedule, t)
                 if kind == "noise_eps" and schedule.is_vp:
-                    general, vp_form, beta_form = epsilon_coefficient_forms(
-                        schedule, float(t)
-                    )
+                    general, vp_form, beta_form = epsilon_coefficient_forms(schedule, t)
                     scale = max(abs(general), abs(vp_form), abs(beta_form))
                     disagreement = (
                         max(abs(general - vp_form), abs(general - beta_form)) / scale
@@ -159,11 +144,9 @@ def run_coeffs(cfg: ExperimentConfig) -> int:
 
 
 def run_toy(cfg: ExperimentConfig) -> int:
+    p = read_params(cfg)
+    count, steps = p.particles, p.steps
     model, params = _model_and_params(cfg)
-    count = int(cfg.params.get("particles", 500))
-    if count < 100:
-        raise UsageError("toy transport needs at least 100 particles")
-    steps = int(cfg.params.get("steps", 1))
     particles = sample_particles(model, count, cfg.seed)
     dim = model.dim
     coord_header = [f"x{k}" for k in range(dim)]
@@ -233,12 +216,11 @@ def run_toy(cfg: ExperimentConfig) -> int:
 
 
 def run_step_sweep(cfg: ExperimentConfig) -> int:
-    model, params = _model_and_params(cfg)
-    s_values = [int(s) for s in cfg.params.get("s_values", [])]
+    p = read_params(cfg)
+    s_values, count, ref_steps = p.s_values, p.particles, p.reference_steps
     if len(s_values) < 3 or 1 not in s_values:
         raise UsageError("step sweep needs at least 3 step counts including 1")
-    count = int(cfg.params.get("particles", 120))
-    ref_steps = int(cfg.params.get("reference_steps", 128))
+    model, params = _model_and_params(cfg)
     particles = sample_particles(model, count, cfg.seed)
     cells = {
         (s, m): {"energy": [], "error": [], "diverged": 0}
@@ -308,19 +290,16 @@ def run_step_sweep(cfg: ExperimentConfig) -> int:
 
 
 def run_noise_ablation(cfg: ExperimentConfig) -> int:
-    model, params = _model_and_params(cfg)
-    n_values = [int(n) for n in cfg.params.get("n_values", [])]
-    seed_count = int(cfg.params.get("seeds", 0))
-    if not n_values:
-        raise UsageError("noise ablation needs a non-empty n list")
-    if seed_count < 10 and not (len(n_values) == 1 and seed_count == 1):
+    p = read_params(cfg)
+    if p.seeds < 10 and not (len(p.n_values) == 1 and p.seeds == 1):
         raise UsageError("noise ablation needs at least 10 seeds")
+    model, params = _model_and_params(cfg)
     rows = []
     for method in ("chord", "naive"):
         base = params if method == "chord" else replace(params, delta=0.0)
-        for n in sorted(n_values):
+        for n in sorted(p.n_values):
             run_params = replace(base, n=n)
-            for seed_idx in range(seed_count):
+            for seed_idx in range(p.seeds):
                 cell_seed = derive_stream(cfg.seed, NS_CELL, seed_idx)
                 x = sample_particles(model, 1, cell_seed).points[0]
                 res = chordedit(model, x, run_params, cell_seed)
@@ -341,7 +320,7 @@ def run_noise_ablation(cfg: ExperimentConfig) -> int:
     )
     lines = ["noise ablation summary (per method and n):"]
     for method in ("chord", "naive"):
-        for n in sorted(n_values):
+        for n in sorted(p.n_values):
             errs = np.array(
                 [r[3] for r in rows if r[0] == method and r[1] == n], dtype=float
             )
@@ -358,17 +337,10 @@ def run_noise_ablation(cfg: ExperimentConfig) -> int:
 
 
 def run_risk(cfg: ExperimentConfig) -> int:
-    p = cfg.params
-    trials = int(p.get("trials", 400))
-    sigma = float(p.get("noise_sigma", 0.2))
-    length = int(p.get("series_length", 64))
-    value = float(p.get("series_value", 1.7))
-    ds = float(p.get("grid_step", 0.05))
-    taps = int(p.get("taps", 4))
-    if length < 1:
-        raise UsageError("series_length must be >= 1")
-    u_star = np.full((length, 2), value)
-    names, kernels = zip(*sorted(shipped_causal_kernels(ds, taps=taps).items()))
+    p = read_params(cfg)
+    sigma, trials = p.noise_sigma, p.trials
+    u_star = np.full((p.series_length, 2), p.series_value)
+    names, kernels = zip(*sorted(shipped_causal_kernels(p.grid_step, p.taps).items()))
     # one call: every kernel smooths the same trials, each drawn once
     pairs = risk_experiment(u_star, sigma, kernels, trials, cfg.seed)
     rows = [(name, sigma, trials, mn, mc) for name, (mn, mc) in zip(names, pairs)]
@@ -390,11 +362,10 @@ def run_risk(cfg: ExperimentConfig) -> int:
 
 
 def run_error_order(cfg: ExperimentConfig) -> int:
-    model, params = _model_and_params(cfg)
-    h_values = [float(h) for h in cfg.params.get("h_values", [])]
-    horizon = float(cfg.params.get("horizon", 1.0))
-    if len(h_values) < 4:
+    p = read_params(cfg)
+    if len(p.h_values) < 4:
         raise UsageError("error order needs at least 4 step sizes")
+    model, params = _model_and_params(cfg)
     x0 = sample_particles(model, 1, cfg.seed).points[0]
     rows, slopes, smallest = [], {}, {}
     methods = ("chord", "naive")
@@ -402,13 +373,13 @@ def run_error_order(cfg: ExperimentConfig) -> int:
     sweeps = global_error_sweep(
         make_control_field(model, params, methods, cfg.seed),
         np.stack([x0, x0]),
-        h_values,
-        horizon=horizon,
+        p.h_values,
+        horizon=p.horizon,
     )
     for method, (errors, slope) in zip(methods, sweeps):
         slopes[method] = slope
-        smallest[method] = errors[int(np.argmin(h_values))]
-        for h, err in zip(h_values, errors):
+        smallest[method] = errors[int(np.argmin(p.h_values))]
+        for h, err in zip(p.h_values, errors):
             rows.append((method, h, err if math.isfinite(err) else "diverged"))
     rows.sort(key=lambda r: (r[0], -float(r[1])))
     write_csv(
@@ -448,13 +419,9 @@ def _band_limited_profile(count, ds, seed, dim=1):
 
 
 def run_diagnostics(cfg: ExperimentConfig) -> int:
+    p = read_params(cfg)
     model, params = _model_and_params(cfg)
-    slack = float(cfg.params.get("lte_slack", BOUND_SLACK))
-    lte_states = int(cfg.params.get("lte_states", 8))
-    if lte_states < 1:
-        raise UsageError("diagnostics needs params.lte_states >= 1")
     report = DiagnosticsReport()
-    report.checks = {}
 
     # contraction of a smoothed series: energy, magnitude, time differences
     ds = 1.0 / 32
@@ -507,16 +474,12 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
     # transport energies at one step
     particles = sample_particles(model, 24, cfg.seed)
     for method in ("naive", "chord"):
-        energies = []
-        for i, x in enumerate(particles.points):
-            seed_i = particle_seed(cfg.seed, i)
-            run_params = params if method == "chord" else replace(params, delta=0.0)
-            res = chordedit(model, x, run_params, seed_i)
-            energies.append(res.energy)
-        if method == "naive":
-            report.bb_energy_naive = float(np.mean(energies))
-        else:
-            report.bb_energy_chord = float(np.mean(energies))
+        run_params = params if method == "chord" else replace(params, delta=0.0)
+        energies = [
+            chordedit(model, x, run_params, particle_seed(cfg.seed, i)).energy
+            for i, x in enumerate(particles.points)
+        ]
+        setattr(report, f"bb_energy_{method}", float(np.mean(energies)))
     report.checks["energy_contraction_one_step"] = (
         report.bb_energy_chord <= report.bb_energy_naive * (1 + 1e-9)
     )
@@ -526,7 +489,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
     xs = np.array(
         [
             sample_particles(model, 1, derive_stream(cfg.seed, NS_CELL, 500 + k)).points[0]
-            for k in range(lte_states)
+            for k in range(p.lte_states)
         ]
     ).reshape(-1, model.dim)
     # one reference run over all states; the worst is taken in state order
@@ -535,7 +498,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
     for observed, bound in zip(observed_all.tolist(), bound_all.tolist()):
         if observed > worst_obs:
             worst_obs, worst_bound = observed, bound
-        if observed > bound * slack:
+        if observed > bound * p.lte_slack:
             ok_lte = False
     report.lte_observed, report.lte_bound = worst_obs, worst_bound
     report.checks["lte_bound_with_slack"] = ok_lte
@@ -581,24 +544,8 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
     failed = report.failed_checks()
     report.notes = "ok" if not failed else "failed: " + ", ".join(failed)
 
-    header = [
-        "bb_energy_naive",
-        "bb_energy_chord",
-        "consistency_naive",
-        "consistency_chord",
-        "lipschitz_naive",
-        "lipschitz_chord",
-        "lte_observed",
-        "lte_bound",
-        "global_error_slope",
-        "global_error_ratio",
-        "risk_naive",
-        "risk_chord",
-        "projection_energy_orig",
-        "projection_energy_proj",
-        "projection_residual",
-        "notes",
-    ]
+    # every report field in declaration order, the checks aside: notes last
+    header = [name for name in asdict(report) if name != "checks"]
     row = tuple(getattr(report, name) for name in header)
     write_csv(os.path.join(cfg.output_dir, "diagnostics.csv"), header, [row])
     lines = ["diagnostics report:"]

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +110,73 @@ class TestConfig:
 
         with pytest.raises(UsageError):
             build_schedule({"kind": "cosine"})
+
+
+class TestDeclaredParams:
+    @pytest.mark.parametrize(
+        "experiment, override",
+        [
+            ("coeffs", "params.t_values=5"),
+            ("toy", "params.particles=NaN"),
+            ("toy", "params.steps=NaN"),
+            ("toy", "params.steps=true"),
+            ("toy", "params=5"),
+            ("step_sweep", 'params.s_values="abc"'),
+            ("step_sweep", "params.reference_steps=NaN"),
+            ("noise_ablation", "params.seeds=NaN"),
+            ("risk", "params.trials=NaN"),
+            ("risk", "params.series_value=NaN"),
+            ("risk", "params.taps=2.7"),
+            ("risk", 'params.noise_sigma="x"'),
+            ("error_order", "params.horizon=NaN"),
+            ("diagnostics", "params.lte_states=NaN"),
+        ],
+    )
+    def test_bad_inputs_usage_error(self, tmp_path, experiment, override):
+        out = tmp_path / "run"
+        assert main([experiment, "--out", str(out), "--override", override]) == 2
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [(150, 150), (150.0, 150), (2.7, None), (True, None), ("150", None)],
+    )
+    def test_int_reads_integral_numbers_only(self, value, want):
+        from chordfield.config import read_params
+
+        cfg = load_config("toy")
+        cfg.params["particles"] = value
+        if want is None:
+            with pytest.raises(UsageError, match="params.particles"):
+                read_params(cfg)
+        else:
+            got = read_params(cfg).particles
+            assert got == want and type(got) is int
+
+    def test_params_replaced_wholesale_keep_declared_defaults(self, tmp_path):
+        # a params object in place of the section leaves every parameter it
+        # does not name at its declared default, as dotted overrides do
+        runs = {
+            "whole": ['params={"s_values":[1,2,4],"reference_steps":8}'],
+            "dotted": ["params.s_values=[1,2,4]", "params.reference_steps=8"],
+        }
+        csvs = []
+        for tag, overrides in runs.items():
+            flags = [f for o in overrides for f in ("--override", o)]
+            assert main(["step_sweep", "--out", str(tmp_path / tag), *flags]) == 0
+            csvs.append((tmp_path / tag / "step_sweep.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_readme_lists_every_declared_param(self):
+        from chordfield.config import PARAMS
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for p in PARAMS:
+            many = isinstance(p.kind, list)
+            kind = f"{p.kind[0].__name__} list" if many else p.kind.__name__
+            default = "unset" if p.default is None else json.dumps(p.default)
+            row = f"| `{p.experiment}` | `{p.name}` | {kind} | {default} | [{p.low}, {p.high}] |"
+            assert row in readme, row
 
 
 class TestCoeffs:
@@ -427,6 +495,12 @@ class TestDiagnostics:
         assert code == 1
         err = capsys.readouterr().err
         assert "lte_bound_with_slack" in err
+
+    def test_nan_slack_usage_error(self, tmp_path):
+        out = tmp_path / "run"
+        flags = ["--override", "params.lte_slack=NaN"]
+        assert main(["diagnostics", "--out", str(out), *flags]) == 2
+        assert not (out / "diagnostics.csv").exists()
 
     @pytest.mark.parametrize("states", [0, -1])
     def test_no_lte_states_usage_error(self, tmp_path, states):

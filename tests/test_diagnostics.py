@@ -367,6 +367,25 @@ def test_sweep_rejects_a_step_that_does_not_divide_the_horizon_before_integratin
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "horizon, h_values",
+    [
+        (math.nan, [1 / 8, 1 / 16, 1 / 32, 1 / 64]),
+        (math.inf, [1 / 8, 1 / 16, 1 / 32, 1 / 64]),
+        (1.0, [1 / 8, 1 / 16, 1 / 32, math.nan]),
+        (1.0, [math.inf, 1 / 16, 1 / 32, 1 / 64]),
+        (1.0, [1 / 8, 1 / 16, 1 / 32, 0.0]),
+        (-1.0, [-1 / 8, -1 / 16, -1 / 32, -1 / 64]),
+    ],
+)
+def test_sweep_rejects_a_horizon_or_step_not_positive_and_finite(horizon, h_values):
+    def fn(x, t):
+        raise AssertionError("field evaluated before the inputs were checked")
+
+    with pytest.raises(DomainError, match="positive and finite"):
+        global_error_sweep(fn, np.ones(1), h_values, horizon=horizon)
+
+
 def test_sweep_row_that_diverges_is_frozen_and_alone_gets_inf():
     # stiff decay on row 0 blows Euler up at the coarse steps, mild decay on
     # row 1 never does; each row's result is that of its own sweep
@@ -575,6 +594,17 @@ class TestRiskExperiment:
     def test_noise_sigma_negative_or_not_finite_rejected(self, sigma):
         with pytest.raises(DomainError, match="noise_sigma"):
             risk_experiment(np.zeros((32, 2)), sigma, dirac_kernel(0.05), 100, seed=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_u_star_not_finite_rejected(self, monkeypatch, value):
+        def no_draws(keys, shape):
+            raise AssertionError("noise drawn for a truth that is not finite")
+
+        monkeypatch.setattr(diagnostics, "_philox_normals", no_draws)
+        u_star = np.full((32, 2), 1.7)
+        u_star[5, 1] = value
+        with pytest.raises(DomainError, match="u_star must be finite"):
+            risk_experiment(u_star, 0.2, dirac_kernel(0.05), 100, seed=0)
 
     def test_symmetric_series_shorter_than_support_rejected(self):
         with pytest.raises(DomainError):
