@@ -61,9 +61,14 @@ class ChordParams:
             raise DomainError("step_scale must be positive")
         if not (0.0 < self.t_c < 1.0):
             raise DomainError("t_c must lie in (0, 1)")
-        if int(self.n) != self.n or self.n < 1:
+        # NaN and inf fail the comparison; a boolean is no count
+        n = self.n
+        if isinstance(n, bool) or not (1 <= n < math.inf and int(n) == n):
             raise DomainError("n must be an integer >= 1")
-        self.n = int(self.n)
+        self.n = int(n)
+        flags = (self.use_prox, self.share_noise_across_times, self.prox_shared_noise)
+        if not all(isinstance(flag, bool) for flag in flags):
+            raise DomainError("use_prox and the noise-sharing flags must be booleans")
 
 
 def chord_field(

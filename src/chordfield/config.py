@@ -46,41 +46,36 @@ class UsageError(Exception):
     """Bad configuration or flags; maps to exit code 2."""
 
 
-# the ramped noise-rate table used by the step-sweep and error-order studies
+# the ramped noise-rate table (it fills in a partial schedule.beta_ramp), and
+# the sections that the step-sweep, error-order and diagnostics studies share:
+# load_config deep-copies a section, so sharing one is safe
 _RAMP = {"base": 0.05, "scale": 4.0, "power": 4, "points": 101}
+_RAMPED = {
+    "schedule": {"kind": VP_GENERIC, "beta_ramp": _RAMP},
+    "backbone": {"preset": "two_blob_2d"},
+    "chord": {"t": 0.7, "delta": 0.25, "use_prox": False},
+}
 
 DEFAULTS: dict[str, dict] = {
     "coeffs": {
         "schedule": {"kind": VP_CONST_BETA, "beta0": 2.0},
-        "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
+        "backbone": {"preset": "two_blob_2d"},
     },
     "toy": {
         "schedule": {"kind": VP_CONST_BETA, "beta0": 0.5},
-        "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
+        "backbone": {"preset": "two_blob_2d"},
     },
-    "step_sweep": {
-        "schedule": {"kind": VP_GENERIC, "beta_ramp": dict(_RAMP)},
-        "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
-        "chord": {"t": 0.7, "delta": 0.25, "use_prox": False},
-    },
+    "step_sweep": _RAMPED,
     "noise_ablation": {
         "schedule": {"kind": LINEAR_INTERP},
-        "backbone": {"preset": "stiff_2d", "output_kind": "velocity"},
+        "backbone": {"preset": "stiff_2d"},
     },
     "risk": {
         "schedule": {"kind": VP_CONST_BETA, "beta0": 1.0},
-        "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
+        "backbone": {"preset": "two_blob_2d"},
     },
-    "error_order": {
-        "schedule": {"kind": VP_GENERIC, "beta_ramp": dict(_RAMP)},
-        "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
-        "chord": {"t": 0.7, "delta": 0.25, "use_prox": False},
-    },
-    "diagnostics": {
-        "schedule": {"kind": VP_GENERIC, "beta_ramp": dict(_RAMP)},
-        "backbone": {"preset": "two_blob_2d", "output_kind": "velocity"},
-        "chord": {"t": 0.7, "delta": 0.25, "use_prox": False},
-    },
+    "error_order": _RAMPED,
+    "diagnostics": _RAMPED,
 }
 
 
@@ -100,21 +95,29 @@ class Param(NamedTuple):
         """``value`` checked and converted to ``kind``; ``UsageError`` if bad."""
         if value is None and self.default is None:
             return None
-        if isinstance(self.kind, list):
-            if isinstance(value, list) and value:
-                return [self._replace(kind=self.kind[0]).read(v) for v in value]
-            need = "a non-empty list"
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            need = "a number"
-        elif isinstance(value, float) and not math.isfinite(value):
-            need = "finite"
-        elif self.kind is int and int(value) != value:  # 500.0 reads as 500
-            need = "an integer"
-        elif not self.low <= value <= self.high:
-            need = f"in [{self.low}, {self.high}]"
-        else:
-            return self.kind(value)
-        raise UsageError(f"params.{self.name} must be {need}, got {value!r}")
+        key = f"params.{self.name}"
+        if not isinstance(self.kind, list):
+            return _read_number(key, value, self.kind, self.low, self.high)
+        if isinstance(value, list) and value:
+            return [_read_number(key, v, self.kind[0], self.low, self.high) for v in value]
+        raise UsageError(f"{key} must be a non-empty list, got {value!r}")
+
+
+def _read_number(key, value, kind, low=-math.inf, high=math.inf):
+    """``value`` as an int or finite float ``kind`` within ``[low, high]``;
+    ``UsageError`` naming ``key`` if it is not one. An integral float such as
+    ``500.0`` reads as an int; a boolean is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        need = "a number"
+    elif isinstance(value, float) and not math.isfinite(value):
+        need = "finite"
+    elif kind is int and int(value) != value:
+        need = "an integer"
+    elif not low <= value <= high:
+        need = f"in [{low}, {high}]"
+    else:
+        return kind(value)
+    raise UsageError(f"{key} must be {need}, got {value!r}")
 
 
 PARAMS = (
@@ -235,7 +238,7 @@ def load_config(
         backbone=merged.get("backbone", {}),
         chord=merged.get("chord", {}),
         params=merged.get("params", {}),
-        seed=int(merged.get("seed", 0)),
+        seed=_read_number("seed", merged.get("seed", 0), int),
         output_dir=str(merged.get("output_dir", "out")),
     )
 
@@ -245,11 +248,15 @@ def build_schedule(section: dict) -> Schedule:
     if kind not in (VP_CONST_BETA, VP_GENERIC, LINEAR_INTERP):
         raise UsageError(f"schedule.kind must be set to a known kind, got {kind!r}")
     # alpha_floor and fd_step, when unset, take the Schedule defaults
-    kwargs = {k: float(section[k]) for k in ("alpha_floor", "fd_step") if k in section}
+    kwargs = {
+        k: _read_number(f"schedule.{k}", section[k], float)
+        for k in ("alpha_floor", "fd_step")
+        if k in section
+    }
     if kind == VP_CONST_BETA:
         if "beta0" not in section:
             raise UsageError("vp_const_beta needs schedule.beta0")
-        kwargs["beta0"] = float(section["beta0"])
+        kwargs["beta0"] = _read_number("schedule.beta0", section["beta0"], float)
     if kind == VP_GENERIC:
         if "beta_csv" in section and section["beta_csv"]:
             times, values = load_beta_table(section["beta_csv"])
@@ -259,9 +266,10 @@ def build_schedule(section: dict) -> Schedule:
             values = np.asarray(table["values"], dtype=float)
         elif "beta_ramp" in section:
             ramp = {**_RAMP, **section["beta_ramp"]}
-            times = np.linspace(0.0, 1.0, int(ramp["points"]))
-            values = float(ramp["base"]) + float(ramp["scale"]) * times ** float(
-                ramp["power"]
+            number = lambda k, *rule: _read_number(f"schedule.beta_ramp.{k}", ramp[k], *rule)
+            times = np.linspace(0.0, 1.0, number("points", int, 2))
+            values = number("base", float) + number("scale", float) * times ** number(
+                "power", float
             )
         else:
             raise UsageError(

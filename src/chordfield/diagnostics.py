@@ -17,7 +17,7 @@ import numpy as np
 from .chord import SmoothingKernel, _causal_smooth
 from .errors import DomainError
 from .proxy import NS_TRIAL, _philox_normals, derive_stream
-from .transport import _guard_rows, integrate_rk4
+from .transport import euler_march, integrate_rk4
 
 # multiplicative slack applied to theoretical bounds to absorb the
 # finite-difference error in their grid-estimated constants
@@ -229,29 +229,13 @@ def global_error_sweep(
             raise DomainError(f"h = {h} does not divide the horizon {horizon}")
     x0 = np.asarray(x0, dtype=float)
     reference = integrate_rk4(fn, x0, 0.0, horizon, ref_steps)
-    errors = [_euler_errors(fn, x0, h, n, reference) for h, n in zip(hs, steps)]
+    errors = []
+    for h, n in zip(hs, steps):
+        trajectory, _, live = euler_march(fn, x0, h, n)
+        ends = zip(np.atleast_2d(trajectory[-1]), np.atleast_2d(reference), live.flat)
+        errors.append([float(np.linalg.norm(e - r)) if ok else math.inf for e, r, ok in ends])
     sweeps = [(list(row), _error_slope(hs, row)) for row in zip(*errors)]
     return sweeps[0] if x0.ndim == 1 else sweeps
-
-
-def _euler_errors(fn, x0, h, steps, reference):
-    """Each row's Euler endpoint error against ``reference``, inf for a row
-    that trips the guard. A tripped row stays at its last good state, where
-    ``fn`` has already been evaluated, so evaluating it again cannot raise."""
-    x = x0.copy()
-    live = np.ones(x.shape[:-1], dtype=bool)
-    s = 0.0
-    for _ in range(steps):
-        x_next = x + h * fn(x, s)
-        live &= _guard_rows(x_next)
-        if not live.any():
-            break
-        x = np.where(live[..., None], x_next, x)
-        s += h
-    return [
-        float(np.linalg.norm(x_r - ref_r)) if ok else math.inf
-        for x_r, ref_r, ok in zip(np.atleast_2d(x), np.atleast_2d(reference), live.flat)
-    ]
 
 
 def _error_slope(hs, errors):

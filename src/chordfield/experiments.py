@@ -45,6 +45,7 @@ from .schedules import (
 )
 from .transport import (
     chordedit,
+    euler_march,
     integrate_rk4,
     make_control_field,
     multi_step_transport,
@@ -230,7 +231,7 @@ def run_step_sweep(cfg: ExperimentConfig) -> int:
     for i, x in enumerate(particles.points):
         seed_i = particle_seed(cfg.seed, i)
         for method in ("chord", "naive"):
-            # the reference endpoint depends only on the field, not on S
+            # one field, so one noise batch, for the reference and every S
             field = make_control_field(model, params, method, seed_i)
             try:
                 reference = integrate_rk4(field, x, 0.0, params.step_scale, ref_steps)
@@ -240,11 +241,10 @@ def run_step_sweep(cfg: ExperimentConfig) -> int:
                 continue
             for s_steps in s_values:
                 cell = cells[(s_steps, method)]
-                try:
-                    traj, fields = multi_step_transport(
-                        model, x, params, s_steps, method, seed_i
-                    )
-                except DivergenceError:
+                traj, fields, live = euler_march(
+                    field, x, params.step_scale / s_steps, s_steps
+                )
+                if not live:
                     cell["diverged"] += 1
                     continue
                 cell["energy"].append(bb_energy(fields, model.dim))

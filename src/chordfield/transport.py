@@ -157,25 +157,20 @@ def proximal_refine(
 
 
 def _guard_rows(x):
-    """Whether each state of ``x``, one (d,) or rows (k, d), is finite and
+    """Whether each state of ``x``, one (d,) or rows (..., d), is finite and
     within ``DIVERGENCE_NORM``, shaped ``x.shape[:-1]``. Each row is judged by
-    its own norm, so a row's verdict in a batch is its verdict alone."""
-    if x.ndim == 1:
-        return np.isfinite(x).all() and np.linalg.norm(x) <= DIVERGENCE_NORM
-    return np.array(
-        [np.isfinite(r).all() and np.linalg.norm(r) <= DIVERGENCE_NORM for r in x],
-        dtype=bool,
-    )
+    its own norm, so a row's verdict in a batch is its verdict alone; a NaN or
+    infinite coordinate makes that norm NaN or infinite, which fails the test."""
+    return np.sqrt(np.einsum("...d,...d->...", x, x)) <= DIVERGENCE_NORM
 
 
 def _guard_state(x, last, context):
     """Reject a non-finite or runaway state, one (d,) or rows (k, d); the error
     carries ``last`` and, for rows, names the rows that tripped the guard."""
     ok = _guard_rows(x)
-    # one state's verdict is a scalar, whose .all() costs more than the check
-    if ok if x.ndim == 1 else ok.all():
+    if ok.all():
         return
-    tripped = "" if x.ndim == 1 else f" (rows {np.flatnonzero(~ok).tolist()})"
+    tripped = f" (rows {np.flatnonzero(~ok).tolist()})" if ok.ndim else ""
     raise DivergenceError(f"state diverged during {context}{tripped}", last_state=last)
 
 
@@ -222,6 +217,33 @@ def chordedit(
 chordedit_multi_noise = chordedit
 
 
+def euler_march(field, x0: np.ndarray, h: float, steps: int):
+    """The one explicit-Euler loop: ``steps`` steps of size ``h`` along
+    dx/ds = field(x, s) from s = 0, for one state (d,) or rows (k, d).
+
+    Returns the trajectory from ``x0`` on, the field at each step taken, and
+    the live mask (a scalar for one state). A row that trips the guard stays
+    at its last good state, where the field has already been evaluated, so
+    each row's values are those of its own march; the march stops when no row
+    is live.
+    """
+    x = np.array(x0, dtype=float)
+    live = np.ones(x.shape[:-1], dtype=bool)
+    trajectory, fields = [x], []
+    s = 0.0
+    for _ in range(steps):
+        u = field(x, s)
+        x_next = x + h * u
+        live &= _guard_rows(x_next)
+        if not live.any():
+            break
+        x = np.where(live[..., None], x_next, x)
+        trajectory.append(x)
+        fields.append(u)
+        s += h
+    return trajectory, fields, live
+
+
 def multi_step_transport(
     model: BackboneModel,
     x_src: np.ndarray,
@@ -234,23 +256,17 @@ def multi_step_transport(
 
     Every sub-step re-estimates the field at the current state (the anchor
     follows the trajectory) and advances by ``step_scale / steps`` times the
-    field. Query times stay fixed. Returns the trajectory (including the start
-    point) and the per-sub-step fields.
+    field. Query times stay fixed. For one state ``x_src`` (d,), returns the
+    trajectory (including the start point) and the per-sub-step fields.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    x = np.asarray(x_src, dtype=float).copy()
-    sub = params.step_scale / steps
-    trajectory = [x.copy()]
-    per_step_fields = []
     field = make_control_field(model, params, field_kind, seed)
-    for s_idx in range(steps):
-        u = field(x)
-        x = x + sub * u
-        _guard_state(x, trajectory[-1], f"sub-step {s_idx + 1}/{steps}")
-        trajectory.append(x.copy())
-        per_step_fields.append(u)
-    return trajectory, per_step_fields
+    trajectory, fields, live = euler_march(field, x_src, params.step_scale / steps, steps)
+    if not live:
+        message = f"state diverged during sub-step {len(trajectory)}/{steps}"
+        raise DivergenceError(message, last_state=trajectory[-1])
+    return trajectory, fields
 
 
 def integrate_rk4(field, x0: np.ndarray, s_from: float, s_to: float, steps: int):

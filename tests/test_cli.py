@@ -179,6 +179,37 @@ class TestDeclaredParams:
             assert row in readme, row
 
 
+class TestValuesOutsideParams:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "seed=NaN",
+            "seed=1.5",
+            "seed=true",
+            "schedule.beta_ramp.points=NaN",
+            "schedule.beta_ramp.points=2.5",
+            'schedule.beta_ramp.base="x"',
+            'schedule.fd_step="x"',
+            "chord.n=NaN",
+            "chord.n=true",
+            'chord.use_prox="no"',
+        ],
+    )
+    def test_bad_value_is_usage_error(self, tmp_path, override):
+        out = tmp_path / "run"
+        flags = ["--override", "params.particles=1", "--override", override]
+        assert main(["step_sweep", "--out", str(out), *flags]) == 2
+        assert not list(out.glob("*.csv"))
+
+    def test_integral_floats_read_as_integers(self):
+        from chordfield.config import build_schedule
+
+        cfg = load_config("step_sweep", overrides=["seed=2.0"])
+        assert cfg.seed == 2 and type(cfg.seed) is int
+        ramp = {"kind": "vp_generic", "beta_ramp": {"points": 11.0}}
+        assert len(build_schedule(ramp).beta_times) == 11
+
+
 class TestCoeffs:
     def test_velocity_column_all_one(self, tmp_path):
         out = tmp_path / "run"
@@ -330,6 +361,23 @@ class TestStepSweep:
         chord = [energy[(s, "chord")] for s in s_values]
         assert naive[0] > naive[-1]
         assert max(chord) / min(chord) <= max(naive) / min(naive)
+
+    def test_one_field_per_particle_and_method(self, tmp_path, monkeypatch):
+        # the reference and every step count march the same field
+        from chordfield import experiments, transport
+
+        made = []
+        make = transport.make_control_field
+
+        def counting(*args):
+            made.append(args)
+            return make(*args)
+
+        monkeypatch.setattr(experiments, "make_control_field", counting)
+        monkeypatch.setattr(transport, "make_control_field", counting)
+        flags = ["--override", "params.particles=3", "--override", "params.reference_steps=8"]
+        assert main(["step_sweep", "--out", str(tmp_path / "run"), *flags]) == 0
+        assert len(made) == 2 * 3
 
     def test_needs_s_one(self, tmp_path):
         code = main(

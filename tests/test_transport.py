@@ -28,6 +28,7 @@ from chordfield.transport import (
     _guard_state,
     chordedit,
     chordedit_multi_noise,
+    euler_march,
     integrate_rk4,
     make_control_field,
     multi_step_transport,
@@ -335,6 +336,21 @@ class TestMultiStep:
                 model, np.array([-2.0]), params, 2, "naive", seed=0
             )
         assert err.value.last_state is not None
+
+    def test_divergence_names_the_sub_step_and_keeps_the_last_good_state(
+        self, monkeypatch
+    ):
+        # u = 99 x with sub-steps of 1: the state grows 100-fold a sub-step,
+        # reaches exactly the limit after the third and runs away in the fourth
+        import chordfield.transport as transport
+
+        monkeypatch.setattr(
+            transport, "make_control_field", lambda *args: lambda x, s=0.0: 99.0 * x
+        )
+        params = ChordParams(step_scale=5.0, use_prox=False)
+        with pytest.raises(DivergenceError, match=r"during sub-step 4/5$") as err:
+            multi_step_transport(preset_model(), np.array([1.0]), params, 5, "naive", 0)
+        np.testing.assert_array_equal(err.value.last_state, [DIVERGENCE_NORM])
 
     def test_invalid_step_count(self):
         model = preset_model("two_blob_1d")
@@ -706,3 +722,64 @@ def test_guard_rows_agree_with_the_guard_row_by_row(norms, dim, seed):
     assert (message is None) == ok.all()
     if message is not None:
         assert f"(rows {np.flatnonzero(~ok).tolist()})" in message
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.one_of(_ROW_NORMS, st.just(math.nan)), min_size=1, max_size=5),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 1.0, 5.0]),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_euler_march_rows_bit_equal_to_one_march_per_row(norms, dim, growth, steps, seed):
+    # rows at the limit give or take an ulp, runaway, infinite and NaN rows
+    # among tame ones, under a field that depends on the pseudo-time
+    unit = np.random.default_rng(seed).normal(size=(len(norms) + 1, dim))
+    with np.errstate(invalid="ignore"):
+        states = unit / np.linalg.norm(unit, axis=1, keepdims=True)
+        states *= np.array([*norms, 1.0])[:, None]
+
+    def field(x, s):
+        with np.errstate(invalid="ignore", over="ignore"):
+            return growth * (1.0 + s) * x
+
+    trajectory, fields, live = euler_march(field, states, 0.25, steps)
+    assert live.shape == (len(states),)
+    for j, x in enumerate(states):
+        traj_j, fields_j, live_j = euler_march(field, x, 0.25, steps)
+        assert live_j.shape == () and live[j] == live_j
+        np.testing.assert_array_equal(trajectory[-1][j], traj_j[-1])
+        # a row's states and fields up to its last good state are its own
+        np.testing.assert_array_equal([t[j] for t in trajectory[: len(traj_j)]], traj_j)
+        np.testing.assert_array_equal([u[j] for u in fields[: len(fields_j)]], fields_j)
+        if live_j:
+            assert len(fields_j) == len(fields) == steps
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.one_of(_ROW_NORMS, st.just(math.nan)), min_size=2, max_size=8),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_guard_rows_on_row_pairs_agree_row_by_row(norms, dim, seed):
+    # rows laid out (P, 2, d), one pair of kinds per point
+    norms = norms[: len(norms) // 2 * 2]
+    unit = np.random.default_rng(seed).normal(size=(len(norms), dim))
+    with np.errstate(invalid="ignore"):
+        states = unit / np.linalg.norm(unit, axis=1, keepdims=True) * np.array(norms)[:, None]
+    ok = _guard_rows(states.reshape(-1, 2, dim))
+    assert ok.shape == (len(norms) // 2, 2)
+    np.testing.assert_array_equal(ok.ravel(), [_guard_rows(x) for x in states])
+
+
+@pytest.mark.parametrize(
+    "row", [[math.nan, 0.0], [math.inf, 0.0], [-math.inf, math.inf], [1e300, 1e300]]
+)
+def test_guard_rejects_non_finite_and_overflowing_states(row):
+    x = np.array(row)
+    assert not _guard_rows(x)
+    np.testing.assert_array_equal(_guard_rows(np.stack([np.ones(2), x])), [True, False])
+    with pytest.raises(DivergenceError):
+        _guard_state(x, x, "a test")
