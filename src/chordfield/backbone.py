@@ -15,7 +15,9 @@ row's result is bit-identical to that of the row queried alone.
 The posterior kernel splits its work into what depends on the time only
 (``_Stack.at``) and what depends on the rows. A model keeps the time-only
 part of each query time the proxy field asks for, so a transport run, whose
-query times never change, builds it once.
+query times never change, builds it once. The kernel and the heads also take
+the values of times stacked on a leading axis, as arrays, which take no scalar
+branch (sigma = 0, the eps-head floor): their sigmas must clear the floor.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ class _Stack:
 
     def x0(self, z: np.ndarray, at: _Slice) -> np.ndarray:
         """E[x0 | z] under each mixture, for each row: shape (..., mixtures, d)."""
-        if at.sigma == 0.0:
+        if not isinstance(at.sigma, np.ndarray) and at.sigma == 0.0:
             return np.repeat((z / at.alpha)[..., None, :], self.starts.size, axis=-2)
         log_mass, diff = self.log_mass(z, at)
         resp = self.responsibilities(z, log_mass)
@@ -258,7 +260,7 @@ def _posterior_x0(
 
 def _drift(z: np.ndarray, x0: np.ndarray, scalars: PathScalars) -> np.ndarray:
     """Generation-direction drift -(alpha_dot x0 + sigma_dot eps) from E[x0|z]."""
-    if scalars.sigma == 0.0:
+    if not isinstance(scalars.sigma, np.ndarray) and scalars.sigma == 0.0:
         return -scalars.alpha_dot * x0
     eps = (z - scalars.alpha * x0) / scalars.sigma
     return -(scalars.alpha_dot * x0 + scalars.sigma_dot * eps)
@@ -274,7 +276,7 @@ def _head(
     if kind in (DATA_X0, CONSISTENCY):
         return x0
     a, s = scalars.alpha, scalars.sigma
-    if s < model.schedule.alpha_floor:
+    if not isinstance(s, np.ndarray) and s < model.schedule.alpha_floor:
         raise IllConditionedMapError(
             f"sigma(t) = {s:.3e} below floor for the {kind} head", time=scalars.t
         )

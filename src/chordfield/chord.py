@@ -51,8 +51,8 @@ class ChordParams:
 
     def __post_init__(self):
         vals = (self.t, self.delta, self.step_scale, self.t_c)
-        if not all(math.isfinite(v) for v in vals):
-            raise DomainError("chord parameters must be finite")
+        if not all(not isinstance(v, bool) and math.isfinite(v) for v in vals):
+            raise DomainError("chord parameters must be finite numbers")
         if not (0.0 < self.t <= 1.0):
             raise DomainError("t must lie in (0, 1]")
         if self.delta < 0.0 or self.t - self.delta < 0.0:

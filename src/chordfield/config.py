@@ -98,9 +98,21 @@ class Param(NamedTuple):
         key = f"params.{self.name}"
         if not isinstance(self.kind, list):
             return _read_number(key, value, self.kind, self.low, self.high)
-        if isinstance(value, list) and value:
-            return [_read_number(key, v, self.kind[0], self.low, self.high) for v in value]
-        raise UsageError(f"{key} must be a non-empty list, got {value!r}")
+        return _read_list(key, value, self.kind[0], self.low, self.high)
+
+
+def _read_list(key, value, kind, low=-math.inf, high=math.inf):
+    """``value`` as a non-empty list of ``_read_number`` values."""
+    if isinstance(value, list) and value:
+        return [_read_number(key, v, kind, low, high) for v in value]
+    raise UsageError(f"{key} must be a non-empty list, got {value!r}")
+
+
+def _read_object(key, value) -> dict:
+    """``value`` if it is a JSON object; ``UsageError`` naming ``key`` if not."""
+    if not isinstance(value, dict):
+        raise UsageError(f"{key} must be a JSON object, got {value!r}")
+    return value
 
 
 def _read_number(key, value, kind, low=-math.inf, high=math.inf):
@@ -149,12 +161,11 @@ PARAMS = (
 def read_params(cfg: ExperimentConfig) -> SimpleNamespace:
     """Every parameter that ``cfg.experiment`` declares, read from
     ``cfg.params`` or defaulted; undeclared keys are ignored."""
-    if not isinstance(cfg.params, dict):
-        raise UsageError(f"params must be a JSON object, got {cfg.params!r}")
+    params = _read_object("params", cfg.params)
     resolved = {}
     for param in PARAMS:
         if param.experiment == cfg.experiment:
-            resolved[param.name] = param.read(cfg.params.get(param.name, param.default))
+            resolved[param.name] = param.read(params.get(param.name, param.default))
     return SimpleNamespace(**resolved)
 
 
@@ -244,7 +255,7 @@ def load_config(
 
 
 def build_schedule(section: dict) -> Schedule:
-    kind = section.get("kind")
+    kind = _read_object("schedule", section).get("kind")
     if kind not in (VP_CONST_BETA, VP_GENERIC, LINEAR_INTERP):
         raise UsageError(f"schedule.kind must be set to a known kind, got {kind!r}")
     # alpha_floor and fd_step, when unset, take the Schedule defaults
@@ -261,11 +272,13 @@ def build_schedule(section: dict) -> Schedule:
         if "beta_csv" in section and section["beta_csv"]:
             times, values = load_beta_table(section["beta_csv"])
         elif "beta_table" in section:
-            table = section["beta_table"]
-            times = np.asarray(table["times"], dtype=float)
-            values = np.asarray(table["values"], dtype=float)
+            table = _read_object("schedule.beta_table", section["beta_table"])
+            times, values = (
+                np.asarray(_read_list(f"schedule.beta_table.{k}", table.get(k), float))
+                for k in ("times", "values")
+            )
         elif "beta_ramp" in section:
-            ramp = {**_RAMP, **section["beta_ramp"]}
+            ramp = {**_RAMP, **_read_object("schedule.beta_ramp", section["beta_ramp"])}
             number = lambda k, *rule: _read_number(f"schedule.beta_ramp.{k}", ramp[k], *rule)
             times = np.linspace(0.0, 1.0, number("points", int, 2))
             values = number("base", float) + number("scale", float) * times ** number(
@@ -290,12 +303,12 @@ def _condition(section: dict) -> GaussianMixtureCondition:
             means=section["means"],
             scales=section["scales"],
         )
-    except (KeyError, DomainError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"invalid mixture section: {err}") from err
 
 
 def build_backbone(section: dict, schedule: Schedule) -> BackboneModel:
-    output_kind = section.get("output_kind", "velocity")
+    output_kind = _read_object("backbone", section).get("output_kind", "velocity")
     # explicit inline mixtures win over a (possibly default-merged) preset name
     if "source" in section and "target" in section:
         source = _condition(section["source"])
@@ -316,7 +329,7 @@ def build_backbone(section: dict, schedule: Schedule) -> BackboneModel:
 
 
 def build_chord_params(section: dict) -> ChordParams:
-    kwargs = dict(section)
+    kwargs = dict(_read_object("chord", section))
     if "lambda" in kwargs:  # accepted alias for the step scale
         kwargs["step_scale"] = kwargs.pop("lambda")
     try:

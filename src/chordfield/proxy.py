@@ -150,8 +150,13 @@ def proxy_field(
     if x_tau.shape[-1:] != (batch.dim,):
         raise DomainError("anchor dimension does not match the noise batch")
     a_t, scalars, pair = model._time_entry(t)
-    z = scalars.alpha * x_tau[..., None, :] + scalars.sigma * batch.draws
-    return a_t * (_draw_sum(_head_residual(model, z, scalars, pair)) / batch.n)
+    return _estimate(model, x_tau, scalars.alpha, scalars.sigma * batch.draws, a_t, scalars, pair)
+
+
+def _estimate(model, x_tau, alpha, noise, a_t, scalars, pair):
+    """a_t times the draw mean of the head residual at z = alpha x + noise, one time's or stacked."""
+    z = alpha * x_tau[..., None, :] + noise
+    return a_t * (_draw_sum(_head_residual(model, z, scalars, pair)) / z.shape[-2])
 
 
 def _draw_sum(rows: np.ndarray) -> np.ndarray:

@@ -21,9 +21,11 @@ from .proxy import (
     NS_PROX,
     NS_TIME_DECOUPLE,
     SharedNoiseBatch,
+    _estimate,
     derive_stream,
     proxy_field,
 )
+from .schedules import PathScalars
 
 # states beyond this norm abort loudly instead of silently overflowing
 DIVERGENCE_NORM = 1e6
@@ -92,9 +94,8 @@ def make_control_field(
     The naive field is the raw proxy field at the main query time; the chord
     field blends the queries at t - delta and t. For one kind (a string) the
     returned callable takes one state (d,) or rows of states (..., d); for a
-    tuple of distinct kinds it takes rows (..., len(kinds), d) and evaluates
-    kind j on [..., j, :], with one query at t over every row (both kinds use
-    the same noise batch there) and one at t - delta over the chord rows.
+    tuple of distinct kinds it takes rows (..., len(kinds), d), evaluates
+    kind j on [..., j, :], and sends both times through one kernel pass.
     Each row's value is bit-identical to that of the row alone under its
     kind's own field. An optional pseudo-time argument is ignored, so that
     integrators can treat the field like any other; its ``autonomous``
@@ -106,20 +107,30 @@ def make_control_field(
         raise DomainError(f"field kinds must be drawn from {FIELD_KINDS}")
     if len(set(kinds)) < len(kinds):
         raise DomainError("field kinds must be distinct")
+    t, delta, dim = params.t, params.delta, model.dim
+    batch_prev, batch_curr = _batches(params, seed, dim)
     # the chord rows as a basic index, so selecting them makes a view
-    chord = None
+    chord = fused = None
     if CHORD in kinds:
         j = kinds.index(CHORD)
         chord = Ellipsis if single else (Ellipsis, slice(j, j + 1), slice(None))
-    t, delta = params.t, params.delta
-    batch_prev, batch_curr = _batches(params, seed, model.dim)
+        fused = None if single else _two_time_pass(model, t, delta, batch_prev, batch_curr)
 
     def field(x, s=0.0):
         x = np.asarray(x, dtype=float)
-        u = proxy_field(model, x, t, batch_curr)
-        if chord is None:
-            return u
-        r_prev = proxy_field(model, x[chord], t - delta, batch_prev)
+        if fused is not None:
+            if x.shape[-1:] != (dim,):
+                raise DomainError("anchor dimension does not match the noise batch")
+            # the chord rows (in every kind's place) at t - delta, then all at t
+            rows = np.empty((2,) + x.shape)
+            rows[0], rows[1] = x[chord], x
+            both = _estimate(model, rows.reshape(2, -1, dim), *fused).reshape(rows.shape)
+            r_prev, u = both[0][chord], both[1]
+        else:
+            u = proxy_field(model, x, t, batch_curr)
+            if chord is None:
+                return u
+            r_prev = proxy_field(model, x[chord], t - delta, batch_prev)
         blend = chord_field(r_prev, u[chord], t, delta)
         if kinds == (CHORD,):
             # every row is a chord row: the blend is the whole field
@@ -129,6 +140,28 @@ def make_control_field(
 
     field.autonomous = True
     return field
+
+
+def _two_time_pass(model, t, delta, batch_prev, batch_curr):
+    """``_estimate``'s values for rows (2, k, d) at t - delta and t; None (two
+    queries) where a time's values fail to build or its sigma is below the floor."""
+    try:
+        (a_p, s_p, at_p), (a_t, s_t, at_t) = (model._time_entry(u) for u in (t - delta, t))
+    except (DomainError, ArithmeticError):
+        return None
+    if min(s_p.sigma, s_t.sigma) < model.schedule.alpha_floor:
+        return None
+    # shaped for the heads' rows (2, k, n, mixtures, d); [..., 0] for the queries
+    alpha, sigma, alpha_dot, sigma_dot = np.array(
+        [[s.alpha, s.sigma, s.alpha_dot, s.sigma_dot] for s in (s_p, s_t)]
+    ).T.reshape(4, 2, 1, 1, 1, 1)
+    return (
+        alpha[..., 0],
+        sigma[..., 0] * np.stack((batch_prev.draws, batch_curr.draws))[:, None],
+        np.array([a_p, a_t]).reshape(2, 1, 1),
+        PathScalars((t - delta, t), alpha, sigma, alpha_dot, sigma_dot),
+        at_p._make(np.stack(values)[:, None, None] for values in zip(at_p, at_t)),
+    )
 
 
 def proximal_refine(

@@ -369,6 +369,13 @@ class TestChordParams:
         with pytest.raises(DomainError):
             ChordParams(step_scale=-1.0)
 
+    @pytest.mark.parametrize("name", ["t", "delta", "step_scale", "t_c"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_values_rejected(self, name, flag):
+        # True would read as 1.0 and False as 0.0
+        with pytest.raises(DomainError):
+            ChordParams(**{name: flag})
+
 
 PROPERTY_SETTINGS = settings(
     max_examples=150, derandomize=True, database=None, deadline=None

@@ -210,6 +210,37 @@ class TestValuesOutsideParams:
         assert len(build_schedule(ramp).beta_times) == 11
 
 
+class TestSectionsOutsideParams:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ['schedule="x"'],
+            ['schedule.beta_ramp="x"'],
+            ["schedule.beta_table=5"],
+            ['schedule.beta_table={"times": ["a", "b"], "values": [1, 2]}'],
+            ['schedule.beta_table={"times": "x", "values": "y"}'],
+            ["backbone=5"],
+            ["backbone.source=5", "backbone.target=5"],
+            ['backbone.source={"weights": "ab", "means": [[0, 0]], "scales": [1]}']
+            + ['backbone.target={"weights": [1], "means": [[0, 0]], "scales": [1]}'],
+            ["chord=5"],
+            ["chord.t=true"],
+            ["chord.delta=false"],
+            ["chord.step_scale=true"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_section_or_chord_value_is_usage_error(self, tmp_path, overrides):
+        # sections that are not objects, tables of strings, and booleans
+        # that would read as 1.0 or 0.0
+        out = tmp_path / "run"
+        flags = ["--override", "params.particles=1"]
+        for override in overrides:
+            flags += ["--override", override]
+        assert main(["step_sweep", "--out", str(out), *flags]) == 2
+        assert not list(out.glob("*.csv"))
+
+
 class TestCoeffs:
     def test_velocity_column_all_one(self, tmp_path):
         out = tmp_path / "run"

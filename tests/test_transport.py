@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordfield.backbone import BackboneModel, GaussianMixtureCondition, posterior_x0
-from chordfield.chord import ChordParams
+from chordfield.chord import ChordParams, chord_field
 from chordfield.errors import (
     DegeneratePosteriorError,
     DivergenceError,
@@ -14,6 +14,7 @@ from chordfield.errors import (
     IllConditionedMapError,
 )
 from chordfield.preset_lib import load_preset
+from chordfield.proxy import proxy_field
 from chordfield.schedules import (
     LINEAR_INTERP,
     PARAMETERIZATION_KINDS,
@@ -24,6 +25,7 @@ from chordfield.schedules import (
 )
 from chordfield.transport import (
     DIVERGENCE_NORM,
+    _batches,
     _guard_rows,
     _guard_state,
     chordedit,
@@ -664,27 +666,117 @@ def test_kind_rows_bit_equal_to_one_field_per_kind(
         ("naive", (2,), [(0.9, (2,))]),
         ("chord", (2,), [(0.9, (2,)), (0.75, (2,))]),
         ("chord", (5, 2), [(0.9, (5, 2)), (0.75, (5, 2))]),
-        (("chord", "naive"), (2, 2), [(0.9, (2, 2)), (0.75, (1, 2))]),
-        (("naive", "chord"), (3, 2, 2), [(0.9, (3, 2, 2)), (0.75, (3, 1, 2))]),
+        (("chord", "naive"), (2, 2), [("kernel", (2, 2, 1, 2))]),
+        (("naive", "chord"), (3, 2, 2), [("kernel", (2, 6, 1, 2))]),
         (("naive",), (2, 1, 2), [(0.9, (2, 1, 2))]),
     ],
 )
 def test_one_query_at_t_serves_every_kind(monkeypatch, kinds, shape, queries):
-    # one proxy query at t over all rows, one at t - delta over the chord rows
+    # one proxy query at t over all rows, one at t - delta over the chord rows;
+    # a tuple with a chord kind makes no proxy query but one kernel pass over
+    # noised rows (times, rows, n, d) instead: t - delta, then t
+    import chordfield.backbone as backbone
     import chordfield.transport as transport
 
-    seen = []
-    query = transport.proxy_field
+    seen, querying = [], []
+    query, kernel = transport.proxy_field, backbone._Stack.x0
 
     def counted(model, x, t, batch):
         seen.append((t, np.shape(x)))
-        return query(model, x, t, batch)
+        querying.append(t)
+        try:
+            return query(model, x, t, batch)
+        finally:
+            querying.pop()
+
+    def kernel_pass(stack, z, at):
+        # the passes that a proxy query makes are counted by the query
+        if not querying:
+            seen.append(("kernel", np.shape(z)))
+        return kernel(stack, z, at)
 
     monkeypatch.setattr(transport, "proxy_field", counted)
+    monkeypatch.setattr(backbone._Stack, "x0", kernel_pass)
     model = preset_model("two_blob_2d")
     field = make_control_field(model, ChordParams(t=0.9, delta=0.15), kinds, seed=3)
     assert field(np.ones(shape)).shape == shape
     assert sorted(seen, reverse=True) == queries
+    seen.clear()
+    field(np.ones(shape))
+    assert sorted(seen, reverse=True) == queries
+
+
+def _two_query_reference(model, params, kinds, seed, rows):
+    """The tuple-kind field as two proxy queries and a blend: one query at t
+    over every row, one at t - delta over the chord rows."""
+    batch_prev, batch_curr = _batches(params, seed, model.dim)
+    t, delta, j = params.t, params.delta, kinds.index("chord")
+    u = proxy_field(model, rows, t, batch_curr)
+    r_prev = proxy_field(model, rows[..., j, :], t - delta, batch_prev)
+    u[..., j, :] = chord_field(r_prev, u[..., j, :], t, delta)
+    return u
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(PRESETS),
+    st.sampled_from(SCHEDULES),
+    st.sampled_from(PARAMETERIZATION_KINDS),
+    st.sampled_from([1, 4]),
+    st.booleans(),
+    st.sampled_from([0.0, 0.1, 0.8]),
+    st.sampled_from([("chord", "naive"), ("naive", "chord")]),
+    st.sampled_from([(), (3,), (2, 2)]),
+    st.one_of(
+        st.none(),
+        st.sampled_from([math.nan, math.inf, -math.inf, 1e200]),
+        st.sampled_from(np.geomspace(1.2e154, 5.5e154, 24).tolist()),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_fused_tuple_field_bit_equal_to_two_queries(
+    preset, schedule, head, n, share, delta, kinds, lead, bad, seed
+):
+    # delta = t puts the earlier query at time 0; a bad value (non-finite, or
+    # far enough out that the posterior mass underflows at one or both times:
+    # a naive row may fail at t - delta, where only chord rows are queried)
+    # lands on one coordinate of one row of either kind
+    model = preset_model(preset, schedule, head)
+    params = ChordParams(t=0.8, delta=delta, n=n, share_noise_across_times=share)
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=lead + (2, model.dim)) * 2.0
+    if bad is not None:
+        rows.reshape(-1)[rng.integers(rows.size)] = bad
+    field = make_control_field(model, params, kinds, seed)  # raises nothing new
+    with np.errstate(over="ignore"):
+        got = _value_or_error_type(lambda: field(rows))
+        want = _value_or_error_type(lambda: _two_query_reference(model, params, kinds, seed, rows))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert not isinstance(got, type), got
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kinds", [("chord", "naive"), ("naive", "chord")])
+@pytest.mark.parametrize(
+    "preset, shape",
+    [
+        ("two_blob_2d", (2, 4)),
+        ("two_blob_2d", (2, 1)),
+        ("two_blob_2d", (3, 2, 3)),
+        ("two_blob_1d", (2, 2)),
+        ("two_blob_1d", (2, 2, 3)),
+    ],
+)
+def test_tuple_field_rejects_rows_of_the_wrong_width(kinds, preset, shape):
+    model = preset_model(preset)
+    params = ChordParams(t=0.9, delta=0.15)
+    rows = np.ones(shape)
+    with pytest.raises(DomainError, match="anchor dimension"):
+        _two_query_reference(model, params, kinds, 3, rows)
+    with pytest.raises(DomainError, match="anchor dimension"):
+        make_control_field(model, params, kinds, seed=3)(rows)
 
 
 @pytest.mark.parametrize(
