@@ -296,12 +296,18 @@ def build_schedule(section: dict) -> Schedule:
         raise UsageError(f"invalid schedule section: {err}") from err
 
 
-def _condition(section: dict) -> GaussianMixtureCondition:
+def _read_numbers(key, value):
+    """``value``, a number or a list of them, nested to any depth, with each
+    number read by ``_read_number``: a boolean or a string is not one."""
+    if isinstance(value, list):
+        return [_read_numbers(key, v) for v in value]
+    return _read_number(key, value, float)
+
+
+def _condition(key: str, section: dict) -> GaussianMixtureCondition:
     try:
         return GaussianMixtureCondition(
-            weights=section["weights"],
-            means=section["means"],
-            scales=section["scales"],
+            **{k: _read_numbers(f"{key}.{k}", section[k]) for k in ("weights", "means", "scales")}
         )
     except (KeyError, TypeError, ValueError) as err:
         raise UsageError(f"invalid mixture section: {err}") from err
@@ -311,8 +317,8 @@ def build_backbone(section: dict, schedule: Schedule) -> BackboneModel:
     output_kind = _read_object("backbone", section).get("output_kind", "velocity")
     # explicit inline mixtures win over a (possibly default-merged) preset name
     if "source" in section and "target" in section:
-        source = _condition(section["source"])
-        target = _condition(section["target"])
+        source = _condition("backbone.source", section["source"])
+        target = _condition("backbone.target", section["target"])
     elif "preset" in section and section["preset"]:
         try:
             source, target = load_preset(section["preset"])

@@ -85,11 +85,41 @@ def write_csv(path, header: list[str], rows: list[tuple]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_summary(cfg: ExperimentConfig, lines: list[str]) -> None:
+def _write(cfg: ExperimentConfig, name: str, header: list[str], rows: list[tuple]) -> None:
+    # looked up at call time and called positionally: the benchmark's tracer
+    # rebinds write_csv to count rows and bytes
+    write_csv(os.path.join(cfg.output_dir, name), header, rows)
+
+
+def _write_summary(cfg: ExperimentConfig, lines: list[str]) -> int:
+    """Write ``summary.txt``, a run's last step; returns ``EXIT_OK``."""
     path = os.path.join(cfg.output_dir, "summary.txt")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    return EXIT_OK
+
+
+# the two methods that the experiments compare: naive is chord at delta = 0
+_METHODS = ("chord", "naive")
+
+
+def _method_params(params, method: str):
+    return params if method == "chord" else replace(params, delta=0.0)
+
+
+def _check_diverged(what: str, diverged: int, count: int) -> None:
+    """``DivergenceThreshold`` once at least half of ``count`` runs diverged."""
+    if diverged >= count / 2:
+        raise DivergenceThreshold(f"{what} diverged on {diverged}/{count} particles")
+
+
+def _ratio(num: float, den: float) -> float:
+    """``num / den``; NaN where that is undefined: ``den`` is 0 or either
+    side is not finite."""
+    if den == 0 or not (math.isfinite(num) and math.isfinite(den)):
+        return math.nan
+    return num / den
 
 
 def _model_and_params(cfg: ExperimentConfig):
@@ -130,8 +160,9 @@ def run_coeffs(cfg: ExperimentConfig) -> int:
                 failures += 1
                 rows.append((t, kind, "", "", "", "", str(err)))
     rows.sort(key=lambda r: (r[0], r[1]))
-    write_csv(
-        os.path.join(cfg.output_dir, "coeffs.csv"),
+    _write(
+        cfg,
+        "coeffs.csv",
         ["t", "kind", "coefficient", "vp_form", "beta_form", "max_rel_disagreement", "error"],
         rows,
     )
@@ -149,16 +180,13 @@ def run_toy(cfg: ExperimentConfig) -> int:
     count, steps = p.particles, p.steps
     model, params = _model_and_params(cfg)
     particles = sample_particles(model, count, cfg.seed)
-    dim = model.dim
-    coord_header = [f"x{k}" for k in range(dim)]
-    write_csv(
-        os.path.join(cfg.output_dir, "particles_before.csv"),
-        ["particle"] + coord_header,
-        [(i, *pt) for i, pt in enumerate(particles.points)],
-    )
-    naive_params = replace(params, delta=0.0)
-    results = {}
-    for method, run_params in (("naive", naive_params), ("chord", params)):
+    coords = ["particle"] + [f"x{k}" for k in range(model.dim)]
+    before = [(i, *pt) for i, pt in enumerate(particles.points)]
+    _write(cfg, "particles_before.csv", coords, before)
+    energy_rows = []
+    # naive first: a naive divergence exits before either particles_after_*.csv
+    for method in _METHODS[::-1]:
+        run_params = _method_params(params, method)
         rows, energies, distances, diverged = [], [], [], 0
         for i, x in enumerate(particles.points):
             seed_i = particle_seed(cfg.seed, i)
@@ -170,46 +198,29 @@ def run_toy(cfg: ExperimentConfig) -> int:
                     traj, fields = multi_step_transport(
                         model, x, run_params, steps, method, seed_i
                     )
-                    out, energy = traj[-1], bb_energy(fields, dim)
+                    out, energy = traj[-1], bb_energy(fields, model.dim)
             except DivergenceError:
                 diverged += 1
                 continue
             rows.append((i, *out))
             energies.append(energy)
             distances.append(_dist_to_nearest_mode(out, model.target))
-        if diverged >= count / 2:
-            raise DivergenceThreshold(
-                f"{method} transport diverged on {diverged}/{count} particles"
-            )
-        write_csv(
-            os.path.join(cfg.output_dir, f"particles_after_{method}.csv"),
-            ["particle"] + coord_header,
-            rows,
+        _check_diverged(f"{method} transport", diverged, count)
+        _write(cfg, f"particles_after_{method}.csv", coords, rows)
+        distance_se = float(np.std(distances, ddof=1) / math.sqrt(len(distances)))
+        energy_rows.append(
+            (method, float(np.mean(energies)), float(np.mean(distances)), distance_se, diverged)
         )
-        results[method] = {
-            "energy": float(np.mean(energies)),
-            "distance": float(np.mean(distances)),
-            "distance_se": float(np.std(distances, ddof=1) / math.sqrt(len(distances))),
-            "diverged": diverged,
-        }
-    write_csv(
-        os.path.join(cfg.output_dir, "energy.csv"),
-        ["method", "bb_energy", "mean_distance", "distance_se", "diverged"],
-        [
-            (m, results[m]["energy"], results[m]["distance"], results[m]["distance_se"], results[m]["diverged"])
-            for m in sorted(results)
-        ],
-    )
+    energy_rows.sort()  # by method
+    columns = ["method", "bb_energy", "mean_distance", "distance_se", "diverged"]
+    _write(cfg, "energy.csv", columns, energy_rows)
     lines = [f"toy transport: {count} particles, steps={steps}, seed={cfg.seed}"]
-    for m in sorted(results):
-        r = results[m]
+    for method, energy, distance, distance_se, diverged in energy_rows:
         lines.append(
-            f"{m}: mean distance-to-nearest-target-mode {r['distance']:.6f}"
-            f" (se {r['distance_se']:.6f}), mean energy {r['energy']:.6f},"
-            f" diverged {r['diverged']}"
+            f"{method}: mean distance-to-nearest-target-mode {distance:.6f}"
+            f" (se {distance_se:.6f}), mean energy {energy:.6f}, diverged {diverged}"
         )
-    _write_summary(cfg, lines)
-    return EXIT_OK
+    return _write_summary(cfg, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +237,11 @@ def run_step_sweep(cfg: ExperimentConfig) -> int:
     cells = {
         (s, m): {"energy": [], "error": [], "diverged": 0}
         for s in s_values
-        for m in ("chord", "naive")
+        for m in _METHODS
     }
     for i, x in enumerate(particles.points):
         seed_i = particle_seed(cfg.seed, i)
-        for method in ("chord", "naive"):
+        for method in _METHODS:
             # one field, so one noise batch, for the reference and every S
             field = make_control_field(model, params, method, seed_i)
             try:
@@ -249,40 +260,23 @@ def run_step_sweep(cfg: ExperimentConfig) -> int:
                     continue
                 cell["energy"].append(bb_energy(fields, model.dim))
                 cell["error"].append(float(np.linalg.norm(traj[-1] - reference)))
-    rows = []
     for (s_steps, method), cell in cells.items():
-        if cell["diverged"] >= count / 2:
-            raise DivergenceThreshold(
-                f"{method} at S={s_steps} diverged on {cell['diverged']}/{count} particles"
-            )
-        rows.append(
-            (
-                s_steps,
-                method,
-                float(np.mean(cell["energy"])),
-                float(np.mean(cell["error"])),
-            )
-        )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    write_csv(
-        os.path.join(cfg.output_dir, "step_sweep.csv"),
-        ["S", "method", "bb_energy", "endpoint_error_mean"],
-        rows,
+        _check_diverged(f"{method} at S={s_steps}", cell["diverged"], count)
+    rows = sorted(  # by (S, method), which is unique
+        (s_steps, method, float(np.mean(cell["energy"])), float(np.mean(cell["error"])))
+        for (s_steps, method), cell in cells.items()
     )
-    by_method = {}
-    for s_steps, method, energy, _ in rows:
-        by_method.setdefault(method, {})[s_steps] = energy
+    _write(cfg, "step_sweep.csv", ["S", "method", "bb_energy", "endpoint_error_mean"], rows)
     lines = ["step sweep energies:"]
-    for method in sorted(by_method):
-        prof = by_method[method]
-        ratio = max(prof.values()) / min(prof.values())
+    for method in _METHODS:
+        prof = {s_steps: energy for s_steps, m, energy, _ in rows if m == method}
+        ratio = _ratio(max(prof.values()), min(prof.values()))
         lines.append(
             f"{method}: "
             + " ".join(f"S={s}:{prof[s]:.6f}" for s in sorted(prof))
             + f" max/min {ratio:.4f}"
         )
-    _write_summary(cfg, lines)
-    return EXIT_OK
+    return _write_summary(cfg, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +289,9 @@ def run_noise_ablation(cfg: ExperimentConfig) -> int:
         raise UsageError("noise ablation needs at least 10 seeds")
     model, params = _model_and_params(cfg)
     rows = []
-    for method in ("chord", "naive"):
-        base = params if method == "chord" else replace(params, delta=0.0)
+    for method in _METHODS:
         for n in sorted(p.n_values):
-            run_params = replace(base, n=n)
+            run_params = replace(_method_params(params, method), n=n)
             for seed_idx in range(p.seeds):
                 cell_seed = derive_stream(cfg.seed, NS_CELL, seed_idx)
                 x = sample_particles(model, 1, cell_seed).points[0]
@@ -309,17 +302,13 @@ def run_noise_ablation(cfg: ExperimentConfig) -> int:
                         n,
                         seed_idx,
                         _dist_to_nearest_mode(res.x_out, model.target),
-                        float(res.u_hat @ res.u_hat) / model.dim,
+                        res.energy,
                     )
                 )
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    write_csv(
-        os.path.join(cfg.output_dir, "noise_ablation.csv"),
-        ["method", "n", "seed", "endpoint_error", "energy"],
-        rows,
-    )
+    _write(cfg, "noise_ablation.csv", ["method", "n", "seed", "endpoint_error", "energy"], rows)
     lines = ["noise ablation summary (per method and n):"]
-    for method in ("chord", "naive"):
+    for method in _METHODS:
         for n in sorted(p.n_values):
             errs = np.array(
                 [r[3] for r in rows if r[0] == method and r[1] == n], dtype=float
@@ -328,8 +317,7 @@ def run_noise_ablation(cfg: ExperimentConfig) -> int:
             lines.append(
                 f"{method} n={n}: mean {errs.mean():.6f} cov {cov:.6f}"
             )
-    _write_summary(cfg, lines)
-    return EXIT_OK
+    return _write_summary(cfg, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +332,12 @@ def run_risk(cfg: ExperimentConfig) -> int:
     # one call: every kernel smooths the same trials, each drawn once
     pairs = risk_experiment(u_star, sigma, kernels, trials, cfg.seed)
     rows = [(name, sigma, trials, mn, mc) for name, (mn, mc) in zip(names, pairs)]
-    write_csv(
-        os.path.join(cfg.output_dir, "risk.csv"),
-        ["kernel", "noise_sigma", "trials", "mse_naive", "mse_chord"],
-        rows,
-    )
+    _write(cfg, "risk.csv", ["kernel", "noise_sigma", "trials", "mse_naive", "mse_chord"], rows)
     lines = ["risk experiment (constant truth):"]
     for name, _, _, mn, mc in rows:
         lines.append(f"{name}: mse_naive {mn:.6f} mse_chord {mc:.6f}")
     lines.append(f"noise floor d*sigma^2 = {2 * sigma * sigma:.6f}")
-    _write_summary(cfg, lines)
-    return EXIT_OK
+    return _write_summary(cfg, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -367,39 +350,30 @@ def run_error_order(cfg: ExperimentConfig) -> int:
         raise UsageError("error order needs at least 4 step sizes")
     model, params = _model_and_params(cfg)
     x0 = sample_particles(model, 1, cfg.seed).points[0]
-    rows, slopes, smallest = [], {}, {}
-    methods = ("chord", "naive")
     # both methods as rows of one run: one query at t serves the two fields
     sweeps = global_error_sweep(
-        make_control_field(model, params, methods, cfg.seed),
+        make_control_field(model, params, _METHODS, cfg.seed),
         np.stack([x0, x0]),
         p.h_values,
         horizon=p.horizon,
     )
-    for method, (errors, slope) in zip(methods, sweeps):
-        slopes[method] = slope
-        smallest[method] = errors[int(np.argmin(p.h_values))]
-        for h, err in zip(p.h_values, errors):
-            rows.append((method, h, err if math.isfinite(err) else "diverged"))
+    rows = [
+        (method, h, err if math.isfinite(err) else "diverged")
+        for method, (errors, _) in zip(_METHODS, sweeps)
+        for h, err in zip(p.h_values, errors)
+    ]
     rows.sort(key=lambda r: (r[0], -float(r[1])))
-    write_csv(
-        os.path.join(cfg.output_dir, "error_order.csv"),
-        ["method", "h", "endpoint_error"],
-        rows,
-    )
-    ratio = (
-        smallest["chord"] / smallest["naive"]
-        if math.isfinite(smallest["chord"]) and math.isfinite(smallest["naive"])
-        else math.nan
-    )
+    _write(cfg, "error_order.csv", ["method", "h", "endpoint_error"], rows)
+    (chord_err, chord_slope), (naive_err, naive_slope) = sweeps
+    smallest = int(np.argmin(p.h_values))
+    ratio = _ratio(chord_err[smallest], naive_err[smallest])
     lines = [
         "global error sweep:",
-        f"chord slope {slopes['chord']:.4f}",
-        f"naive slope {slopes['naive']:.4f}",
+        f"chord slope {chord_slope:.4f}",
+        f"naive slope {naive_slope:.4f}",
         f"chord/naive error ratio at smallest h: {ratio:.4f}",
     ]
-    _write_summary(cfg, lines)
-    return EXIT_OK
+    return _write_summary(cfg, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +447,8 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
 
     # transport energies at one step
     particles = sample_particles(model, 24, cfg.seed)
-    for method in ("naive", "chord"):
-        run_params = params if method == "chord" else replace(params, delta=0.0)
+    for method in _METHODS:
+        run_params = _method_params(params, method)
         energies = [
             chordedit(model, x, run_params, particle_seed(cfg.seed, i)).energy
             for i, x in enumerate(particles.points)
@@ -507,13 +481,13 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
     x0 = particles.points[0]
     h_values = [0.125, 0.0625, 0.03125, 0.015625]
     (chord_err, chord_slope), (naive_err, _) = global_error_sweep(
-        make_control_field(model, params, ("chord", "naive"), cfg.seed),
+        make_control_field(model, params, _METHODS, cfg.seed),
         np.stack([x0, x0]),
         h_values,
         horizon=params.step_scale,
     )
     report.global_error_slope = chord_slope
-    report.global_error_ratio = chord_err[-1] / naive_err[-1]
+    report.global_error_ratio = _ratio(chord_err[-1], naive_err[-1])
     report.checks["global_error_first_order"] = 0.8 <= chord_slope <= 1.2
 
     # estimator risk on a constant truth
@@ -547,7 +521,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
     # every report field in declaration order, the checks aside: notes last
     header = [name for name in asdict(report) if name != "checks"]
     row = tuple(getattr(report, name) for name in header)
-    write_csv(os.path.join(cfg.output_dir, "diagnostics.csv"), header, [row])
+    _write(cfg, "diagnostics.csv", header, [row])
     lines = ["diagnostics report:"]
     for name in header[:-1]:
         lines.append(f"{name}: {getattr(report, name):.8g}")

@@ -94,8 +94,8 @@ def make_control_field(
     The naive field is the raw proxy field at the main query time; the chord
     field blends the queries at t - delta and t. For one kind (a string) the
     returned callable takes one state (d,) or rows of states (..., d); for a
-    tuple of distinct kinds it takes rows (..., len(kinds), d), evaluates
-    kind j on [..., j, :], and sends both times through one kernel pass.
+    tuple of distinct kinds it takes rows (..., len(kinds), d), no other shape,
+    evaluates kind j on [..., j, :] and sends both times through one kernel pass.
     Each row's value is bit-identical to that of the row alone under its
     kind's own field. An optional pseudo-time argument is ignored, so that
     integrators can treat the field like any other; its ``autonomous``
@@ -118,9 +118,11 @@ def make_control_field(
 
     def field(x, s=0.0):
         x = np.asarray(x, dtype=float)
+        if not single and x.shape[-2:] != (len(kinds), dim):
+            raise DomainError(
+                f"rows {x.shape} are not (..., {len(kinds)} kinds, anchor dimension {dim})"
+            )
         if fused is not None:
-            if x.shape[-1:] != (dim,):
-                raise DomainError("anchor dimension does not match the noise batch")
             # the chord rows (in every kind's place) at t - delta, then all at t
             rows = np.empty((2,) + x.shape)
             rows[0], rows[1] = x[chord], x

@@ -43,6 +43,12 @@ def identical_conditions_config(tmp_path, preset_free=True):
     return str(path)
 
 
+# the null edit: the source and target mixtures are the same, so every field
+# is zero and every energy and endpoint error is 0
+_SAME = '{"weights": [1], "means": [[1, 0]], "scales": [1]}'
+NULL_EDIT = ["--override", f"backbone.source={_SAME}", "--override", f"backbone.target={_SAME}"]
+
+
 class TestConfig:
     def test_defaults_complete(self):
         for name in DEFAULTS:
@@ -240,6 +246,40 @@ class TestSectionsOutsideParams:
         assert main(["step_sweep", "--out", str(out), *flags]) == 2
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            '{"weights": [1], "means": [[0, "1"]], "scales": [1]}',
+            '{"weights": ["1"], "means": [[0, 1]], "scales": [1]}',
+            '{"weights": [true], "means": [[0, 1]], "scales": [1]}',
+            '{"weights": [1], "means": [[true, 0]], "scales": [1]}',
+            '{"weights": [1], "means": [[0, 1]], "scales": [false]}',
+            '{"weights": "1", "means": [[0, 1]], "scales": [1]}',
+        ],
+    )
+    def test_mixture_entry_that_is_not_a_number_is_usage_error(self, tmp_path, target):
+        out = tmp_path / "run"
+        flags = ["--override", "params.particles=1", "--override", f"backbone.target={target}"]
+        flags += ["--override", 'backbone.source={"weights": [1], "means": [[0, 0]], "scales": [1]}']
+        assert main(["step_sweep", "--out", str(out), *flags]) == 2
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            '{"weights": 1, "means": [[0, 1]], "scales": 1}',
+            '{"weights": [1], "means": [0, 1], "scales": [1.5]}',
+            '{"weights": [0.5, 0.5], "means": [[0, 1], [1.0, 0]], "scales": [1, 2]}',
+        ],
+    )
+    def test_numeric_mixture_entries_run(self, tmp_path, target):
+        # scalars and a flat mean row read as one component, as numpy reads them
+        out = tmp_path / "run"
+        flags = ["--override", "params.particles=1", "--override", f"backbone.target={target}"]
+        flags += ["--override", 'backbone.source={"weights": [1], "means": [[0, 0]], "scales": [1]}']
+        assert main(["step_sweep", "--out", str(out), *flags]) == 0
+        assert (out / "step_sweep.csv").exists()
+
 
 class TestCoeffs:
     def test_velocity_column_all_one(self, tmp_path):
@@ -422,6 +462,34 @@ class TestStepSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # the RK4 reference runs away on both particles, for every S
+            (["chord.step_scale=1e9"], "chord at S=1 diverged on 2/2 particles"),
+            # the reference holds, and one particle's naive march runs away at S=4
+            (
+                ["chord.step_scale=64", "params.reference_steps=256"],
+                "naive at S=4 diverged on 1/2 particles",
+            ),
+        ],
+    )
+    def test_half_the_particles_diverged_is_exit_three(self, tmp_path, capsys, overrides, message):
+        out = tmp_path / "run"
+        flags = ["--override", "params.particles=2"]
+        for override in overrides:
+            flags += ["--override", override]
+        assert main(["step_sweep", "--out", str(out), *flags]) == 3
+        assert capsys.readouterr().err == f"divergence: {message}\n"
+        assert not (out / "step_sweep.csv").exists()
+
+    def test_null_edit_energy_ratio_is_nan(self, tmp_path):
+        out = tmp_path / "run"
+        flags = ["--override", "params.particles=2", *NULL_EDIT]
+        assert main(["step_sweep", "--out", str(out), *flags]) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert [line.rsplit(" ", 1)[1] for line in lines[1:]] == ["nan", "nan"]
+
 
 class TestNoiseAblation:
     def test_single_cell_deterministic(self, tmp_path):
@@ -552,6 +620,12 @@ class TestErrorOrder:
                     diverged += 1
         assert diverged == 6
 
+    def test_null_edit_error_ratio_is_nan(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["error_order", "--out", str(out), *NULL_EDIT]) == 0
+        ratio = (out / "summary.txt").read_text().splitlines()[-1]
+        assert ratio == "chord/naive error ratio at smallest h: nan"
+
 
 class TestDiagnostics:
     def test_default_run_passes(self, tmp_path):
@@ -593,6 +667,15 @@ class TestDiagnostics:
         path.write_text("{}")
         code = main(["diagnostics", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
+
+    def test_null_edit_fails_only_the_global_error_check(self, tmp_path, capsys):
+        # every error is 0: the slope and the chord/naive ratio are undefined
+        out = tmp_path / "run"
+        assert main(["diagnostics", "--out", str(out), *NULL_EDIT]) == 1
+        assert "failing checks: global_error_first_order\n" in capsys.readouterr().err
+        row = read_csv(out / "diagnostics.csv")[0]
+        assert row["global_error_ratio"] == "nan"
+        assert "global_error_ratio: nan" in (out / "summary.txt").read_text()
 
 
 class TestReproducibility:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordfield import transport
 from chordfield.backbone import BackboneModel, GaussianMixtureCondition, posterior_x0
 from chordfield.chord import ChordParams, chord_field
 from chordfield.errors import (
@@ -777,6 +778,27 @@ def test_tuple_field_rejects_rows_of_the_wrong_width(kinds, preset, shape):
         _two_query_reference(model, params, kinds, 3, rows)
     with pytest.raises(DomainError, match="anchor dimension"):
         make_control_field(model, params, kinds, seed=3)(rows)
+
+
+@pytest.mark.parametrize("kinds", [("chord", "naive"), ("naive", "chord")])
+@pytest.mark.parametrize("delta", [0.15, 0.9], ids=["one_pass", "two_queries"])
+@pytest.mark.parametrize("shape", [(3, 2), (1, 2), (2,), (), (4, 1, 2), (2, 3, 2)])
+def test_tuple_field_rejects_a_kind_axis_of_the_wrong_length(kinds, delta, shape, monkeypatch):
+    # delta = t puts the earlier query at time 0, below the sigma floor, where
+    # the field makes two proxy queries instead of its one posterior pass
+    model = preset_model("two_blob_2d")
+    params = ChordParams(t=0.9, delta=delta)
+    fallback = transport._two_time_pass(model, 0.9, delta, *_batches(params, 3, 2)) is None
+    assert fallback == (delta == 0.9)
+    field = make_control_field(model, params, kinds, seed=3)
+
+    def no_query(*args):
+        raise AssertionError("the field queried rows of the wrong shape")
+
+    monkeypatch.setattr(transport, "_estimate", no_query)
+    monkeypatch.setattr(transport, "proxy_field", no_query)
+    with pytest.raises(DomainError, match="2 kinds"):
+        field(np.ones(shape))
 
 
 @pytest.mark.parametrize(
