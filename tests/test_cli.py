@@ -247,38 +247,27 @@ class TestSectionsOutsideParams:
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize(
-        "target",
+        "target, code",
         [
-            '{"weights": [1], "means": [[0, "1"]], "scales": [1]}',
-            '{"weights": ["1"], "means": [[0, 1]], "scales": [1]}',
-            '{"weights": [true], "means": [[0, 1]], "scales": [1]}',
-            '{"weights": [1], "means": [[true, 0]], "scales": [1]}',
-            '{"weights": [1], "means": [[0, 1]], "scales": [false]}',
-            '{"weights": "1", "means": [[0, 1]], "scales": [1]}',
+            # a string (a numeric one too) or a boolean is not a number
+            ('{"weights": [1], "means": [[0, "1"]], "scales": [1]}', 2),
+            ('{"weights": ["1"], "means": [[0, 1]], "scales": [1]}', 2),
+            ('{"weights": [true], "means": [[0, 1]], "scales": [1]}', 2),
+            ('{"weights": [1], "means": [[true, 0]], "scales": [1]}', 2),
+            ('{"weights": [1], "means": [[0, 1]], "scales": [false]}', 2),
+            ('{"weights": "1", "means": [[0, 1]], "scales": [1]}', 2),
+            # scalars and a flat mean row read as one component, as numpy reads them
+            ('{"weights": 1, "means": [[0, 1]], "scales": 1}', 0),
+            ('{"weights": [1], "means": [0, 1], "scales": [1.5]}', 0),
+            ('{"weights": [0.5, 0.5], "means": [[0, 1], [1.0, 0]], "scales": [1, 2]}', 0),
         ],
     )
-    def test_mixture_entry_that_is_not_a_number_is_usage_error(self, tmp_path, target):
+    def test_mixture_entries_must_be_numbers(self, tmp_path, target, code):
         out = tmp_path / "run"
         flags = ["--override", "params.particles=1", "--override", f"backbone.target={target}"]
         flags += ["--override", 'backbone.source={"weights": [1], "means": [[0, 0]], "scales": [1]}']
-        assert main(["step_sweep", "--out", str(out), *flags]) == 2
-        assert not list(out.glob("*.csv"))
-
-    @pytest.mark.parametrize(
-        "target",
-        [
-            '{"weights": 1, "means": [[0, 1]], "scales": 1}',
-            '{"weights": [1], "means": [0, 1], "scales": [1.5]}',
-            '{"weights": [0.5, 0.5], "means": [[0, 1], [1.0, 0]], "scales": [1, 2]}',
-        ],
-    )
-    def test_numeric_mixture_entries_run(self, tmp_path, target):
-        # scalars and a flat mean row read as one component, as numpy reads them
-        out = tmp_path / "run"
-        flags = ["--override", "params.particles=1", "--override", f"backbone.target={target}"]
-        flags += ["--override", 'backbone.source={"weights": [1], "means": [[0, 0]], "scales": [1]}']
-        assert main(["step_sweep", "--out", str(out), *flags]) == 0
-        assert (out / "step_sweep.csv").exists()
+        assert main(["step_sweep", "--out", str(out), *flags]) == code
+        assert (out / "step_sweep.csv").exists() == (code == 0)
 
 
 class TestCoeffs:
