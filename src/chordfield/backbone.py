@@ -162,10 +162,10 @@ def marginal_moments(
 
 
 class _Slice(NamedTuple):
-    """A stack's constants at one time: the schedule's alpha and sigma,
-    ``alpha * means`` (K, d), the noised variances (K,), the log-normalisers
-    ``d * log(2 pi var)`` (K,) and the posterior pull
-    ``alpha * scales^2 / var`` (K, 1)."""
+    """A stack's constants at one time: alpha, sigma, ``alpha * means`` (K, d), the noised
+    variances (K,), the log-normalisers ``d * log(2 pi var)`` (K,), the posterior pull
+    ``alpha * scales^2 / var`` and the means (both (K, d)) and the log-weights (K,); each
+    array may come broadcast to the rows it meets."""
 
     alpha: float
     sigma: float
@@ -173,6 +173,8 @@ class _Slice(NamedTuple):
     variances: np.ndarray
     log_norm: np.ndarray
     pull: np.ndarray
+    means: np.ndarray
+    log_weights: np.ndarray
 
 
 class _Stack:
@@ -204,20 +206,27 @@ class _Stack:
             alpha * self.means,
             variances,
             self.means.shape[1] * np.log(2.0 * math.pi * variances),
-            (alpha * self.scales_sq / variances)[:, None],
+            np.broadcast_to((alpha * self.scales_sq / variances)[:, None], self.means.shape),
+            self.means,
+            self.log_weights,
         )
 
     def log_mass(self, z: np.ndarray, at: _Slice):
         """Log of weight times noised kernel at each row, per stacked
         component (..., K), with the offsets ``z - alpha * means`` (..., K, d)
-        it was computed from."""
+        it was computed from; both are fresh arrays."""
         diff = z[..., None, :] - at.alpha_means
-        sq = np.einsum("...kd,...kd->...k", diff, diff)
-        return self.log_weights + -0.5 * (sq / at.variances + at.log_norm), diff
+        log_mass = np.einsum("...kd,...kd->...k", diff, diff)
+        log_mass /= at.variances
+        log_mass += at.log_norm
+        log_mass *= -0.5
+        log_mass += at.log_weights
+        return log_mass, diff
 
-    def responsibilities(self, z: np.ndarray, log_mass: np.ndarray) -> np.ndarray:
-        """Component weights per row (..., K), each mixture normalised on its own."""
-        peaks = np.maximum.reduceat(log_mass, self.starts, axis=-1)
+    def responsibilities(self, z: np.ndarray, at: _Slice):
+        """Component weights (..., K), each mixture normalised on its own, and the offsets."""
+        weights, diff = self.log_mass(z, at)
+        peaks = np.maximum.reduceat(weights, self.starts, axis=-1)
         # max-subtraction keeps far-tail queries finite; only a non-finite
         # peak (every component at -inf, where a linear-space computation
         # would already have returned 0/0 = NaN) is genuinely degenerate,
@@ -228,18 +237,20 @@ class _Stack:
             raise DegeneratePosteriorError(
                 "posterior mass underflowed for every mixture component"
             )
-        shifted = np.exp(log_mass - peaks[..., self.owner])
-        totals = np.add.reduceat(shifted, self.starts, axis=-1)
-        return shifted / totals[..., self.owner]
+        weights -= peaks.take(self.owner, -1)
+        np.exp(weights, out=weights)
+        weights /= np.add.reduceat(weights, self.starts, axis=-1).take(self.owner, -1)
+        return weights, diff
 
     def x0(self, z: np.ndarray, at: _Slice) -> np.ndarray:
         """E[x0 | z] under each mixture, for each row: shape (..., mixtures, d)."""
         if not isinstance(at.sigma, np.ndarray) and at.sigma == 0.0:
             return np.repeat((z / at.alpha)[..., None, :], self.starts.size, axis=-2)
-        log_mass, diff = self.log_mass(z, at)
-        resp = self.responsibilities(z, log_mass)
-        component_means = self.means + at.pull * diff
-        return np.add.reduceat(resp[..., None] * component_means, self.starts, axis=-2)
+        resp, component_means = self.responsibilities(z, at)
+        component_means *= at.pull
+        component_means += at.means
+        component_means *= resp[..., None]
+        return np.add.reduceat(component_means, self.starts, axis=-2)
 
 
 def _log_responsibilities(
@@ -247,8 +258,7 @@ def _log_responsibilities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior component weights and variances of one mixture."""
     at = cond._stack.at(alpha, sigma)
-    log_mass, _ = cond._stack.log_mass(z, at)
-    return cond._stack.responsibilities(z, log_mass), at.variances
+    return cond._stack.responsibilities(z, at)[0], at.variances
 
 
 def _posterior_x0(
@@ -258,12 +268,20 @@ def _posterior_x0(
     return stack.x0(z, stack.at(scalars.alpha, scalars.sigma))[..., 0, :]
 
 
+def _eps(z: np.ndarray, x0: np.ndarray, scalars: PathScalars) -> np.ndarray:
+    """The path noise (z - alpha x0) / sigma implied by z and E[x0|z]."""
+    eps = scalars.alpha * x0
+    return np.divide(np.subtract(z, eps, out=eps), scalars.sigma, out=eps)
+
+
 def _drift(z: np.ndarray, x0: np.ndarray, scalars: PathScalars) -> np.ndarray:
     """Generation-direction drift -(alpha_dot x0 + sigma_dot eps) from E[x0|z]."""
     if not isinstance(scalars.sigma, np.ndarray) and scalars.sigma == 0.0:
         return -scalars.alpha_dot * x0
-    eps = (z - scalars.alpha * x0) / scalars.sigma
-    return -(scalars.alpha_dot * x0 + scalars.sigma_dot * eps)
+    drift = _eps(z, x0, scalars)
+    drift *= scalars.sigma_dot
+    drift += scalars.alpha_dot * x0
+    return np.negative(drift, out=drift)
 
 
 def _head(
@@ -280,7 +298,7 @@ def _head(
         raise IllConditionedMapError(
             f"sigma(t) = {s:.3e} below floor for the {kind} head", time=scalars.t
         )
-    eps = (z - a * x0) / s
+    eps = _eps(z, x0, scalars)
     if kind == NOISE_EPS:
         return eps
     if kind == V_PRED:
@@ -328,8 +346,7 @@ def posterior_eps(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> n
     scalars = path_scalars(model.schedule, t)
     if scalars.sigma == 0.0:
         return np.zeros_like(z)
-    x0 = _posterior_x0(model.condition(cond), z, scalars)
-    return (z - scalars.alpha * x0) / scalars.sigma
+    return _eps(z, _posterior_x0(model.condition(cond), z, scalars), scalars)
 
 
 def velocity(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -117,11 +118,11 @@ def _read_object(key, value) -> dict:
 
 def _read_number(key, value, kind, low=-math.inf, high=math.inf):
     """``value`` as an int or finite float ``kind`` within ``[low, high]``;
-    ``UsageError`` naming ``key`` if it is not one. An integral float such as
-    ``500.0`` reads as an int; a boolean is not a number."""
+    ``UsageError`` naming ``key`` if it is not one (an int past the float range
+    is not finite). An integral float reads as an int; a boolean is not a number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         need = "a number"
-    elif isinstance(value, float) and not math.isfinite(value):
+    elif not abs(value) <= sys.float_info.max:
         need = "finite"
     elif kind is int and int(value) != value:
         need = "an integer"
@@ -199,7 +200,7 @@ def _parse_override(text: str) -> tuple[list[str], object]:
         raise UsageError(f"override {text!r} has an empty key")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an int past the digit limit of str -> int
         value = raw
     return path, value
 
@@ -222,7 +223,7 @@ def load_config(
                 file_cfg = json.load(fh)
         except FileNotFoundError as err:
             raise UsageError(f"config file not found: {config_path}") from err
-        except json.JSONDecodeError as err:
+        except ValueError as err:
             raise UsageError(f"config file is not valid JSON: {err}") from err
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")

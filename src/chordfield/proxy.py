@@ -156,7 +156,8 @@ def proxy_field(
 def _estimate(model, x_tau, alpha, noise, a_t, scalars, pair):
     """a_t times the draw mean of the head residual at z = alpha x + noise, one time's or stacked."""
     z = alpha * x_tau[..., None, :] + noise
-    return a_t * (_draw_sum(_head_residual(model, z, scalars, pair)) / z.shape[-2])
+    estimate = _draw_sum(_head_residual(model, z, scalars, pair))
+    return np.multiply(np.divide(estimate, z.shape[-2], out=estimate), a_t, out=estimate)
 
 
 def _draw_sum(rows: np.ndarray) -> np.ndarray:

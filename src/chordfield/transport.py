@@ -9,6 +9,7 @@ the query times stay fixed (the estimator is defined at one noise level).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,7 @@ def make_control_field(
             # the chord rows (in every kind's place) at t - delta, then all at t
             rows = np.empty((2,) + x.shape)
             rows[0], rows[1] = x[chord], x
-            both = _estimate(model, rows.reshape(2, -1, dim), *fused).reshape(rows.shape)
+            both = _estimate(model, rows.reshape(2, -1, dim), *fused(x.size // dim)).reshape(rows.shape)
             r_prev, u = both[0][chord], both[1]
         else:
             u = proxy_field(model, x, t, batch_curr)
@@ -145,25 +146,43 @@ def make_control_field(
 
 
 def _two_time_pass(model, t, delta, batch_prev, batch_curr):
-    """``_estimate``'s values for rows (2, k, d) at t - delta and t; None (two
-    queries) where a time's values fail to build or its sigma is below the floor."""
+    """``_estimate``'s values for rows (2, k, d) at t - delta and t, by k, read-only,
+    broadcast to (2, k, n, ...) and kept for the last k; None (two queries) where
+    a time's values fail to build or its sigma is below the floor."""
     try:
         (a_p, s_p, at_p), (a_t, s_t, at_t) = (model._time_entry(u) for u in (t - delta, t))
     except (DomainError, ArithmeticError):
         return None
     if min(s_p.sigma, s_t.sigma) < model.schedule.alpha_floor:
         return None
-    # shaped for the heads' rows (2, k, n, mixtures, d); [..., 0] for the queries
-    alpha, sigma, alpha_dot, sigma_dot = np.array(
+    # each time's values on axis 0, then axes for the rows and the draws
+    time_only = np.array(
         [[s.alpha, s.sigma, s.alpha_dot, s.sigma_dot] for s in (s_p, s_t)]
     ).T.reshape(4, 2, 1, 1, 1, 1)
-    return (
-        alpha[..., 0],
-        sigma[..., 0] * np.stack((batch_prev.draws, batch_curr.draws))[:, None],
-        np.array([a_p, a_t]).reshape(2, 1, 1),
-        PathScalars((t - delta, t), alpha, sigma, alpha_dot, sigma_dot),
-        at_p._make(np.stack(values)[:, None, None] for values in zip(at_p, at_t)),
-    )
+    noise = time_only[1, ..., 0] * np.stack((batch_prev.draws, batch_curr.draws))[:, None]
+    at = at_p._make(np.stack(values)[:, None, None] for values in zip(at_p, at_t))
+
+    @functools.lru_cache(maxsize=1)
+    def shaped(k):
+        rows, dim = (2, k, batch_curr.n), model.dim
+        # the heads meet rows (2, k, n, mixtures, d), the queries (2, k, n, d)
+        scalars = PathScalars((t - delta, t), *(_pinned(v, rows + (2, dim)) for v in time_only))
+        return (
+            scalars.alpha[..., 0, :],
+            _pinned(noise, rows + (dim,)),
+            _pinned(np.array([a_p, a_t])[:, None, None], (2, k, dim)),
+            scalars,
+            at._make(_pinned(v, rows + v.shape[3:]) for v in at),
+        )
+
+    return shaped
+
+
+def _pinned(value, shape):
+    """``value`` broadcast to ``shape``, as a fresh read-only array."""
+    out = np.broadcast_to(value, shape).copy()
+    out.setflags(write=False)
+    return out
 
 
 def proximal_refine(
@@ -175,17 +194,15 @@ def proximal_refine(
 ) -> np.ndarray:
     """One denoising call under the target condition at refinement time t_c.
 
-    Noises x_pred with a fixed draw (an independent sub-stream of ``seed``
-    unless an explicit ``eps`` is supplied) and returns the target-posterior
-    mean of the clean state.
+    Noises x_pred, one state (d,) or rows (..., d), with one fixed draw (an
+    independent sub-stream of ``seed`` unless an explicit ``eps`` is supplied)
+    and returns the target-posterior mean of the clean state.
     """
     if not (0.0 < t_c < 1.0):
         raise DomainError("t_c must lie in (0, 1)")
     x_pred = np.asarray(x_pred, dtype=float)
     if eps is None:
-        eps = SharedNoiseBatch(
-            seed=derive_stream(seed, NS_PROX), n=1, dim=x_pred.shape[0]
-        ).draws[0]
+        eps = SharedNoiseBatch(seed=derive_stream(seed, NS_PROX), n=1, dim=model.dim).draws[0]
     scalars, at = model._refine_entry(t_c)
     z = scalars.alpha * x_pred + scalars.sigma * np.asarray(eps, dtype=float)
     return model.target._stack.x0(z, at)[..., 0, :]
@@ -326,7 +343,11 @@ def integrate_rk4(field, x0: np.ndarray, s_from: float, s_to: float, steps: int)
         k2 = field(x + 0.5 * h * k1, s_half)
         k3 = field(x + 0.5 * h * k2, s_half)
         k4 = field(x + h * k3, s1)
-        x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x_next = k1 + 2.0 * k2
+        x_next += 2.0 * k3
+        x_next += k4
+        x_next *= h / 6.0
+        x_next += x
         _guard_state(x_next, x, "reference integration")
         x = x_next
     return x

@@ -269,6 +269,29 @@ class TestSectionsOutsideParams:
         assert main(["step_sweep", "--out", str(out), *flags]) == code
         assert (out / "step_sweep.csv").exists() == (code == 0)
 
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            # 10**400, past the float range
+            ("risk", ["params.series_value=1" + "0" * 400]),
+            (
+                "step_sweep",
+                [
+                    f"backbone.source={_SAME}",
+                    'backbone.target={"weights": [1' + "0" * 400 + '], "means": [[1, 0]], "scales": [1]}',
+                ],
+            ),
+            # past the digit limit of Python's str -> int, so not JSON either
+            ("risk", ["params.series_value=1" + "0" * 5000]),
+        ],
+        ids=["series_value", "weights", "past_the_digit_limit"],
+    )
+    def test_numbers_past_the_float_range_are_usage_errors(self, tmp_path, experiment, overrides):
+        out = tmp_path / "run"
+        flags = [flag for override in overrides for flag in ("--override", override)]
+        assert main([experiment, "--out", str(out), *flags]) == 2
+        assert not list(out.glob("*.csv"))
+
 
 class TestCoeffs:
     def test_velocity_column_all_one(self, tmp_path):

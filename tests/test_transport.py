@@ -622,6 +622,15 @@ def test_refinement_bit_equal_to_the_target_posterior(name, schedule, kind, time
         np.testing.assert_array_equal(proximal_refine(model, x, t_c, seed, eps=eps), want)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (1, 2)])
+def test_refinement_rows_bit_equal_to_one_call_per_row(shape):
+    # the default draw is one state's noise, shared by every row
+    model = preset_model("two_blob_2d")
+    rows = np.random.default_rng(5).normal(size=shape) * 2.0
+    want = np.stack([proximal_refine(model, x, 0.3, seed=7) for x in rows])
+    assert proximal_refine(model, rows, 0.3, seed=7).tobytes() == want.tobytes()
+
+
 def _value_or_error_type(run):
     try:
         return run()
@@ -799,6 +808,63 @@ def test_tuple_field_rejects_a_kind_axis_of_the_wrong_length(kinds, delta, shape
     monkeypatch.setattr(transport, "proxy_field", no_query)
     with pytest.raises(DomainError, match="2 kinds"):
         field(np.ones(shape))
+
+
+@pytest.mark.parametrize("kinds", [("chord", "naive"), ("naive", "chord")])
+@pytest.mark.parametrize("share", [True, False])
+def test_tuple_field_across_row_counts_bit_equal_to_fresh_fields(kinds, share):
+    # the field keeps its time-only values for the last row count; a call
+    # with another count, or the same count again, must not see stale values,
+    # and no value it returned may change under a later call
+    model = preset_model("ring_3blob_2d")
+    params = ChordParams(t=0.8, delta=0.2, n=3, share_noise_across_times=share)
+    field = make_control_field(model, params, kinds, seed=11)
+    rng = np.random.default_rng(11)
+    calls = []
+    for lead in [(), (3,), (), (2, 2), (3,)]:
+        rows = rng.normal(size=lead + (2, model.dim)) * 2.0
+        got = field(rows)
+        fresh = make_control_field(model, params, kinds, seed=11)(rows)
+        assert got.tobytes() == fresh.tobytes()
+        assert got.tobytes() == _two_query_reference(model, params, kinds, 11, rows).tobytes()
+        calls.append((got, got.copy()))
+    assert all(got.tobytes() == kept.tobytes() for got, kept in calls)
+
+
+def test_tuple_field_values_are_read_only():
+    model = preset_model("two_blob_2d")
+    params = ChordParams(t=0.9, delta=0.15, n=2)
+    alpha, noise, a_t, scalars, pair = transport._two_time_pass(
+        model, 0.9, 0.15, *_batches(params, 3, model.dim)
+    )(4)
+    values = [alpha, noise, a_t, *pair]
+    values += [scalars.alpha, scalars.sigma, scalars.alpha_dot, scalars.sigma_dot]
+    assert all(isinstance(value, np.ndarray) for value in values)
+    for value in values:
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0.0
+
+
+_CONSTANT = np.array([[0.5, -1.0], [2.0, 0.25]])
+
+
+@pytest.mark.parametrize(
+    "same, copies",
+    [
+        (lambda x, s: _CONSTANT, lambda x, s: _CONSTANT.copy()),
+        (lambda x, s: x, lambda x, s: x.copy()),
+    ],
+    ids=["constant", "identity"],
+)
+def test_integrators_never_write_into_field_values(same, copies):
+    # a field may hand back the same array on every call, or its own input
+    x0 = np.array([[0.1, 0.2], [0.3, -0.4]])
+    got = integrate_rk4(same, x0, 0.0, 1.0, 8)
+    assert got.tobytes() == integrate_rk4(copies, x0, 0.0, 1.0, 8).tobytes()
+    trajectory, _, _ = euler_march(same, x0, 0.125, 8)
+    want, _, _ = euler_march(copies, x0, 0.125, 8)
+    assert trajectory[-1].tobytes() == want[-1].tobytes()
+    assert _CONSTANT.tobytes() == np.array([[0.5, -1.0], [2.0, 0.25]]).tobytes()
 
 
 @pytest.mark.parametrize(
