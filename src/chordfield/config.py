@@ -3,8 +3,9 @@
 A configuration is one JSON object with a section per module plus experiment
 parameters. File values override the embedded defaults, command-line flags
 override the file, and ``--override key=value`` (dotted paths, JSON-parsed
-values) wins over everything. Each experiment declares its parameters, with
-their defaults and domains, once in ``PARAMS``; ``read_params`` resolves them.
+values) wins over everything. Every key is declared once, in ``CONFIG``, and
+read by ``_read``, where an undeclared key is a usage error; ``params`` holds
+what ``PARAMS`` declares per experiment, and ``read_params`` ignores the rest.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -32,16 +33,6 @@ from .schedules import (
     load_beta_table,
 )
 
-EXPERIMENTS = (
-    "coeffs",
-    "toy",
-    "step_sweep",
-    "noise_ablation",
-    "risk",
-    "error_order",
-    "diagnostics",
-)
-
 
 class UsageError(Exception):
     """Bad configuration or flags; maps to exit code 2."""
@@ -50,7 +41,7 @@ class UsageError(Exception):
 # the ramped noise-rate table (it fills in a partial schedule.beta_ramp), and
 # the sections that the step-sweep, error-order and diagnostics studies share:
 # load_config deep-copies a section, so sharing one is safe
-_RAMP = {"base": 0.05, "scale": 4.0, "power": 4, "points": 101}
+_RAMP = {"base": 0.05, "scale": 4.0, "power": 4.0, "points": 101}
 _RAMPED = {
     "schedule": {"kind": VP_GENERIC, "beta_ramp": _RAMP},
     "backbone": {"preset": "two_blob_2d"},
@@ -79,6 +70,75 @@ DEFAULTS: dict[str, dict] = {
     "diagnostics": _RAMPED,
 }
 
+EXPERIMENTS = tuple(DEFAULTS)
+
+# every key of the schedule and backbone sections, with its kind (see _read);
+# an inline mixture's keys are GaussianMixtureCondition's fields
+_MIXTURE = get_type_hints(GaussianMixtureCondition)
+SECTIONS = {
+    "schedule": {
+        "kind": str,
+        "beta0": float,
+        "alpha_floor": float,
+        "fd_step": float,
+        "beta_csv": str,
+        "beta_table": {"times": [float], "values": [float]},
+        "beta_ramp": {"base": float, "scale": float, "power": float, "points": (int, 2)},
+    },
+    "backbone": {"preset": str, "output_kind": str, "source": _MIXTURE, "target": _MIXTURE},
+}
+# the chord section is ChordParams' fields, plus lambda, an alias of step_scale
+_CHORD = {**get_type_hints(ChordParams), "lambda": float}
+CONFIG = {**SECTIONS, "chord": _CHORD, "params": dict, "seed": int, "output_dir": str}
+
+_NAMES = {bool: "a boolean", str: "a string", dict: "a JSON object"}
+
+
+def _read(key: str, value, kind, low=-math.inf, high=math.inf):
+    """``value`` read as ``kind``; ``UsageError`` naming ``key`` if it is not one.
+
+    A kind is a dict of declared keys (each a kind or a ``(kind, low)`` pair),
+    where an undeclared key is an error; ``[kind]``, a non-empty list of one;
+    ``np.ndarray``, a number or lists of them nested to any depth; ``bool``,
+    ``str`` or ``dict``; or ``int`` or ``float``, a finite number in
+    ``[low, high]``, an int also in the int64 range. An integral float reads
+    as an int; a boolean, or a number past the float range, is not a number.
+    """
+    if isinstance(kind, dict):
+        read = {}
+        for k, v in _read(key, value, dict).items():
+            name = f"{key}.{k}" if key else k
+            if k not in kind:
+                raise UsageError(f"unknown key {name}; choose from {', '.join(kind)}")
+            spec = kind[k] if isinstance(kind[k], tuple) else (kind[k],)
+            read[k] = _read(name, v, *spec)
+        return read
+    if isinstance(kind, list):
+        if isinstance(value, list) and value:
+            return [_read(key, v, kind[0], low, high) for v in value]
+        raise UsageError(f"{key} must be a non-empty list, got {value!r}")
+    if kind is np.ndarray:
+        if isinstance(value, list):
+            return [_read(key, v, kind) for v in value]
+        return _read(key, value, float)
+    if kind in _NAMES:
+        if isinstance(value, kind):
+            return value
+        raise UsageError(f"{key} must be {_NAMES[kind]}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        need = "a number"
+    elif not abs(value) <= sys.float_info.max:
+        need = "finite"
+    elif kind is int and int(value) != value:
+        need = "an integer"
+    elif kind is int and not -(2**63) <= value < 2**63:
+        need = "within the int64 range"
+    elif not low <= value <= high:
+        need = f"in [{low}, {high}]"
+    else:
+        return kind(value)
+    raise UsageError(f"{key} must be {need}, got {value!r}")
+
 
 class Param(NamedTuple):
     """A declared experiment parameter: an int or finite float ``kind``, or a
@@ -91,46 +151,6 @@ class Param(NamedTuple):
     default: object
     low: float = -math.inf
     high: float = math.inf
-
-    def read(self, value):
-        """``value`` checked and converted to ``kind``; ``UsageError`` if bad."""
-        if value is None and self.default is None:
-            return None
-        key = f"params.{self.name}"
-        if not isinstance(self.kind, list):
-            return _read_number(key, value, self.kind, self.low, self.high)
-        return _read_list(key, value, self.kind[0], self.low, self.high)
-
-
-def _read_list(key, value, kind, low=-math.inf, high=math.inf):
-    """``value`` as a non-empty list of ``_read_number`` values."""
-    if isinstance(value, list) and value:
-        return [_read_number(key, v, kind, low, high) for v in value]
-    raise UsageError(f"{key} must be a non-empty list, got {value!r}")
-
-
-def _read_object(key, value) -> dict:
-    """``value`` if it is a JSON object; ``UsageError`` naming ``key`` if not."""
-    if not isinstance(value, dict):
-        raise UsageError(f"{key} must be a JSON object, got {value!r}")
-    return value
-
-
-def _read_number(key, value, kind, low=-math.inf, high=math.inf):
-    """``value`` as an int or finite float ``kind`` within ``[low, high]``;
-    ``UsageError`` naming ``key`` if it is not one (an int past the float range
-    is not finite). An integral float reads as an int; a boolean is not a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        need = "a number"
-    elif not abs(value) <= sys.float_info.max:
-        need = "finite"
-    elif kind is int and int(value) != value:
-        need = "an integer"
-    elif not low <= value <= high:
-        need = f"in [{low}, {high}]"
-    else:
-        return kind(value)
-    raise UsageError(f"{key} must be {need}, got {value!r}")
 
 
 PARAMS = (
@@ -162,11 +182,15 @@ PARAMS = (
 def read_params(cfg: ExperimentConfig) -> SimpleNamespace:
     """Every parameter that ``cfg.experiment`` declares, read from
     ``cfg.params`` or defaulted; undeclared keys are ignored."""
-    params = _read_object("params", cfg.params)
+    params = _read("params", cfg.params, dict)
     resolved = {}
-    for param in PARAMS:
-        if param.experiment == cfg.experiment:
-            resolved[param.name] = param.read(params.get(param.name, param.default))
+    for p in PARAMS:
+        if p.experiment == cfg.experiment:
+            value = params.get(p.name, p.default)
+            if value is None and p.default is None:
+                resolved[p.name] = None
+            else:
+                resolved[p.name] = _read(f"params.{p.name}", value, p.kind, p.low, p.high)
     return SimpleNamespace(**resolved)
 
 
@@ -244,89 +268,54 @@ def load_config(
                 node[part] = nxt
             node = nxt
         node[path[-1]] = value
-    return ExperimentConfig(
-        experiment=experiment,
-        schedule=merged.get("schedule", {}),
-        backbone=merged.get("backbone", {}),
-        chord=merged.get("chord", {}),
-        params=merged.get("params", {}),
-        seed=_read_number("seed", merged.get("seed", 0), int),
-        output_dir=str(merged.get("output_dir", "out")),
-    )
+    # every section is read, so a typo exits 2 in one the experiment never builds
+    return ExperimentConfig(experiment, **_read("", merged, CONFIG))
 
 
 def build_schedule(section: dict) -> Schedule:
-    kind = _read_object("schedule", section).get("kind")
-    if kind not in (VP_CONST_BETA, VP_GENERIC, LINEAR_INTERP):
-        raise UsageError(f"schedule.kind must be set to a known kind, got {kind!r}")
-    # alpha_floor and fd_step, when unset, take the Schedule defaults
-    kwargs = {
-        k: _read_number(f"schedule.{k}", section[k], float)
-        for k in ("alpha_floor", "fd_step")
-        if k in section
-    }
-    if kind == VP_CONST_BETA:
-        if "beta0" not in section:
-            raise UsageError("vp_const_beta needs schedule.beta0")
-        kwargs["beta0"] = _read_number("schedule.beta0", section["beta0"], float)
-    if kind == VP_GENERIC:
-        if "beta_csv" in section and section["beta_csv"]:
-            times, values = load_beta_table(section["beta_csv"])
+    section = _read("schedule", section, SECTIONS["schedule"])
+    # a key left unset takes the Schedule default; Schedule checks the kind
+    kwargs = {k: section[k] for k in ("beta0", "alpha_floor", "fd_step") if k in section}
+    if section.get("kind") == VP_GENERIC:
+        if section.get("beta_csv"):
+            try:
+                times, values = load_beta_table(section["beta_csv"])
+            except (OSError, ValueError) as err:  # a missing file, or a bad cell
+                raise UsageError(f"schedule.beta_csv cannot be read: {err}") from err
         elif "beta_table" in section:
-            table = _read_object("schedule.beta_table", section["beta_table"])
-            times, values = (
-                np.asarray(_read_list(f"schedule.beta_table.{k}", table.get(k), float))
-                for k in ("times", "values")
-            )
+            times, values = (section["beta_table"].get(k) for k in ("times", "values"))
         elif "beta_ramp" in section:
-            ramp = {**_RAMP, **_read_object("schedule.beta_ramp", section["beta_ramp"])}
-            number = lambda k, *rule: _read_number(f"schedule.beta_ramp.{k}", ramp[k], *rule)
-            times = np.linspace(0.0, 1.0, number("points", int, 2))
-            values = number("base", float) + number("scale", float) * times ** number(
-                "power", float
-            )
+            ramp = {**_RAMP, **section["beta_ramp"]}
+            times = np.linspace(0.0, 1.0, ramp["points"])
+            values = ramp["base"] + ramp["scale"] * times ** ramp["power"]
         else:
-            raise UsageError(
-                "vp_generic needs schedule.beta_csv, beta_table or beta_ramp"
-            )
-        kwargs["beta_times"] = times
-        kwargs["beta_values"] = values
+            raise UsageError("vp_generic needs schedule.beta_csv, beta_table or beta_ramp")
+        kwargs["beta_times"], kwargs["beta_values"] = times, values
     try:
-        return Schedule(kind=kind, **kwargs)
+        return Schedule(kind=section.get("kind"), **kwargs)
     except DomainError as err:
         raise UsageError(f"invalid schedule section: {err}") from err
 
 
-def _read_numbers(key, value):
-    """``value``, a number or a list of them, nested to any depth, with each
-    number read by ``_read_number``: a boolean or a string is not one."""
-    if isinstance(value, list):
-        return [_read_numbers(key, v) for v in value]
-    return _read_number(key, value, float)
-
-
-def _condition(key: str, section: dict) -> GaussianMixtureCondition:
-    try:
-        return GaussianMixtureCondition(
-            **{k: _read_numbers(f"{key}.{k}", section[k]) for k in ("weights", "means", "scales")}
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise UsageError(f"invalid mixture section: {err}") from err
-
-
 def build_backbone(section: dict, schedule: Schedule) -> BackboneModel:
-    output_kind = _read_object("backbone", section).get("output_kind", "velocity")
+    section = _read("backbone", section, SECTIONS["backbone"])
     # explicit inline mixtures win over a (possibly default-merged) preset name
-    if "source" in section and "target" in section:
-        source = _condition("backbone.source", section["source"])
-        target = _condition("backbone.target", section["target"])
-    elif "preset" in section and section["preset"]:
+    if ("source" in section) != ("target" in section):
+        raise UsageError("backbone.source and backbone.target must be set together")
+    if "source" in section:
+        try:
+            source = GaussianMixtureCondition(**section["source"])
+            target = GaussianMixtureCondition(**section["target"])
+        except (TypeError, ValueError) as err:  # a missing entry, or ragged means
+            raise UsageError(f"invalid mixture section: {err}") from err
+    elif section.get("preset"):
         try:
             source, target = load_preset(section["preset"])
         except DomainError as err:
             raise UsageError(str(err)) from err
     else:
         raise UsageError("backbone needs either a preset name or inline mixtures")
+    output_kind = section.get("output_kind", "velocity")
     try:
         return BackboneModel(
             schedule=schedule, source=source, target=target, output_kind=output_kind
@@ -336,10 +325,10 @@ def build_backbone(section: dict, schedule: Schedule) -> BackboneModel:
 
 
 def build_chord_params(section: dict) -> ChordParams:
-    kwargs = dict(_read_object("chord", section))
+    kwargs = _read("chord", section, _CHORD)
     if "lambda" in kwargs:  # accepted alias for the step scale
         kwargs["step_scale"] = kwargs.pop("lambda")
     try:
         return ChordParams(**kwargs)
-    except (TypeError, DomainError) as err:
+    except DomainError as err:
         raise UsageError(f"invalid chord section: {err}") from err

@@ -84,17 +84,27 @@ class SharedNoiseBatch:
 
     @cached_property
     def draws(self) -> np.ndarray:
+        # allocated before any of the n keys is made: a count too large to
+        # hold fails at once
+        try:
+            out = np.empty((self.n, self.dim))
+        except (MemoryError, ValueError) as err:
+            raise DomainError(f"{self.n} noise draws do not fit in memory") from err
         seed = self.seed & _MASK64
-        out = _philox_normals([(seed, i) for i in range(self.n)], (self.dim,))
+        _philox_fill(out, ((seed, i) for i in range(self.n)))
         out.setflags(write=False)
         return out
 
 
 def _philox_normals(keys, shape) -> np.ndarray:
     """Standard normals of shape ``(len(keys), *shape)``: entry i holds what a
-    fresh ``Philox(key=keys[i])`` generator draws first, in C order, and is
-    filled by re-keying the shared generator."""
-    out = np.empty((len(keys),) + tuple(shape))
+    fresh ``Philox(key=keys[i])`` generator draws first, in C order."""
+    return _philox_fill(np.empty((len(keys),) + tuple(shape)), keys)
+
+
+def _philox_fill(out: np.ndarray, keys) -> np.ndarray:
+    """``out`` with entry i filled from key pair i of ``keys``, an iterable,
+    by re-keying the shared generator."""
     key = np.empty(2, dtype=np.uint64)
     gen = _shared_generator()
     with _PHILOX_LOCK:

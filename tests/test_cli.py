@@ -49,6 +49,13 @@ _SAME = '{"weights": [1], "means": [[1, 0]], "scales": [1]}'
 NULL_EDIT = ["--override", f"backbone.source={_SAME}", "--override", f"backbone.target={_SAME}"]
 
 
+def _kind_name(kind):
+    """A declared kind as the README's key table names it."""
+    if isinstance(kind, list):
+        return f"{_kind_name(kind[0])} list"
+    return {np.ndarray: "nested numbers", dict: "object"}.get(kind, kind.__name__)
+
+
 class TestConfig:
     def test_defaults_complete(self):
         for name in DEFAULTS:
@@ -136,6 +143,20 @@ class TestDeclaredParams:
             ("risk", 'params.noise_sigma="x"'),
             ("error_order", "params.horizon=NaN"),
             ("diagnostics", "params.lte_states=NaN"),
+            # keys that no section declares
+            ("toy", "schedule.alpha_flor=0.5"),
+            ("toy", 'backbone.output_knd="score"'),
+            ("toy", "schedul.kind=1"),
+            ("step_sweep", "schedule.beta_ramp.pints=3"),
+            # a section that the experiment never builds is read all the same
+            ("risk", "schedule.alpha_flor=0.5"),
+            ("coeffs", 'backbone.output_knd="score"'),
+            # ints past the int64 range (2**63 is its first), and a null output directory
+            ("toy", "params.particles=1e300"),
+            ("toy", "params.particles=9223372036854775808"),
+            ("toy", "output_dir=null"),
+            # 2**62 noise draws: too many to hold, so refused before any is made
+            ("noise_ablation", "params.n_values=[4611686018427387904]"),
         ],
     )
     def test_bad_inputs_usage_error(self, tmp_path, experiment, override):
@@ -158,6 +179,13 @@ class TestDeclaredParams:
         else:
             got = read_params(cfg).particles
             assert got == want and type(got) is int
+
+    def test_undeclared_params_key_is_ignored(self):
+        from chordfield.config import read_params
+
+        # an experiment reads the params it declares and ignores the rest
+        params = read_params(load_config("toy", overrides=["params.partcles=10"]))
+        assert vars(params) == {"particles": 500, "steps": 1}
 
     def test_params_replaced_wholesale_keep_declared_defaults(self, tmp_path):
         # a params object in place of the section leaves every parameter it
@@ -183,6 +211,27 @@ class TestDeclaredParams:
             default = "unset" if p.default is None else json.dumps(p.default)
             row = f"| `{p.experiment}` | `{p.name}` | {kind} | {default} | [{p.low}, {p.high}] |"
             assert row in readme, row
+
+    def test_readme_lists_every_config_key(self):
+        from chordfield.config import CONFIG
+
+        def rows(prefix, kinds):
+            for name, spec in kinds.items():
+                kind, *low = spec if isinstance(spec, tuple) else (spec,)
+                if isinstance(kind, dict):
+                    yield from rows(f"{prefix}{name}.", kind)
+                else:
+                    bound = f" in [{low[0]}, inf]" if low else ""
+                    yield f"| `{prefix}{name}` | {_kind_name(kind)}{bound} |"
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = list(rows("", CONFIG))
+        for row in listed:
+            assert row in readme, row
+        # and no row for a key that is not declared: the key table's rows
+        # are the README's only three-column rows that start with a key
+        documented = [r for r in readme.splitlines() if r.startswith("| `") and r.count("|") == 4]
+        assert len(documented) == len(listed)
 
 
 class TestValuesOutsideParams:
@@ -233,6 +282,10 @@ class TestSectionsOutsideParams:
             ["chord.t=true"],
             ["chord.delta=false"],
             ["chord.step_scale=true"],
+            # one inline mixture without the other, and a table file that is not there
+            [f"backbone.source={_SAME}"],
+            [f"backbone.target={_SAME}"],
+            ['schedule.beta_csv="missing.csv"'],
         ],
         ids=" ".join,
     )

@@ -399,3 +399,11 @@ def test_trial_noise_bit_equal_to_a_fresh_philox_per_trial(seeds, length, dim):
     for pair, values in zip(keys, got):
         fresh = np.random.Generator(np.random.Philox(key=np.array(pair, dtype=np.uint64)))
         np.testing.assert_array_equal(values, fresh.standard_normal((length, dim)))
+
+
+def test_a_draw_count_too_large_to_hold_is_a_domain_error():
+    # the draws are allocated before any of their keys is made, so a count
+    # that numpy cannot shape fails at once instead of listing 2**62 keys
+    batch = SharedNoiseBatch(seed=0, n=2**62, dim=2)
+    with pytest.raises(DomainError, match="do not fit in memory"):
+        batch.draws
