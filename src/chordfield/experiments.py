@@ -181,10 +181,8 @@ def run_toy(cfg: ExperimentConfig) -> int:
     model, params = _model_and_params(cfg)
     particles = sample_particles(model, count, cfg.seed)
     coords = ["particle"] + [f"x{k}" for k in range(model.dim)]
-    before = [(i, *pt) for i, pt in enumerate(particles.points)]
-    _write(cfg, "particles_before.csv", coords, before)
-    energy_rows = []
-    # naive first: a naive divergence exits before either particles_after_*.csv
+    after, energy_rows = {}, []
+    # naive first: a run where both diverge names the naive transport
     for method in _METHODS[::-1]:
         run_params = _method_params(params, method)
         rows, energies, distances, diverged = [], [], [], 0
@@ -206,11 +204,15 @@ def run_toy(cfg: ExperimentConfig) -> int:
             energies.append(energy)
             distances.append(_dist_to_nearest_mode(out, model.target))
         _check_diverged(f"{method} transport", diverged, count)
-        _write(cfg, f"particles_after_{method}.csv", coords, rows)
+        after[method] = rows
         distance_se = float(np.std(distances, ddof=1) / math.sqrt(len(distances)))
         energy_rows.append(
             (method, float(np.mean(energies)), float(np.mean(distances)), distance_se, diverged)
         )
+    # every CSV only once both methods pass, so a failed run writes none
+    _write(cfg, "particles_before.csv", coords, [(i, *pt) for i, pt in enumerate(particles.points)])
+    for method, rows in after.items():
+        _write(cfg, f"particles_after_{method}.csv", coords, rows)
     energy_rows.sort()  # by method
     columns = ["method", "bb_energy", "mean_distance", "distance_se", "diverged"]
     _write(cfg, "energy.csv", columns, energy_rows)

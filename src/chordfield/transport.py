@@ -217,33 +217,15 @@ def _guard_rows(x):
 
 
 def _guard_state(x, last, context):
-    """Reject a non-finite or runaway state, one (d,) or rows (k, d); the error
-    carries ``last`` and, for rows, names the rows that tripped the guard."""
-    ok = _guard_rows(x)
-    if ok.all():
-        return
-    tripped = f" (rows {np.flatnonzero(~ok).tolist()})" if ok.ndim else ""
-    raise DivergenceError(f"state diverged during {context}{tripped}", last_state=last)
+    """Reject a non-finite or runaway state, one (d,) or rows (k, d)."""
+    _raise_unless_live(_guard_rows(x), last, context)
 
 
-def _finish(model, params, seed, x_src, u_hat, fields):
-    x_pred = x_src + params.step_scale * u_hat
-    _guard_state(x_pred, x_src, "the transport step")
-    if params.use_prox:
-        eps = None
-        if params.prox_shared_noise:
-            eps = SharedNoiseBatch(seed=seed, n=1, dim=model.dim).draws[0]
-        x_out = proximal_refine(model, x_pred, params.t_c, seed, eps=eps)
-    else:
-        x_out = x_pred
-    energy = float(u_hat @ u_hat) / model.dim
-    return TransportResult(
-        x_pred=x_pred,
-        x_out=x_out,
-        u_hat=u_hat,
-        fields_queried=fields,
-        energy=energy,
-    )
+def _raise_unless_live(live, last, context):
+    """``DivergenceError`` carrying ``last`` unless all ``live``, naming rows not live."""
+    if not live.all():
+        tripped = f" (rows {np.flatnonzero(~live).tolist()})" if live.ndim else ""
+        raise DivergenceError(f"state diverged during {context}{tripped}", last_state=last)
 
 
 def chordedit(
@@ -259,8 +241,22 @@ def chordedit(
     r_prev = proxy_field(model, x_src, params.t - params.delta, batch_prev)
     r_curr = proxy_field(model, x_src, params.t, batch_curr)
     u_hat = chord_field(r_prev, r_curr, params.t, params.delta)
-    fields = [(params.t - params.delta, r_prev), (params.t, r_curr)]
-    return _finish(model, params, seed, x_src, u_hat, fields)
+    x_pred = x_src + params.step_scale * u_hat
+    _guard_state(x_pred, x_src, "the transport step")
+    if params.use_prox:
+        eps = None
+        if params.prox_shared_noise:
+            eps = SharedNoiseBatch(seed=seed, n=1, dim=model.dim).draws[0]
+        x_out = proximal_refine(model, x_pred, params.t_c, seed, eps=eps)
+    else:
+        x_out = x_pred
+    return TransportResult(
+        x_pred=x_pred,
+        x_out=x_out,
+        u_hat=u_hat,
+        fields_queried=[(params.t - params.delta, r_prev), (params.t, r_curr)],
+        energy=float(u_hat @ u_hat) / model.dim,
+    )
 
 
 # chord_field is linear in its two inputs, so the mean of one chord field per
@@ -269,31 +265,39 @@ def chordedit(
 chordedit_multi_noise = chordedit
 
 
-def euler_march(field, x0: np.ndarray, h: float, steps: int):
-    """The one explicit-Euler loop: ``steps`` steps of size ``h`` along
-    dx/ds = field(x, s) from s = 0, for one state (d,) or rows (k, d).
-
-    Returns the trajectory from ``x0`` on, the field at each step taken, and
-    the live mask (a scalar for one state). A row that trips the guard stays
-    at its last good state, where the field has already been evaluated, so
-    each row's values are those of its own march; the march stops when no row
-    is live.
-    """
+def _march(x0: np.ndarray, steps: int, step):
+    """The one step loop of both integrators: ``steps`` steps from ``x0``, one
+    state (d,) or rows (..., d), where ``step(x, i)`` returns step i's next
+    state and the field value used for it; ``DomainError`` unless steps >= 1.
+    Returns the trajectory from ``x0`` on, the field values and the live mask
+    (a scalar for one state). A row whose next state trips ``_guard_rows``
+    stays at its last good state, so each row's values are those of its own
+    march; the march stops once no row is live."""
+    if steps < 1:
+        raise DomainError("steps must be >= 1")
     x = np.array(x0, dtype=float)
     live = np.ones(x.shape[:-1], dtype=bool)
     trajectory, fields = [x], []
-    s = 0.0
-    for _ in range(steps):
-        u = field(x, s)
-        x_next = x + h * u
+    for i in range(steps):
+        x_next, u = step(x, i)
         live &= _guard_rows(x_next)
         if not live.any():
             break
         x = np.where(live[..., None], x_next, x)
         trajectory.append(x)
         fields.append(u)
-        s += h
     return trajectory, fields, live
+
+
+def euler_march(field, x0: np.ndarray, h: float, steps: int):
+    """Explicit Euler: ``_march`` with steps of size ``h`` along
+    dx/ds = field(x, s) from s = 0, step i at s = i * h."""
+
+    def step(x, i):
+        u = field(x, i * h)
+        return x + h * u, u
+
+    return _march(x0, steps, step)
 
 
 def multi_step_transport(
@@ -315,42 +319,38 @@ def multi_step_transport(
         raise DomainError("steps must be >= 1")
     field = make_control_field(model, params, field_kind, seed)
     trajectory, fields, live = euler_march(field, x_src, params.step_scale / steps, steps)
-    if not live:
-        message = f"state diverged during sub-step {len(trajectory)}/{steps}"
-        raise DivergenceError(message, last_state=trajectory[-1])
+    _raise_unless_live(live, trajectory[-1], f"sub-step {len(trajectory)}/{steps}")
     return trajectory, fields
 
 
 def integrate_rk4(field, x0: np.ndarray, s_from: float, s_to: float, steps: int):
     """Classic fixed-step fourth-order integration of dx/ds = field(x, s).
 
-    ``x0`` is one state (d,) or rows of states (k, d), integrated together by
-    a field that takes rows; each row's endpoint is bit-identical to that of
-    its own run, and the batch raises ``DivergenceError`` when one row would.
+    ``x0`` is one state (d,) or rows (k, d), marched together by a field that
+    takes rows; each row's endpoint is bit-identical to that of its own run.
+    A ``DivergenceError`` names the rows that trip the guard and carries every
+    row's frozen state (a tame row's endpoint) as ``last_state``.
     """
-    if steps < 1:
-        raise DomainError("steps must be >= 1")
-    x = np.asarray(x0, dtype=float).copy()
     span = s_to - s_from
-    h = span / steps
-    for i in range(steps):
-        # sub-times from the index, so the final evaluation lands exactly
-        # on s_to instead of drifting past it
-        s0 = s_from + span * (i / steps)
+
+    def step(x, i):
+        # sub-times from the index, so the last stage lands exactly on s_to
+        h = span / steps
         s_half = s_from + span * ((i + 0.5) / steps)
-        s1 = s_from + span * ((i + 1) / steps)
-        k1 = field(x, s0)
+        k1 = field(x, s_from + span * (i / steps))
         k2 = field(x + 0.5 * h * k1, s_half)
         k3 = field(x + 0.5 * h * k2, s_half)
-        k4 = field(x + h * k3, s1)
+        k4 = field(x + h * k3, s_from + span * ((i + 1) / steps))
         x_next = k1 + 2.0 * k2
         x_next += 2.0 * k3
         x_next += k4
         x_next *= h / 6.0
         x_next += x
-        _guard_state(x_next, x, "reference integration")
-        x = x_next
-    return x
+        return x_next, k1
+
+    trajectory, _, live = _march(x0, steps, step)
+    _raise_unless_live(live, trajectory[-1], "reference integration")
+    return trajectory[-1]
 
 
 def reference_solve(

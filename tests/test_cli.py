@@ -472,6 +472,21 @@ class TestToy:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            # the noise batch is too large to draw: a usage error mid-run
+            (["chord.n=4611686018427387904"], 2),
+            # every naive transport runs away
+            (["chord.step_scale=1e9", "params.particles=100"], 3),
+        ],
+    )
+    def test_failed_run_writes_no_csv(self, tmp_path, overrides, code):
+        out = tmp_path / "run"
+        flags = [arg for override in overrides for arg in ("--override", override)]
+        assert main(["toy", "--out", str(out), *flags]) == code
+        assert not list(tmp_path.rglob("*.csv"))
+
 
 class TestStepSweep:
     def test_energy_trends(self, tmp_path):

@@ -939,6 +939,57 @@ def test_euler_march_rows_bit_equal_to_one_march_per_row(norms, dim, growth, ste
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(
+    st.lists(st.one_of(_ROW_NORMS, st.just(math.nan)), min_size=1, max_size=4),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 1.0, 5.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_rk4_rows_freeze_where_they_trip_while_the_rest_run_on(norms, dim, growth, seed):
+    # rows that may run away among tame ones: the error carries each tame
+    # row's own endpoint and each tripped row's own last good state
+    rng = np.random.default_rng(seed)
+    unit = rng.normal(size=(len(norms) + 2, dim))
+    with np.errstate(invalid="ignore"):
+        states = unit / np.linalg.norm(unit, axis=1, keepdims=True)
+        states *= np.array([*norms, 1.0, DIVERGENCE_NORM / 1000])[:, None]
+    states = states[rng.permutation(len(states))]
+
+    def field(x, s):
+        with np.errstate(invalid="ignore"):
+            return growth * x
+
+    batch = _run_or_error(lambda: integrate_rk4(field, states, 0.0, 1.0, 4))
+    alone = [_run_or_error(lambda: integrate_rk4(field, x, 0.0, 1.0, 4)) for x in states]
+    tripped = [j for j, a in enumerate(alone) if isinstance(a, DivergenceError)]
+    ends = [a.last_state if j in tripped else a for j, a in enumerate(alone)]
+    if not tripped:
+        np.testing.assert_array_equal(batch, np.stack(ends))
+        return
+    assert isinstance(batch, DivergenceError)
+    assert str(batch) == f"state diverged during reference integration (rows {tripped})"
+    assert batch.last_state.tobytes() == np.stack(ends).tobytes()
+
+
+def test_integrators_take_pseudo_times_from_the_step_index():
+    times = []
+
+    def field(x, s):
+        times.append(s)
+        return -x
+
+    x0 = np.array([1.0, -2.0])
+    euler_march(field, x0, 0.1, 7)
+    # a running sum would give 0.6 for the seventh, not 6 * 0.1
+    assert times == [i * 0.1 for i in range(7)]
+    times.clear()
+    integrate_rk4(field, x0, 0.3, 1.1, 7)
+    assert len(times) == 28 and times[-1] == 1.1
+    with pytest.raises(DomainError):
+        euler_march(field, x0, 0.1, 0)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
     st.lists(st.one_of(_ROW_NORMS, st.just(math.nan)), min_size=2, max_size=8),
     st.integers(1, 4),
     st.integers(0, 2**32 - 1),
