@@ -396,9 +396,11 @@ def log_marginal_density(
 
 
 def sample_condition(
-    cond: GaussianMixtureCondition, count: int, rng: np.random.Generator
+    cond: GaussianMixtureCondition, rng: np.random.Generator, out: np.ndarray
 ) -> np.ndarray:
-    """Draw ``count`` points from the mixture using the supplied generator."""
+    """Fill ``out``, of shape (count, d), with ``count`` points drawn from the
+    mixture using the supplied generator, and return it."""
+    count = out.shape[0]
     comps = rng.choice(cond.n_components, size=count, p=cond.weights)
     eps = rng.standard_normal((count, cond.dim))
-    return cond.means[comps] + cond.scales[comps, None] * eps
+    return np.add(cond.means[comps], cond.scales[comps, None] * eps, out=out)

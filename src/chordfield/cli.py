@@ -5,10 +5,10 @@ Usage:
     chordfield <experiment> [--config PATH] [--seed N] [--out DIR]
                [--override key=value ...]
 
-Exit codes: 0 success, 1 invariant failure, 2 usage or configuration error,
-3 numerical divergence beyond the run's threshold. The default output
-directory comes from the CHORDFIELD_OUT environment variable when set; the
---out flag wins over it.
+Exit codes, one exception family each: 0 success, 1 invariant failure
+(InvariantFailure), 2 usage or configuration error (DomainError), 3 numerical
+divergence (DivergenceError). The default output directory comes from the
+CHORDFIELD_OUT environment variable when set; the --out flag wins over it.
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ import argparse
 import os
 import sys
 
-from .config import EXPERIMENTS, UsageError, load_config
-from .errors import DivergenceError, DomainError, IllConditionedMapError
+from .config import EXPERIMENTS, load_config
+from .errors import DivergenceError, DomainError
 from .experiments import (
     EXIT_DIVERGENCE,
     EXIT_INVARIANT,
-    EXIT_OK,
     EXIT_USAGE,
     RUNNERS,
-    DivergenceThreshold,
     InvariantFailure,
 )
 
@@ -67,15 +65,13 @@ def main(argv: list[str] | None = None) -> int:
             overrides=args.override,
         )
         code = RUNNERS[args.experiment](cfg)
-    except (UsageError, DomainError, IllConditionedMapError) as err:
-        # a DomainError or IllConditionedMapError from a run is a configured
-        # value outside the domain of the operation it reaches
+    except DomainError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantFailure as err:
         print(f"invariant failure: {err}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (DivergenceThreshold, DivergenceError) as err:
+    except DivergenceError as err:
         print(f"divergence: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
     return code

@@ -34,7 +34,7 @@ from .schedules import (
 )
 
 
-class UsageError(Exception):
+class UsageError(DomainError):
     """Bad configuration or flags; maps to exit code 2."""
 
 
@@ -80,7 +80,6 @@ SECTIONS = {
         "kind": str,
         "beta0": float,
         "alpha_floor": float,
-        "fd_step": float,
         "beta_csv": str,
         "beta_table": {"times": [float], "values": [float]},
         "beta_ramp": {"base": float, "scale": float, "power": float, "points": (int, 2)},
@@ -275,7 +274,7 @@ def load_config(
 def build_schedule(section: dict) -> Schedule:
     section = _read("schedule", section, SECTIONS["schedule"])
     # a key left unset takes the Schedule default; Schedule checks the kind
-    kwargs = {k: section[k] for k in ("beta0", "alpha_floor", "fd_step") if k in section}
+    kwargs = {k: section[k] for k in ("beta0", "alpha_floor") if k in section}
     if section.get("kind") == VP_GENERIC:
         if section.get("beta_csv"):
             try:
@@ -327,6 +326,8 @@ def build_backbone(section: dict, schedule: Schedule) -> BackboneModel:
 def build_chord_params(section: dict) -> ChordParams:
     kwargs = _read("chord", section, _CHORD)
     if "lambda" in kwargs:  # accepted alias for the step scale
+        if "step_scale" in kwargs:
+            raise UsageError("set chord.lambda or chord.step_scale, not both")
         kwargs["step_scale"] = kwargs.pop("lambda")
     try:
         return ChordParams(**kwargs)

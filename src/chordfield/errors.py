@@ -5,7 +5,7 @@ class DomainError(ValueError):
     """An input lies outside the documented domain of an operation."""
 
 
-class IllConditionedMapError(ArithmeticError):
+class IllConditionedMapError(DomainError, ArithmeticError):
     """A comparison-domain coefficient divisor fell below the schedule floor.
 
     Raised instead of silently returning a blown-up value when alpha(t) or
@@ -18,12 +18,13 @@ class IllConditionedMapError(ArithmeticError):
         self.time = time
 
 
-class DegeneratePosteriorError(ArithmeticError):
+class DegeneratePosteriorError(DomainError, ArithmeticError):
     """Every mixture responsibility underflowed (raw mass below 1e-300)."""
 
 
 class DivergenceError(ArithmeticError):
-    """An integration state became non-finite or left the bounded regime.
+    """An integration state became non-finite or left the bounded regime, or
+    (with no ``last_state``) did so for at least half of a run's particles.
 
     ``last_state`` holds the last finite state reached before the abort.
     """

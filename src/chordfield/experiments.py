@@ -63,10 +63,6 @@ class InvariantFailure(Exception):
     """A hard verification inequality failed; maps to exit code 1."""
 
 
-class DivergenceThreshold(Exception):
-    """Too many runs diverged; maps to exit code 3."""
-
-
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -109,9 +105,9 @@ def _method_params(params, method: str):
 
 
 def _check_diverged(what: str, diverged: int, count: int) -> None:
-    """``DivergenceThreshold`` once at least half of ``count`` runs diverged."""
+    """``DivergenceError`` once at least half of ``count`` runs diverged."""
     if diverged >= count / 2:
-        raise DivergenceThreshold(f"{what} diverged on {diverged}/{count} particles")
+        raise DivergenceError(f"{what} diverged on {diverged}/{count} particles")
 
 
 def _ratio(num: float, den: float) -> float:
@@ -141,10 +137,8 @@ def run_coeffs(cfg: ExperimentConfig) -> int:
     schedule = build_schedule(cfg.schedule)
     t_values = p.t_values or np.linspace(p.t_start, p.t_stop, p.t_count).tolist()
     rows = []
-    total = failures = 0
     for t in t_values:
         for kind in PARAMETERIZATION_KINDS:
-            total += 1
             try:
                 a_t = coefficient(kind, schedule, t)
                 if kind == "noise_eps" and schedule.is_vp:
@@ -157,7 +151,6 @@ def run_coeffs(cfg: ExperimentConfig) -> int:
                 else:
                     rows.append((t, kind, a_t, "", "", "", ""))
             except IllConditionedMapError as err:
-                failures += 1
                 rows.append((t, kind, "", "", "", "", str(err)))
     rows.sort(key=lambda r: (r[0], r[1]))
     _write(
@@ -166,8 +159,6 @@ def run_coeffs(cfg: ExperimentConfig) -> int:
         ["t", "kind", "coefficient", "vp_form", "beta_form", "max_rel_disagreement", "error"],
         rows,
     )
-    if failures == total:
-        raise InvariantFailure("every coefficient query failed its guard")
     return EXIT_OK
 
 

@@ -19,7 +19,6 @@ holds identically for every schedule, not only variance-preserving ones.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -106,11 +105,7 @@ class Schedule:
             self.beta_values = b
             # exact cumulative integral of the piecewise-linear interpolant
             seg = 0.5 * (b[1:] + b[:-1]) * steps
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-            # Python-float copies: a scalar lookup in them costs a fraction of
-            # a numpy call, and the arithmetic below is that of
-            # np.searchsorted / np.interp, bit for bit
-            self._table = (t.tolist(), b.tolist(), cum.tolist())
+            self._beta_cum = np.concatenate([[0.0], np.cumsum(seg)])
 
     # -- core path quantities ------------------------------------------------
 
@@ -123,23 +118,17 @@ class Schedule:
         if self.kind == VP_CONST_BETA:
             return float(self.beta0)
         if self.kind == VP_GENERIC:
-            tg, bg, _ = self._table
-            if not tg[0] < t < tg[-1]:
-                # np.interp: the end values outside the table, NaN stays NaN
-                return bg[0] if t <= tg[0] else bg[-1] if t >= tg[-1] else float(t)
-            i = bisect.bisect_right(tg, t) - 1
-            slope = (bg[i + 1] - bg[i]) / (tg[i + 1] - tg[i])
-            return float(slope * (t - tg[i]) + bg[i])
+            return float(np.interp(t, self.beta_times, self.beta_values))
         raise DomainError(f"schedule kind {self.kind!r} has no beta(t)")
 
     def _beta_integral(self, t: float) -> float:
         if self.kind == VP_CONST_BETA:
             return self.beta0 * t
-        tg, bg, cum = self._table
-        i = min(max(bisect.bisect_right(tg, t) - 1, 0), len(tg) - 2)
+        tg, bg = self.beta_times, self.beta_values
+        i = min(max(int(np.searchsorted(tg, t, side="right")) - 1, 0), tg.size - 2)
         dt = t - tg[i]
         slope = (bg[i + 1] - bg[i]) / (tg[i + 1] - tg[i])
-        return float(cum[i] + bg[i] * dt + 0.5 * slope * dt * dt)
+        return float(self._beta_cum[i] + bg[i] * dt + 0.5 * slope * dt * dt)
 
     def alpha(self, t: float) -> float:
         return path_scalars(self, t).alpha

@@ -59,12 +59,17 @@ def sample_particles(model: BackboneModel, count: int, seed: int) -> ParticleSet
     """Draw ``count`` source-condition samples with a dedicated sub-stream."""
     if count < 1:
         raise DomainError("particle count must be >= 1")
+    # allocated before any draw: a count too large to hold fails at once
+    try:
+        points = np.empty((count, model.dim))
+    except (MemoryError, ValueError) as err:
+        raise DomainError(f"{count} particles do not fit in memory") from err
     gen = np.random.Generator(
         np.random.Philox(
             key=np.array([derive_stream(seed, NS_PARTICLE), 0], dtype=np.uint64)
         )
     )
-    points = sample_condition(model.source, count, gen)
+    sample_condition(model.source, gen, points)
     return ParticleSet(
         points=points,
         provenance={"seed": seed, "count": count, "condition": "src"},

@@ -7,9 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chordfield import diagnostics
+from chordfield import diagnostics, experiments
 from chordfield.cli import main
 from chordfield.config import DEFAULTS, UsageError, load_config
+from chordfield.errors import (
+    DegeneratePosteriorError,
+    DivergenceError,
+    DomainError,
+    IllConditionedMapError,
+)
+from chordfield.experiments import InvariantFailure
 from chordfield.proxy import NS_TRIAL, derive_stream
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -47,6 +54,9 @@ def identical_conditions_config(tmp_path, preset_free=True):
 # is zero and every energy and endpoint error is 0
 _SAME = '{"weights": [1], "means": [[1, 0]], "scales": [1]}'
 NULL_EDIT = ["--override", f"backbone.source={_SAME}", "--override", f"backbone.target={_SAME}"]
+# a target mean so far out that the posterior mass underflows for every component
+_FAR = '{"weights": [1], "means": [[1e200, 0]], "scales": [1]}'
+_FAR_BACKBONE = f'backbone={{"source": {_SAME}, "target": {_FAR}}}'
 
 
 def _kind_name(kind):
@@ -157,6 +167,8 @@ class TestDeclaredParams:
             ("toy", "output_dir=null"),
             # 2**62 noise draws: too many to hold, so refused before any is made
             ("noise_ablation", "params.n_values=[4611686018427387904]"),
+            # 2**62 particles: the same, before any is sampled
+            ("toy", "params.particles=4611686018427387904"),
         ],
     )
     def test_bad_inputs_usage_error(self, tmp_path, experiment, override):
@@ -248,6 +260,8 @@ class TestValuesOutsideParams:
             "chord.n=NaN",
             "chord.n=true",
             'chord.use_prox="no"',
+            # a configured mixture on which the posterior mass underflows
+            _FAR_BACKBONE,
         ],
     )
     def test_bad_value_is_usage_error(self, tmp_path, override):
@@ -286,6 +300,8 @@ class TestSectionsOutsideParams:
             [f"backbone.source={_SAME}"],
             [f"backbone.target={_SAME}"],
             ['schedule.beta_csv="missing.csv"'],
+            # a step scale set twice, once through its alias
+            ["chord.lambda=0.5", "chord.step_scale=2.0"],
         ],
         ids=" ".join,
     )
@@ -479,6 +495,8 @@ class TestToy:
             (["chord.n=4611686018427387904"], 2),
             # every naive transport runs away
             (["chord.step_scale=1e9", "params.particles=100"], 3),
+            # the posterior mass underflows on the first particle
+            ([_FAR_BACKBONE], 2),
         ],
     )
     def test_failed_run_writes_no_csv(self, tmp_path, overrides, code):
@@ -817,3 +835,25 @@ class TestExitCodes:
         )
         assert code == 2
         assert "usage error: sigma(t) = 0.000e+00 below floor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (DomainError, 2, "usage error"),
+            (UsageError, 2, "usage error"),
+            (IllConditionedMapError, 2, "usage error"),
+            (DegeneratePosteriorError, 2, "usage error"),
+            (InvariantFailure, 1, "invariant failure"),
+            (DivergenceError, 3, "divergence"),
+        ],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_each_error_family_has_one_exit_code(
+        self, tmp_path, monkeypatch, capsys, error, code, prefix
+    ):
+        def runner(cfg):
+            raise error("raised by the run")
+
+        monkeypatch.setitem(experiments.RUNNERS, "coeffs", runner)
+        assert main(["coeffs", "--out", str(tmp_path / "run")]) == code
+        assert capsys.readouterr().err == f"{prefix}: raised by the run\n"

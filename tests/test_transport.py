@@ -467,6 +467,12 @@ class TestParticles:
         with pytest.raises(DomainError):
             sample_particles(model, 0, seed=0)
 
+    def test_a_particle_count_too_large_to_hold_is_a_domain_error(self):
+        # 2**62 points of two coordinates: refused before any is drawn
+        model = preset_model("two_blob_2d")
+        with pytest.raises(DomainError, match="particles do not fit in memory"):
+            sample_particles(model, 2**62, seed=0)
+
 
 class TestRk4:
     def test_linear_field_exact_solution(self):
