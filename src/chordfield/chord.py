@@ -36,8 +36,8 @@ class ChordParams:
     share_noise_across_times
                       reuse one noise draw for both query times (default);
                       switch off to decouple the pair for ablations
-    prox_shared_noise reuse transport draw 0 for the refinement instead of an
-                      independent sub-stream
+    prox_shared_noise reuse the main query time's draw 0 for the refinement
+                      instead of an independent sub-stream
     """
 
     t: float = 0.90

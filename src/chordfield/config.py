@@ -141,8 +141,8 @@ def _read(key: str, value, kind, low=-math.inf, high=math.inf):
 
 class Param(NamedTuple):
     """A declared experiment parameter: an int or finite float ``kind``, or a
-    non-empty list of one (``[int]``, ``[float]``), within ``[low, high]``.
-    A ``None`` default leaves the parameter unset."""
+    non-empty list of distinct ones (``[int]``, ``[float]``), within
+    ``[low, high]``. A ``None`` default leaves the parameter unset."""
 
     experiment: str
     name: str
@@ -186,10 +186,12 @@ def read_params(cfg: ExperimentConfig) -> SimpleNamespace:
     for p in PARAMS:
         if p.experiment == cfg.experiment:
             value = params.get(p.name, p.default)
-            if value is None and p.default is None:
-                resolved[p.name] = None
-            else:
-                resolved[p.name] = _read(f"params.{p.name}", value, p.kind, p.low, p.high)
+            if value is not None or p.default is not None:
+                value = _read(f"params.{p.name}", value, p.kind, p.low, p.high)
+                # a repeated entry would write its rows, and count its cells, twice
+                if isinstance(value, list) and len(set(value)) < len(value):
+                    raise UsageError(f"params.{p.name} repeats an entry: {value!r}")
+            resolved[p.name] = value
     return SimpleNamespace(**resolved)
 
 

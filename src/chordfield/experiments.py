@@ -37,7 +37,7 @@ from .diagnostics import (
     risk_experiment,
 )
 from .errors import DivergenceError, IllConditionedMapError
-from .proxy import NS_CELL, derive_stream
+from .proxy import _MASK64, NS_CELL, _philox_normals, derive_stream
 from .schedules import (
     PARAMETERIZATION_KINDS,
     coefficient,
@@ -281,13 +281,14 @@ def run_noise_ablation(cfg: ExperimentConfig) -> int:
     if p.seeds < 10 and not (len(p.n_values) == 1 and p.seeds == 1):
         raise UsageError("noise ablation needs at least 10 seeds")
     model, params = _model_and_params(cfg)
+    # each seed index's cell seed and start point, shared by every method and n
+    cell_seeds = [derive_stream(cfg.seed, NS_CELL, k) for k in range(p.seeds)]
+    starts = [sample_particles(model, 1, cell_seed).points[0] for cell_seed in cell_seeds]
     rows = []
     for method in _METHODS:
         for n in sorted(p.n_values):
             run_params = replace(_method_params(params, method), n=n)
-            for seed_idx in range(p.seeds):
-                cell_seed = derive_stream(cfg.seed, NS_CELL, seed_idx)
-                x = sample_particles(model, 1, cell_seed).points[0]
+            for seed_idx, (cell_seed, x) in enumerate(zip(cell_seeds, starts)):
                 res = chordedit(model, x, run_params, cell_seed)
                 rows.append(
                     (
@@ -373,15 +374,14 @@ def run_error_order(cfg: ExperimentConfig) -> int:
 # diagnostics
 
 
-def _band_limited_profile(count, ds, seed, dim=1):
+def _band_limited_profile(count, ds, seed, dim):
     t = np.arange(count) * ds
-    gen = np.random.Generator(
-        np.random.Philox(key=np.array([seed & ((1 << 64) - 1), 0], dtype=np.uint64))
-    )
     vals = np.zeros((count, dim))
-    for m in range(1, 5):
-        vals += gen.normal(size=dim) / m * np.sin(2 * np.pi * m * t)[:, None]
-        vals += gen.normal(size=dim) / m * np.cos(2 * np.pi * m * t)[:, None]
+    # harmonic m's sine and cosine weights, drawn in that order from key (seed, 0)
+    weights = _philox_normals([(seed & _MASK64, 0)], (4, 2, dim))[0]
+    for m, (sin_w, cos_w) in enumerate(weights, 1):
+        vals += sin_w / m * np.sin(2 * np.pi * m * t)[:, None]
+        vals += cos_w / m * np.cos(2 * np.pi * m * t)[:, None]
     return t, vals
 
 

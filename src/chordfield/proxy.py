@@ -9,10 +9,11 @@ numbers scheme that strictly reduces the estimator variance.
 Randomness is generated by the Philox 4x64 counter-based generator. Draw i of
 a batch is keyed by the 128-bit pair ``(seed, i)`` and its coordinates are
 read in order from that stream, so draws are bit-reproducible and independent
-of evaluation order; one generator, re-keyed per draw, fills every batch.
-Auxiliary streams (proximal refinement noise, particle sampling, decoupling
-ablations, per-trial noise) derive their own 64-bit seed from the user seed
-through a splitmix-style mix with a namespaced label.
+of evaluation order. One generator, re-keyed per key, makes every draw of the
+package: the noise batches, the per-trial noise, particle sampling and the
+diagnostics profile. Auxiliary streams (proximal refinement noise, particle
+sampling, decoupling ablations, per-trial noise) derive their own 64-bit seed
+from the user seed through a splitmix-style mix with a namespaced label.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _PHILOX_LOCK = threading.Lock()
 
 @cache
 def _shared_generator() -> np.random.Generator:
-    """The one Philox generator that fills every noise batch, re-keyed per draw.
+    """The one Philox generator of the package, re-keyed per draw by ``_philox_fill``.
 
     Setting its state costs a fraction of building a generator, and a draw
     made after the reset (counter zeroed, key (seed, i), buffer emptied) is
@@ -102,9 +103,10 @@ def _philox_normals(keys, shape) -> np.ndarray:
     return _philox_fill(np.empty((len(keys),) + tuple(shape)), keys)
 
 
-def _philox_fill(out: np.ndarray, keys) -> np.ndarray:
-    """``out`` with entry i filled from key pair i of ``keys``, an iterable,
-    by re-keying the shared generator."""
+def _philox_fill(out: np.ndarray, keys, draw=lambda gen, row: gen.standard_normal(out=row)):
+    """``out`` with entry i filled by ``draw(gen, out[i])``, standard normals by
+    default, where ``gen`` is the shared generator re-keyed to key pair i of
+    ``keys``, an iterable: it draws what a fresh ``Philox(key=pair)`` would."""
     key = np.empty(2, dtype=np.uint64)
     gen = _shared_generator()
     with _PHILOX_LOCK:
@@ -118,7 +120,7 @@ def _philox_fill(out: np.ndarray, keys) -> np.ndarray:
                 "has_uint32": 0,
                 "uinteger": 0,
             }
-            gen.standard_normal(out=out[i])
+            draw(gen, out[i])
     return out
 
 

@@ -23,6 +23,7 @@ from .proxy import (
     NS_TIME_DECOUPLE,
     SharedNoiseBatch,
     _estimate,
+    _philox_fill,
     derive_stream,
     proxy_field,
 )
@@ -49,14 +50,14 @@ class TransportResult:
 
 @dataclass
 class ParticleSet:
-    """Sampled points plus the provenance needed to reproduce them."""
+    """Sampled points, (count, d)."""
 
     points: np.ndarray
-    provenance: dict
 
 
 def sample_particles(model: BackboneModel, count: int, seed: int) -> ParticleSet:
-    """Draw ``count`` source-condition samples with a dedicated sub-stream."""
+    """Draw ``count`` source-condition samples from the Philox key
+    ``(derive_stream(seed, NS_PARTICLE), 0)``."""
     if count < 1:
         raise DomainError("particle count must be >= 1")
     # allocated before any draw: a count too large to hold fails at once
@@ -64,16 +65,9 @@ def sample_particles(model: BackboneModel, count: int, seed: int) -> ParticleSet
         points = np.empty((count, model.dim))
     except (MemoryError, ValueError) as err:
         raise DomainError(f"{count} particles do not fit in memory") from err
-    gen = np.random.Generator(
-        np.random.Philox(
-            key=np.array([derive_stream(seed, NS_PARTICLE), 0], dtype=np.uint64)
-        )
-    )
-    sample_condition(model.source, gen, points)
-    return ParticleSet(
-        points=points,
-        provenance={"seed": seed, "count": count, "condition": "src"},
-    )
+    key = (derive_stream(seed, NS_PARTICLE), 0)
+    _philox_fill(points[None], [key], lambda gen, out: sample_condition(model.source, gen, out))
+    return ParticleSet(points=points)
 
 
 def particle_seed(seed: int, index: int) -> int:
@@ -249,9 +243,7 @@ def chordedit(
     x_pred = x_src + params.step_scale * u_hat
     _guard_state(x_pred, x_src, "the transport step")
     if params.use_prox:
-        eps = None
-        if params.prox_shared_noise:
-            eps = SharedNoiseBatch(seed=seed, n=1, dim=model.dim).draws[0]
+        eps = batch_curr.draws[0] if params.prox_shared_noise else None
         x_out = proximal_refine(model, x_pred, params.t_c, seed, eps=eps)
     else:
         x_out = x_pred

@@ -169,6 +169,11 @@ class TestDeclaredParams:
             ("noise_ablation", "params.n_values=[4611686018427387904]"),
             # 2**62 particles: the same, before any is sampled
             ("toy", "params.particles=4611686018427387904"),
+            # a repeated list entry would write its rows, or count its cells, twice
+            ("coeffs", "params.t_values=[0.5,0.5]"),
+            ("step_sweep", "params.s_values=[1,2,4,2]"),
+            ("noise_ablation", "params.n_values=[1,1.0]"),
+            ("error_order", "params.h_values=[0.125,0.125,0.0625,0.015625]"),
         ],
     )
     def test_bad_inputs_usage_error(self, tmp_path, experiment, override):
@@ -788,6 +793,34 @@ class TestReproducibility:
         for name in sorted(os.listdir(out_a)):
             if name.endswith(".csv"):
                 assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "experiment, overrides",
+        [
+            ("toy", ["params.particles=100"]),
+            ("step_sweep", ["params.particles=2", "params.reference_steps=8"]),
+            ("noise_ablation", ["params.n_values=[2]", "params.seeds=1"]),
+            ("error_order", []),
+            ("diagnostics", ["params.lte_states=1"]),
+        ],
+    )
+    def test_every_draw_comes_from_the_shared_generator(
+        self, tmp_path, monkeypatch, experiment, overrides
+    ):
+        from chordfield.proxy import _shared_generator
+
+        _shared_generator()  # built once per process, before the count starts
+        built = []
+        for name in ("Philox", "Generator"):
+
+            def counting(*args, _cls=getattr(np.random, name), **kwargs):
+                built.append(_cls.__name__)
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, counting)
+        flags = [f for o in overrides for f in ("--override", o)]
+        assert main([experiment, "--out", str(tmp_path / "run"), *flags]) == 0
+        assert built == []
 
     def test_csv_uses_lf_endings(self, tmp_path):
         out = tmp_path / "run"

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordfield import transport
-from chordfield.backbone import BackboneModel, GaussianMixtureCondition, posterior_x0
+from chordfield.backbone import (
+    BackboneModel,
+    GaussianMixtureCondition,
+    posterior_x0,
+    sample_condition,
+)
 from chordfield.chord import ChordParams, chord_field
 from chordfield.errors import (
     DegeneratePosteriorError,
@@ -14,8 +19,8 @@ from chordfield.errors import (
     DomainError,
     IllConditionedMapError,
 )
-from chordfield.preset_lib import load_preset
-from chordfield.proxy import proxy_field
+from chordfield.preset_lib import PRESET_NAMES, load_preset
+from chordfield.proxy import NS_PARTICLE, derive_stream, proxy_field
 from chordfield.schedules import (
     LINEAR_INTERP,
     PARAMETERIZATION_KINDS,
@@ -256,6 +261,16 @@ class TestProximalRefine:
         expected = proximal_refine(model, shared.x_pred, 0.3, seed, eps=eps)
         np.testing.assert_array_equal(shared.x_out, expected)
 
+    def test_shared_prox_noise_with_decoupled_times_reuses_the_main_query_draw(self):
+        model = preset_model("two_blob_2d")
+        x = np.array([-2.0, 0.6])
+        params = ChordParams(prox_shared_noise=True, share_noise_across_times=False)
+        res = chordedit(model, x, params, 9)
+        _, batch_curr = _batches(params, 9, 2)
+        eps = batch_curr.draws[0]
+        expected = proximal_refine(model, res.x_pred, params.t_c, 9, eps=eps)
+        np.testing.assert_array_equal(res.x_out, expected)
+
 
 class TestNoiseCoupling:
     def test_decoupled_times_change_the_estimate(self):
@@ -457,6 +472,16 @@ class TestParticles:
         pts = sample_particles(model, 400, seed=1).points
         assert pts.shape == (400, 2)
         assert abs(pts[:, 0].mean() - (-2.0)) < 0.2
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("count", [1, 7, 500])
+    def test_bit_equal_to_a_fresh_philox(self, name, count):
+        model = preset_model(name)
+        for seed in (0, 1, 7, 2**63 - 1):
+            key = np.array([derive_stream(seed, NS_PARTICLE), 0], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            want = sample_condition(model.source, fresh, np.empty((count, model.dim)))
+            np.testing.assert_array_equal(sample_particles(model, count, seed).points, want)
 
     def test_particle_seeds_unique(self):
         seeds = {particle_seed(42, i) for i in range(1000)}
