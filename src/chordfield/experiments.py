@@ -44,6 +44,7 @@ from .schedules import (
     epsilon_coefficient_forms,
 )
 from .transport import (
+    _raise_unless_live,
     chordedit,
     euler_march,
     integrate_rk4,
@@ -171,35 +172,31 @@ def run_toy(cfg: ExperimentConfig) -> int:
     count, steps = p.particles, p.steps
     model, params = _model_and_params(cfg)
     particles = sample_particles(model, count, cfg.seed)
+    seeds = [particle_seed(cfg.seed, i) for i in range(count)]
     coords = ["particle"] + [f"x{k}" for k in range(model.dim)]
     after, energy_rows = {}, []
     # naive first: a run where both diverge names the naive transport
     for method in _METHODS[::-1]:
         run_params = _method_params(params, method)
-        rows, energies, distances, diverged = [], [], [], 0
-        for i, x in enumerate(particles.points):
-            seed_i = particle_seed(cfg.seed, i)
-            try:
-                if steps == 1:
-                    res = chordedit(model, x, run_params, seed_i)
-                    out, energy = res.x_out, res.energy
-                else:
-                    traj, fields = multi_step_transport(
-                        model, x, run_params, steps, method, seed_i
-                    )
-                    out, energy = traj[-1], bb_energy(fields, model.dim)
-            except DivergenceError:
-                diverged += 1
-                continue
-            rows.append((i, *out))
-            energies.append(energy)
-            distances.append(_dist_to_nearest_mode(out, model.target))
+        if steps == 1:
+            res = chordedit(model, particles.points, run_params, seeds)
+            outs, energies, live = res.x_out, res.energy, res.live
+        else:
+            outs, energies = np.empty_like(particles.points), np.empty(count)
+            live = np.ones(count, dtype=bool)
+            for i, (x, seed_i) in enumerate(zip(particles.points, seeds)):
+                try:
+                    traj, fields = multi_step_transport(model, x, run_params, steps, method, seed_i)
+                    outs[i], energies[i] = traj[-1], bb_energy(fields, model.dim)
+                except DivergenceError:
+                    live[i] = False
+        diverged = count - int(live.sum())
         _check_diverged(f"{method} transport", diverged, count)
-        after[method] = rows
+        after[method] = [(i, *outs[i]) for i in np.flatnonzero(live)]
+        distances = [_dist_to_nearest_mode(out, model.target) for out in outs[live]]
         distance_se = float(np.std(distances, ddof=1) / math.sqrt(len(distances)))
-        energy_rows.append(
-            (method, float(np.mean(energies)), float(np.mean(distances)), distance_se, diverged)
-        )
+        energy = float(np.mean(energies[live]))
+        energy_rows.append((method, energy, float(np.mean(distances)), distance_se, diverged))
     # every CSV only once both methods pass, so a failed run writes none
     _write(cfg, "particles_before.csv", coords, [(i, *pt) for i, pt in enumerate(particles.points)])
     for method, rows in after.items():
@@ -283,22 +280,15 @@ def run_noise_ablation(cfg: ExperimentConfig) -> int:
     model, params = _model_and_params(cfg)
     # each seed index's cell seed and start point, shared by every method and n
     cell_seeds = [derive_stream(cfg.seed, NS_CELL, k) for k in range(p.seeds)]
-    starts = [sample_particles(model, 1, cell_seed).points[0] for cell_seed in cell_seeds]
+    starts = np.array([sample_particles(model, 1, cell_seed).points[0] for cell_seed in cell_seeds])
     rows = []
     for method in _METHODS:
         for n in sorted(p.n_values):
             run_params = replace(_method_params(params, method), n=n)
-            for seed_idx, (cell_seed, x) in enumerate(zip(cell_seeds, starts)):
-                res = chordedit(model, x, run_params, cell_seed)
-                rows.append(
-                    (
-                        method,
-                        n,
-                        seed_idx,
-                        _dist_to_nearest_mode(res.x_out, model.target),
-                        res.energy,
-                    )
-                )
+            res = chordedit(model, starts, run_params, cell_seeds)
+            _raise_unless_live(res.live, starts, "the transport step")
+            for seed_idx, (out, energy) in enumerate(zip(res.x_out, res.energy)):
+                rows.append((method, n, seed_idx, _dist_to_nearest_mode(out, model.target), energy))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write(cfg, "noise_ablation.csv", ["method", "n", "seed", "endpoint_error", "energy"], rows)
     lines = ["noise ablation summary (per method and n):"]
@@ -440,13 +430,11 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
 
     # transport energies at one step
     particles = sample_particles(model, 24, cfg.seed)
+    seeds = [particle_seed(cfg.seed, i) for i in range(24)]
     for method in _METHODS:
-        run_params = _method_params(params, method)
-        energies = [
-            chordedit(model, x, run_params, particle_seed(cfg.seed, i)).energy
-            for i, x in enumerate(particles.points)
-        ]
-        setattr(report, f"bb_energy_{method}", float(np.mean(energies)))
+        res = chordedit(model, particles.points, _method_params(params, method), seeds)
+        _raise_unless_live(res.live, particles.points, "the transport step")
+        setattr(report, f"bb_energy_{method}", float(np.mean(res.energy)))
     report.checks["energy_contraction_one_step"] = (
         report.bb_energy_chord <= report.bb_energy_naive * (1 + 1e-9)
     )

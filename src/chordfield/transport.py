@@ -39,13 +39,15 @@ FIELD_KINDS = (NAIVE, CHORD)
 
 @dataclass
 class TransportResult:
-    """Outcome of one transport: pre/post refinement states and the field."""
+    """Outcome of one transport: pre/post refinement states, the field, its
+    energy and whether each state stayed live; per row for rows."""
 
     x_pred: np.ndarray
     x_out: np.ndarray
     u_hat: np.ndarray
     fields_queried: list[tuple[float, np.ndarray]]
-    energy: float
+    energy: float | np.ndarray
+    live: bool | np.ndarray
 
 
 @dataclass
@@ -193,18 +195,25 @@ def proximal_refine(
 ) -> np.ndarray:
     """One denoising call under the target condition at refinement time t_c.
 
-    Noises x_pred, one state (d,) or rows (..., d), with one fixed draw (an
-    independent sub-stream of ``seed`` unless an explicit ``eps`` is supplied)
-    and returns the target-posterior mean of the clean state.
+    Noises x_pred, one state (d,) or rows (..., d), and returns the
+    target-posterior mean of the clean state. The noise is one fixed draw (d,)
+    shared by every row, an independent sub-stream of ``seed`` unless an
+    explicit ``eps`` is supplied; an explicit ``eps`` may also hold one draw
+    per row, (..., d).
     """
     if not (0.0 < t_c < 1.0):
         raise DomainError("t_c must lie in (0, 1)")
     x_pred = np.asarray(x_pred, dtype=float)
     if eps is None:
-        eps = SharedNoiseBatch(seed=derive_stream(seed, NS_PROX), n=1, dim=model.dim).draws[0]
+        eps = _refine_draw(seed, model.dim)
     scalars, at = model._refine_entry(t_c)
     z = scalars.alpha * x_pred + scalars.sigma * np.asarray(eps, dtype=float)
     return model.target._stack.x0(z, at)[..., 0, :]
+
+
+def _refine_draw(seed, dim):
+    """The refinement's own draw (d,): the first of the ``NS_PROX`` sub-stream of ``seed``."""
+    return SharedNoiseBatch(seed=derive_stream(seed, NS_PROX), n=1, dim=dim).draws[0]
 
 
 def _guard_rows(x):
@@ -228,32 +237,49 @@ def _raise_unless_live(live, last, context):
 
 
 def chordedit(
-    model: BackboneModel, x_src: np.ndarray, params: ChordParams, seed: int
+    model: BackboneModel, x_src: np.ndarray, params: ChordParams, seed
 ) -> TransportResult:
     """Single-step transport: estimate the chord field once, step, refine.
 
-    Both query times reuse one shared noise batch of ``params.n`` draws; the
-    whole run is a pure function of (inputs, seed).
+    ``x_src`` is one state (d,) with an int ``seed``, or rows (P, d) with P
+    seeds: row i queries both times with its own batch of ``params.n`` draws
+    from seed i (one batch for both times by default) and refines with its own
+    draw. The blend, step, guard and refinement run once over the rows, each
+    row bit-equal to its one-state run. Rows flag a runaway step in ``live``
+    and refine only the live rows; one state raises ``DivergenceError``
+    carrying the source state.
     """
     x_src = np.asarray(x_src, dtype=float)
-    batch_prev, batch_curr = _batches(params, seed, model.dim)
-    r_prev = proxy_field(model, x_src, params.t - params.delta, batch_prev)
-    r_curr = proxy_field(model, x_src, params.t, batch_curr)
-    u_hat = chord_field(r_prev, r_curr, params.t, params.delta)
+    if x_src.ndim == 1:
+        res = chordedit(model, x_src[None], params, [seed])
+        _raise_unless_live(res.live[0], x_src, "the transport step")
+        fields = [(t, r[0]) for t, r in res.fields_queried]
+        return TransportResult(
+            res.x_pred[0], res.x_out[0], res.u_hat[0], fields, float(res.energy[0]), True
+        )
+    if x_src.ndim != 2 or np.ndim(seed) != 1 or len(seed) != len(x_src):
+        raise DomainError("chordedit takes one state (d,) and a seed, or rows (P, d) and P seeds")
+    t, delta, dim = params.t, params.delta, model.dim
+    queried, batches = np.empty((2,) + x_src.shape), []
+    for i, (x, seed_i) in enumerate(zip(x_src, seed)):
+        batch_prev, batch_curr = _batches(params, seed_i, dim)
+        queried[0, i] = proxy_field(model, x, t - delta, batch_prev)
+        queried[1, i] = proxy_field(model, x, t, batch_curr)
+        batches.append(batch_curr)
+    u_hat = chord_field(*queried, t, delta)
     x_pred = x_src + params.step_scale * u_hat
-    _guard_state(x_pred, x_src, "the transport step")
+    live = _guard_rows(x_pred)
+    x_out = x_pred
     if params.use_prox:
-        eps = batch_curr.draws[0] if params.prox_shared_noise else None
-        x_out = proximal_refine(model, x_pred, params.t_c, seed, eps=eps)
-    else:
-        x_out = x_pred
-    return TransportResult(
-        x_pred=x_pred,
-        x_out=x_out,
-        u_hat=u_hat,
-        fields_queried=[(params.t - params.delta, r_prev), (params.t, r_curr)],
-        energy=float(u_hat @ u_hat) / model.dim,
-    )
+        eps = np.empty((int(live.sum()), dim))
+        for row, i in zip(eps, np.flatnonzero(live)):
+            row[:] = batches[i].draws[0] if params.prox_shared_noise else _refine_draw(seed[i], dim)
+        x_out = x_pred.copy()
+        x_out[live] = proximal_refine(model, x_pred[live], params.t_c, None, eps=eps)
+    fields = [(t - delta, queried[0]), (t, queried[1])]
+    # one BLAS dot per row: a vectorised sum of squares can differ in the last bit
+    energy = np.array([float(u @ u) for u in u_hat]) / dim
+    return TransportResult(x_pred, x_out, u_hat, fields, energy, live)
 
 
 # chord_field is linear in its two inputs, so the mean of one chord field per

@@ -662,6 +662,16 @@ def test_refinement_rows_bit_equal_to_one_call_per_row(shape):
     assert proximal_refine(model, rows, 0.3, seed=7).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (1, 2), (2, 2, 2)])
+def test_refinement_with_one_draw_per_row_bit_equal_to_one_call_per_row(shape):
+    model = preset_model("two_blob_2d")
+    rows, eps = np.random.default_rng(6).normal(size=(2,) + shape) * 2.0
+    pairs = zip(rows.reshape(-1, 2), eps.reshape(-1, 2))
+    want = np.stack([proximal_refine(model, x, 0.3, seed=7, eps=e) for x, e in pairs])
+    want = want.reshape(shape)
+    assert proximal_refine(model, rows, 0.3, seed=7, eps=eps).tobytes() == want.tobytes()
+
+
 def _value_or_error_type(run):
     try:
         return run()
@@ -1045,3 +1055,80 @@ def test_guard_rejects_non_finite_and_overflowing_states(row):
     np.testing.assert_array_equal(_guard_rows(np.stack([np.ones(2), x])), [True, False])
     with pytest.raises(DivergenceError):
         _guard_state(x, x, "a test")
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(PRESETS),
+    st.sampled_from([1, 4]),
+    st.sampled_from([0.0, 0.1]),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    # a step large enough for a far row to overshoot the guard, or the default
+    st.sampled_from([1.0, 50.0]),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_chordedit_rows_bit_equal_to_one_call_per_state(
+    name, n, delta, use_prox, prox_shared, share, step_scale, count, far, seed
+):
+    model = preset_model(name)
+    params = ChordParams(
+        delta=delta,
+        n=n,
+        step_scale=step_scale,
+        use_prox=use_prox,
+        prox_shared_noise=prox_shared,
+        share_noise_across_times=share,
+    )
+    rng = np.random.default_rng(seed)
+    states = model.source.means[rng.integers(0, model.source.n_components, count)]
+    states = states + rng.normal(size=states.shape)
+    if far:
+        # one row far out, whose inward step may run past the guard's limit
+        direction = rng.normal(size=model.dim)
+        states[rng.integers(0, count)] = direction / np.linalg.norm(direction) * 8e5
+    seeds = rng.integers(0, 2**63, count).tolist()
+    res = chordedit(model, states, params, seeds)
+    assert res.live.shape == (count,) and res.energy.shape == (count,)
+    for i, (x, seed_i) in enumerate(zip(states, seeds)):
+        alone = _run_or_error(lambda: chordedit(model, x, params, seed_i))
+        assert res.live[i] == (not isinstance(alone, DivergenceError))
+        if not res.live[i]:
+            np.testing.assert_array_equal(alone.last_state, x)
+            continue
+        for field in ("x_pred", "x_out", "u_hat"):
+            assert getattr(res, field)[i].tobytes() == getattr(alone, field).tobytes()
+        assert [t for t, _ in res.fields_queried] == [t for t, _ in alone.fields_queried]
+        for (_, got), (_, want) in zip(res.fields_queried, alone.fields_queried):
+            assert got[i].tobytes() == want.tobytes()
+        assert res.energy[i].tobytes() == np.float64(alone.energy).tobytes()
+        # the BLAS dot of one state: a vectorised sum of squares differs in the last bit
+        assert alone.energy == float(alone.u_hat @ alone.u_hat) / model.dim
+
+
+def test_chordedit_rows_flag_a_runaway_row_and_refine_the_rest():
+    model = preset_model("two_blob_2d")
+    params = ChordParams(step_scale=50.0)
+    states = np.array([[-2.0, 0.5], [8e5, 0.0], [-1.5, -0.5]])
+    res = chordedit(model, states, params, [3, 4, 5])
+    np.testing.assert_array_equal(res.live, [True, False, True])
+    # the runaway row keeps its unrefined step
+    np.testing.assert_array_equal(res.x_out[1], res.x_pred[1])
+    with pytest.raises(DivergenceError) as err:
+        chordedit(model, states[1], params, 4)
+    np.testing.assert_array_equal(err.value.last_state, states[1])
+    for i in (0, 2):
+        alone = chordedit(model, states[i], params, i + 3)
+        assert res.x_out[i].tobytes() == alone.x_out.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, seeds", [((3, 2), [1, 2]), ((3, 2), 1), ((2, 3, 2), [1, 2]), ((), 1)]
+)
+def test_chordedit_rejects_rows_without_one_seed_each(shape, seeds):
+    model = preset_model("two_blob_2d")
+    with pytest.raises(DomainError):
+        chordedit(model, np.zeros(shape), DEFAULTS, seeds)
