@@ -54,17 +54,17 @@ class DiagnosticsReport:
         return sorted(name for name, ok in self.checks.items() if not ok)
 
 
-def bb_energy(fields: list[np.ndarray], dim: int) -> float:
-    """Unweighted discrete kinetic energy: mean over steps of ||u||^2 / dim."""
+def bb_energy(fields, dim: int) -> float | np.ndarray:
+    """Unweighted discrete kinetic energy: mean over steps of ||u||^2 / dim,
+    one float for S samples (d,), one per row for rows (S, ..., d)."""
     if len(fields) == 0:
         raise DomainError("bb_energy needs at least one field sample")
     if dim < 1:
         raise DomainError("dim must be >= 1")
-    total = 0.0
-    for u in fields:
-        u = np.asarray(u, dtype=float)
-        total += float(u @ u)
-    return total / (len(fields) * dim)
+    fields = np.asarray(fields, dtype=float)
+    # in step order: ``sum(axis=0)`` adds a lone row's steps pairwise instead
+    energy = np.cumsum(np.vecdot(fields, fields), axis=0)[-1] / (len(fields) * dim)
+    return float(energy) if fields.ndim == 2 else energy
 
 
 def _axis_grids(bounds, t_range, grid):
@@ -178,19 +178,19 @@ def lte_check(
     u0 = fn(x, t)
     euler = x + h * u0
     exact = integrate_rk4(fn, x, t, t + h, ref_steps)
-    observed, bound = [], []
+    miss = exact - euler
+    observed, bound = np.sqrt(np.vecdot(miss, miss)), []
     for x_r, u_r, euler_r, exact_r in zip(
         *(np.atleast_2d(a) for a in (x, u0, euler, exact))
     ):
-        observed.append(float(np.linalg.norm(exact_r - euler_r)))
         pad = 0.5 * h * float(np.linalg.norm(u_r)) + 1e-3
         corner_lo = np.minimum.reduce([x_r, euler_r, exact_r]) - pad
         corner_hi = np.maximum.reduce([x_r, euler_r, exact_r]) + pad
         m_f = _local_m_f(fn, corner_lo, corner_hi, t, t + h, grid=grid)
         bound.append(0.5 * h * h * m_f)
     if x.ndim == 1:
-        return observed[0], bound[0]
-    return np.array(observed), np.array(bound)
+        return float(observed), bound[0]
+    return observed, np.array(bound)
 
 
 def global_error_sweep(
@@ -232,8 +232,9 @@ def global_error_sweep(
     errors = []
     for h, n in zip(hs, steps):
         trajectory, _, live = euler_march(fn, x0, h, n)
-        ends = zip(np.atleast_2d(trajectory[-1]), np.atleast_2d(reference), live.flat)
-        errors.append([float(np.linalg.norm(e - r)) if ok else math.inf for e, r, ok in ends])
+        miss = trajectory[-1] - reference
+        error = np.where(live, np.sqrt(np.vecdot(miss, miss)), math.inf)
+        errors.append(np.atleast_1d(error).tolist())
     sweeps = [(list(row), _error_slope(hs, row)) for row in zip(*errors)]
     return sweeps[0] if x0.ndim == 1 else sweeps
 

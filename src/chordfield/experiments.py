@@ -45,12 +45,12 @@ from .schedules import (
 )
 from .transport import (
     _raise_unless_live,
+    _rows_field,
     chordedit,
     euler_march,
-    integrate_rk4,
     make_control_field,
-    multi_step_transport,
     particle_seed,
+    rk4_march,
     sample_particles,
 )
 
@@ -125,8 +125,9 @@ def _model_and_params(cfg: ExperimentConfig):
     return model, build_chord_params(cfg.chord)
 
 
-def _dist_to_nearest_mode(point, mixture) -> float:
-    return min(float(np.linalg.norm(point - m)) for m in mixture.means)
+def _dist_to_nearest_mode(points, mixture) -> np.ndarray:
+    miss = points[:, None, :] - mixture.means
+    return np.sqrt(np.vecdot(miss, miss)).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +181,19 @@ def run_toy(cfg: ExperimentConfig) -> int:
         run_params = _method_params(params, method)
         if steps == 1:
             res = chordedit(model, particles.points, run_params, seeds)
-            outs, energies, live = res.x_out, res.energy, res.live
+            outs, live = res.x_out, res.live
         else:
-            outs, energies = np.empty_like(particles.points), np.empty(count)
-            live = np.ones(count, dtype=bool)
-            for i, (x, seed_i) in enumerate(zip(particles.points, seeds)):
-                try:
-                    traj, fields = multi_step_transport(model, x, run_params, steps, method, seed_i)
-                    outs[i], energies[i] = traj[-1], bb_energy(fields, model.dim)
-                except DivergenceError:
-                    live[i] = False
+            field = _rows_field([make_control_field(model, run_params, method, s) for s in seeds])
+            march, us, live = euler_march(
+                field, particles.points, run_params.step_scale / steps, steps
+            )
+            outs = march[-1]
         diverged = count - int(live.sum())
         _check_diverged(f"{method} transport", diverged, count)
+        # some row is live, so the march kept every step's field values
+        energies = res.energy if steps == 1 else bb_energy(us, model.dim)
         after[method] = [(i, *outs[i]) for i in np.flatnonzero(live)]
-        distances = [_dist_to_nearest_mode(out, model.target) for out in outs[live]]
+        distances = _dist_to_nearest_mode(outs[live], model.target)
         distance_se = float(np.std(distances, ddof=1) / math.sqrt(len(distances)))
         energy = float(np.mean(energies[live]))
         energy_rows.append((method, energy, float(np.mean(distances)), distance_se, diverged))
@@ -224,37 +224,27 @@ def run_step_sweep(cfg: ExperimentConfig) -> int:
         raise UsageError("step sweep needs at least 3 step counts including 1")
     model, params = _model_and_params(cfg)
     particles = sample_particles(model, count, cfg.seed)
-    cells = {
-        (s, m): {"energy": [], "error": [], "diverged": 0}
-        for s in s_values
-        for m in _METHODS
-    }
-    for i, x in enumerate(particles.points):
-        seed_i = particle_seed(cfg.seed, i)
-        for method in _METHODS:
-            # one field, so one noise batch, for the reference and every S
-            field = make_control_field(model, params, method, seed_i)
-            try:
-                reference = integrate_rk4(field, x, 0.0, params.step_scale, ref_steps)
-            except DivergenceError:
-                for s_steps in s_values:
-                    cells[(s_steps, method)]["diverged"] += 1
-                continue
-            for s_steps in s_values:
-                cell = cells[(s_steps, method)]
-                traj, fields, live = euler_march(
-                    field, x, params.step_scale / s_steps, s_steps
-                )
-                if not live:
-                    cell["diverged"] += 1
-                    continue
-                cell["energy"].append(bb_energy(fields, model.dim))
-                cell["error"].append(float(np.linalg.norm(traj[-1] - reference)))
-    for (s_steps, method), cell in cells.items():
-        _check_diverged(f"{method} at S={s_steps}", cell["diverged"], count)
-    rows = sorted(  # by (S, method), which is unique
-        (s_steps, method, float(np.mean(cell["energy"])), float(np.mean(cell["error"])))
-        for (s_steps, method), cell in cells.items()
+    seeds = [particle_seed(cfg.seed, i) for i in range(count)]
+    # (S, method) -> (live, fields, errors), keyed S-major for the checks' order
+    cells = dict.fromkeys((s, m) for s in s_values for m in _METHODS)
+    for method in _METHODS:
+        # one field, so one noise batch, per particle for the reference and every S
+        fields = [make_control_field(model, params, method, s) for s in seeds]
+        references, _, tame = rk4_march(
+            _rows_field(fields), particles.points, 0.0, params.step_scale, ref_steps
+        )
+        # every S marches the rows whose reference stayed live
+        field = _rows_field([fields[i] for i in np.flatnonzero(tame)])
+        starts, reference = particles.points[tame], references[-1][tame]
+        for s_steps in s_values:
+            march, us, live = euler_march(field, starts, params.step_scale / s_steps, s_steps)
+            miss = march[-1][live] - reference[live]
+            cells[(s_steps, method)] = (live, us, np.sqrt(np.vecdot(miss, miss)))
+    for (s_steps, method), (live, _, _) in cells.items():
+        _check_diverged(f"{method} at S={s_steps}", count - int(live.sum()), count)
+    rows = sorted(  # by (S, method), which is unique; every cell kept a live row
+        (s_steps, method, float(np.mean(bb_energy(us, model.dim)[live])), float(np.mean(errors)))
+        for (s_steps, method), (live, us, errors) in cells.items()
     )
     _write(cfg, "step_sweep.csv", ["S", "method", "bb_energy", "endpoint_error_mean"], rows)
     lines = ["step sweep energies:"]
@@ -287,8 +277,8 @@ def run_noise_ablation(cfg: ExperimentConfig) -> int:
             run_params = replace(_method_params(params, method), n=n)
             res = chordedit(model, starts, run_params, cell_seeds)
             _raise_unless_live(res.live, starts, "the transport step")
-            for seed_idx, (out, energy) in enumerate(zip(res.x_out, res.energy)):
-                rows.append((method, n, seed_idx, _dist_to_nearest_mode(out, model.target), energy))
+            distances = _dist_to_nearest_mode(res.x_out, model.target)
+            rows += [(method, n, k, *pair) for k, pair in enumerate(zip(distances, res.energy))]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write(cfg, "noise_ablation.csv", ["method", "n", "seed", "endpoint_error", "energy"], rows)
     lines = ["noise ablation summary (per method and n):"]

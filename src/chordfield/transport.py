@@ -277,8 +277,7 @@ def chordedit(
         x_out = x_pred.copy()
         x_out[live] = proximal_refine(model, x_pred[live], params.t_c, None, eps=eps)
     fields = [(t - delta, queried[0]), (t, queried[1])]
-    # one BLAS dot per row: a vectorised sum of squares can differ in the last bit
-    energy = np.array([float(u @ u) for u in u_hat]) / dim
+    energy = np.vecdot(u_hat, u_hat) / dim
     return TransportResult(x_pred, x_out, u_hat, fields, energy, live)
 
 
@@ -323,6 +322,11 @@ def euler_march(field, x0: np.ndarray, h: float, steps: int):
     return _march(x0, steps, step)
 
 
+def _rows_field(fields):
+    """The field over rows (P, d), P >= 0, whose row i is ``fields[i]`` at that row."""
+    return lambda x, s=0.0: np.array([f(x_i, s) for f, x_i in zip(fields, x)]).reshape(x.shape)
+
+
 def multi_step_transport(
     model: BackboneModel,
     x_src: np.ndarray,
@@ -346,14 +350,8 @@ def multi_step_transport(
     return trajectory, fields
 
 
-def integrate_rk4(field, x0: np.ndarray, s_from: float, s_to: float, steps: int):
-    """Classic fixed-step fourth-order integration of dx/ds = field(x, s).
-
-    ``x0`` is one state (d,) or rows (k, d), marched together by a field that
-    takes rows; each row's endpoint is bit-identical to that of its own run.
-    A ``DivergenceError`` names the rows that trip the guard and carries every
-    row's frozen state (a tame row's endpoint) as ``last_state``.
-    """
+def rk4_march(field, x0: np.ndarray, s_from: float, s_to: float, steps: int):
+    """``_march`` by classic RK4 from ``s_from`` to ``s_to``; a step's field is its first stage."""
     span = s_to - s_from
 
     def step(x, i):
@@ -371,7 +369,18 @@ def integrate_rk4(field, x0: np.ndarray, s_from: float, s_to: float, steps: int)
         x_next += x
         return x_next, k1
 
-    trajectory, _, live = _march(x0, steps, step)
+    return _march(x0, steps, step)
+
+
+def integrate_rk4(field, x0: np.ndarray, s_from: float, s_to: float, steps: int):
+    """Classic fixed-step fourth-order integration of dx/ds = field(x, s).
+
+    ``x0`` is one state (d,) or rows (k, d), marched together by a field that
+    takes rows; each row's endpoint is bit-identical to that of its own run.
+    A ``DivergenceError`` names the rows that trip the guard and carries every
+    row's frozen state (a tame row's endpoint) as ``last_state``.
+    """
+    trajectory, _, live = rk4_march(field, x0, s_from, s_to, steps)
     _raise_unless_live(live, trajectory[-1], "reference integration")
     return trajectory[-1]
 

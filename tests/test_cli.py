@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chordfield import diagnostics, experiments
+from chordfield import diagnostics, experiments, transport
 from chordfield.cli import main
-from chordfield.config import DEFAULTS, UsageError, load_config
+from chordfield.config import DEFAULTS, UsageError, load_config, read_params
 from chordfield.errors import (
     DegeneratePosteriorError,
     DivergenceError,
@@ -415,6 +415,16 @@ class TestCoeffs:
         assert guarded  # sigma-dividing kinds trip the floor near t = 0
 
 
+def _loop_energy(fields, dim):
+    """``bb_energy`` as a loop of one BLAS dot per step, summed in step order."""
+    return sum(float(u @ u) for u in fields) / (len(fields) * dim)
+
+
+def _nearest_mode_distance(x, mixture):
+    """The distance of one state to the nearest mean, one norm per mean."""
+    return min(float(np.linalg.norm(x - m)) for m in mixture.means)
+
+
 class TestToy:
     def test_identical_conditions_no_motion(self, tmp_path):
         out = tmp_path / "run"
@@ -477,6 +487,48 @@ class TestToy:
             ]
         )
         assert code == 3
+
+    def test_multi_step_rows_match_one_transport_per_particle(self, tmp_path):
+        # 30 of the 100 chord particles run away in three sub-steps, no naive one
+        out = tmp_path / "run"
+        overrides = ["params.steps=3", "chord.step_scale=500", "params.particles=100"]
+        flags = [arg for override in overrides for arg in ("--override", override)]
+        assert main(["toy", "--out", str(out), "--seed", "0", *flags]) == 0
+        model, params = experiments._model_and_params(load_config("toy", overrides=overrides))
+        points = transport.sample_particles(model, 100, 0).points
+        energy_rows = {r["method"]: r for r in read_csv(out / "energy.csv")}
+        for method in ("chord", "naive"):
+            run_params = experiments._method_params(params, method)
+            ends, energies = {}, []
+            for i, x in enumerate(points):
+                seed_i = transport.particle_seed(0, i)
+                try:
+                    traj, fields = transport.multi_step_transport(
+                        model, x, run_params, 3, method, seed_i
+                    )
+                except DivergenceError:
+                    continue
+                ends[i] = traj[-1]
+                energies.append(_loop_energy(fields, model.dim))
+            after = read_csv(out / f"particles_after_{method}.csv")
+            assert [int(r["particle"]) for r in after] == list(ends)
+            got = [[float(r[f"x{k}"]) for k in range(model.dim)] for r in after]
+            np.testing.assert_array_equal(got, list(ends.values()))
+            row = energy_rows[method]
+            assert int(row["diverged"]) == 100 - len(ends)
+            assert float(row["bb_energy"]) == float(np.mean(energies))
+            distances = [_nearest_mode_distance(x, model.target) for x in ends.values()]
+            assert float(row["mean_distance"]) == float(np.mean(distances))
+        assert (energy_rows["chord"]["diverged"], energy_rows["naive"]["diverged"]) == ("30", "0")
+
+    def test_every_row_running_away_in_the_first_sub_step_is_exit_three(self, tmp_path, capsys):
+        # the march stops before any field value is kept: nothing to stack
+        overrides = ["chord.step_scale=1e9", "params.steps=3", "params.particles=100"]
+        flags = [arg for override in overrides for arg in ("--override", override)]
+        assert main(["toy", "--out", str(tmp_path / "run"), *flags]) == 3
+        message = "naive transport diverged on 100/100 particles"
+        assert capsys.readouterr().err == f"divergence: {message}\n"
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_single_step_mass_divergence_is_exit_three(self, tmp_path):
         # the same absurd step scale in one step trips the same guard
@@ -552,6 +604,34 @@ class TestStepSweep:
         flags = ["--override", "params.particles=3", "--override", "params.reference_steps=8"]
         assert main(["step_sweep", "--out", str(tmp_path / "run"), *flags]) == 0
         assert len(made) == 2 * 3
+
+    def test_rows_match_one_reference_and_march_per_particle(self, tmp_path):
+        # the naive march at S=8 runs away on 4 of the 20 particles
+        out = tmp_path / "run"
+        overrides = ["chord.step_scale=30", "params.reference_steps=256", "params.particles=20"]
+        flags = [arg for override in overrides for arg in ("--override", override)]
+        assert main(["step_sweep", "--out", str(out), "--seed", "0", *flags]) == 0
+        cfg = load_config("step_sweep", overrides=overrides)
+        model, params = experiments._model_and_params(cfg)
+        s_values = read_params(cfg).s_values
+        points = transport.sample_particles(model, 20, 0).points
+        rows = {(int(r["S"]), r["method"]): r for r in read_csv(out / "step_sweep.csv")}
+        for method in ("chord", "naive"):
+            cells = {s: ([], []) for s in s_values}
+            for i, x in enumerate(points):
+                seed_i = transport.particle_seed(0, i)
+                field = transport.make_control_field(model, params, method, seed_i)
+                reference = transport.integrate_rk4(field, x, 0.0, 30.0, 256)
+                for s in s_values:
+                    traj, fields, live = transport.euler_march(field, x, 30.0 / s, s)
+                    if live:
+                        cells[s][0].append(_loop_energy(fields, model.dim))
+                        cells[s][1].append(float(np.linalg.norm(traj[-1] - reference)))
+            for s, (energies, errors) in cells.items():
+                assert float(rows[(s, method)]["bb_energy"]) == float(np.mean(energies))
+                assert float(rows[(s, method)]["endpoint_error_mean"]) == float(np.mean(errors))
+            if method == "naive":
+                assert [len(cells[s][0]) for s in s_values] == [20, 20, 20, 16, 20]
 
     def test_needs_s_one(self, tmp_path):
         code = main(

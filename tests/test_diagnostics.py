@@ -56,6 +56,36 @@ class TestBbEnergy:
             bb_energy([], 2)
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_bb_energy_rows_bit_equal_to_the_loop_over_steps(steps, count, dim, seed):
+    # a stack (S, P, d): each row's energy is the per-step loop of one dot
+    # per sample, summed in step order, also for a lone row and for S >= 8
+    rng = np.random.default_rng(seed)
+    fields = rng.normal(size=(steps, count, dim)) * rng.lognormal(0.0, 3.0, (steps, count, 1))
+    got = bb_energy(fields, dim)
+    assert got.shape == (count,)
+    for j in range(count):
+        want = sum(float(u @ u) for u in fields[:, j]) / (steps * dim)
+        assert got[j].tobytes() == np.float64(want).tobytes()
+        alone = bb_energy(fields[:, j], dim)
+        assert type(alone) is float and alone == want
+        assert bb_energy(list(fields[:, j]), dim) == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_vecdot_is_the_per_row_dot_and_norm(dim):
+    # the library contract behind every loop-free per-row reduction: numpy's
+    # vecdot equals the BLAS dot of each row alone, so its root is the norm
+    rng = np.random.default_rng(dim)
+    rows = rng.normal(size=(20000, dim)) * rng.lognormal(0.0, 3.0, (20000, 1))
+    squares = np.vecdot(rows, rows)
+    norms = np.sqrt(squares)
+    for u, square, norm in zip(rows, squares.tolist(), norms.tolist()):
+        assert square == float(u @ u)
+        assert norm == float(np.linalg.norm(u))
+
+
 BOUNDS_1D = [(-1.0, 1.0)]
 T_RANGE = (0.0, 1.0)
 

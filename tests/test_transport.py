@@ -43,6 +43,7 @@ from chordfield.transport import (
     particle_seed,
     proximal_refine,
     reference_solve,
+    rk4_march,
     sample_particles,
 )
 
@@ -1011,6 +1012,35 @@ def test_rk4_rows_freeze_where_they_trip_while_the_rest_run_on(norms, dim, growt
     assert batch.last_state.tobytes() == np.stack(ends).tobytes()
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 1.0, 5.0, 40.0]), min_size=1, max_size=5),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_rows_field_marches_bit_equal_to_one_march_per_particle(growths, dim, steps, seed):
+    # one field per row, the fastest of which run away part-way: each row of
+    # a rows march is that row's own march, whichever rows trip and when
+    states = np.random.default_rng(seed).normal(size=(len(growths), dim)) * 1e3
+    fields = [lambda x, s, g=g: g * (1.0 + s) * x for g in growths]
+    marches = (
+        lambda field, x: rk4_march(field, x, 0.0, 1.0, steps),
+        lambda field, x: euler_march(field, x, 0.25, steps),
+    )
+    for march in marches:
+        trajectory, values, live = march(transport._rows_field(fields), states)
+        assert live.shape == (len(states),)
+        for j, (field, x) in enumerate(zip(fields, states)):
+            traj_j, values_j, live_j = march(field, x)
+            assert live[j] == live_j
+            np.testing.assert_array_equal(trajectory[-1][j], traj_j[-1])
+            np.testing.assert_array_equal([u[j] for u in values[: len(values_j)]], values_j)
+        # no rows at all: the march stops at once, with nothing to stack
+        trajectory, values, live = march(transport._rows_field([]), np.empty((0, dim)))
+        assert live.shape == (0,) and values == [] and trajectory[-1].shape == (0, dim)
+
+
 def test_integrators_take_pseudo_times_from_the_step_index():
     times = []
 
@@ -1107,6 +1137,17 @@ def test_chordedit_rows_bit_equal_to_one_call_per_state(
         assert res.energy[i].tobytes() == np.float64(alone.energy).tobytes()
         # the BLAS dot of one state: a vectorised sum of squares differs in the last bit
         assert alone.energy == float(alone.u_hat @ alone.u_hat) / model.dim
+
+
+def test_chordedit_rows_energy_is_each_rows_own_dot():
+    # enough rows at d = 2 that a sum of squares other than the one-row dot
+    # (an einsum, or (u * u).sum) moves the last bit of some row's energy
+    model = preset_model("two_blob_2d")
+    rng = np.random.default_rng(11)
+    states = model.source.means[rng.integers(0, model.source.n_components, 200)]
+    states = states + rng.normal(size=states.shape)
+    res = chordedit(model, states, ChordParams(use_prox=False), list(range(200)))
+    assert res.energy.tolist() == [float(u @ u) / model.dim for u in res.u_hat]
 
 
 def test_chordedit_rows_flag_a_runaway_row_and_refine_the_rest():
