@@ -10,7 +10,9 @@ time-only coefficient, reproduces the velocity residual exactly.
 
 ``posterior_x0``, ``posterior_eps``, ``velocity``, ``observable`` and
 ``delta_drift`` take one query of shape (d,) or rows of shape (..., d); each
-row's result is bit-identical to that of the row queried alone.
+row's result is bit-identical to that of the row queried alone. Each is a
+head of the posterior: data, velocity, the model's own, or the velocity
+residual between conditions; ``_head`` alone chooses it.
 
 The posterior kernel splits its work into what depends on the time only
 (``_Stack.at``) and what depends on the rows. A model keeps the time-only
@@ -107,7 +109,6 @@ class BackboneModel:
             raise DomainError(f"unknown output kind {self.output_kind!r}")
         self._pair = _Stack((self.target, self.source))
         self._times = {}
-        self._refine = None
 
     @property
     def dim(self) -> int:
@@ -132,16 +133,6 @@ class BackboneModel:
                     self._times.clear()
                 self._times[key] = entry
         return entry
-
-    def _refine_entry(self, t: float):
-        """(PathScalars, target-mixture slice) at refinement time t, kept for
-        the last t asked for; a build that raises keeps nothing."""
-        entry = self._refine
-        if entry is None or entry[0] != t:
-            scalars = path_scalars(self.schedule, t)
-            entry = (t, scalars, self.target._stack.at(scalars.alpha, scalars.sigma))
-            self._refine = entry
-        return entry[1:]
 
     def condition(self, which: str) -> GaussianMixtureCondition:
         if which == SRC:
@@ -261,40 +252,35 @@ def _log_responsibilities(
     return cond._stack.responsibilities(z, at)[0], at.variances
 
 
-def _posterior_x0(
-    mixture: GaussianMixtureCondition, z: np.ndarray, scalars: PathScalars
-) -> np.ndarray:
-    stack = mixture._stack
-    return stack.x0(z, stack.at(scalars.alpha, scalars.sigma))[..., 0, :]
-
-
 def _eps(z: np.ndarray, x0: np.ndarray, scalars: PathScalars) -> np.ndarray:
     """The path noise (z - alpha x0) / sigma implied by z and E[x0|z]."""
     eps = scalars.alpha * x0
     return np.divide(np.subtract(z, eps, out=eps), scalars.sigma, out=eps)
 
 
-def _drift(z: np.ndarray, x0: np.ndarray, scalars: PathScalars) -> np.ndarray:
-    """Generation-direction drift -(alpha_dot x0 + sigma_dot eps) from E[x0|z]."""
-    if not isinstance(scalars.sigma, np.ndarray) and scalars.sigma == 0.0:
-        return -scalars.alpha_dot * x0
-    drift = _eps(z, x0, scalars)
-    drift *= scalars.sigma_dot
-    drift += scalars.alpha_dot * x0
-    return np.negative(drift, out=drift)
-
-
 def _head(
-    model: BackboneModel, z: np.ndarray, x0: np.ndarray, scalars: PathScalars
+    model: BackboneModel,
+    z: np.ndarray,
+    x0: np.ndarray,
+    scalars: PathScalars,
+    kind: str | None = None,
 ) -> np.ndarray:
-    """The ``output_kind`` head at z, given the posterior mean x0 there."""
-    kind = model.output_kind
-    if kind == VELOCITY:
-        return _drift(z, x0, scalars)
+    """The ``kind`` head (the model's ``output_kind`` unless given) at z, given
+    the posterior mean x0 there. The velocity head is the generation-direction
+    drift -(alpha_dot x0 + sigma_dot eps)."""
+    kind = kind or model.output_kind
     if kind in (DATA_X0, CONSISTENCY):
         return x0
     a, s = scalars.alpha, scalars.sigma
-    if not isinstance(s, np.ndarray) and s < model.schedule.alpha_floor:
+    scalar = not isinstance(s, np.ndarray)
+    if kind == VELOCITY:
+        if scalar and s == 0.0:
+            return -scalars.alpha_dot * x0
+        drift = _eps(z, x0, scalars)
+        drift *= scalars.sigma_dot
+        drift += scalars.alpha_dot * x0
+        return np.negative(drift, out=drift)
+    if scalar and s < model.schedule.alpha_floor:
         raise IllConditionedMapError(
             f"sigma(t) = {s:.3e} below floor for the {kind} head", time=scalars.t
         )
@@ -313,9 +299,21 @@ def _observe(
     mixture: GaussianMixtureCondition,
     z: np.ndarray,
     scalars: PathScalars,
+    kind: str | None = None,
 ) -> np.ndarray:
-    """The ``output_kind`` head of one mixture at each row of z."""
-    return _head(model, z, _posterior_x0(mixture, z, scalars), scalars)
+    """The ``kind`` head of one mixture at each row of z, from its posterior mean."""
+    stack = mixture._stack
+    x0 = stack.x0(z, stack.at(scalars.alpha, scalars.sigma))[..., 0, :]
+    return _head(model, z, x0, scalars, kind)
+
+
+def _query(
+    model: BackboneModel, z: np.ndarray, t: float, cond: str, kind: str | None = None
+) -> np.ndarray:
+    """The ``kind`` head of condition ``cond`` at each row of z at time t."""
+    z = np.asarray(z, dtype=float)
+    mixture = model.condition(cond)
+    return _observe(model, mixture, z, path_scalars(model.schedule, t), kind)
 
 
 def _head_residual(
@@ -323,21 +321,20 @@ def _head_residual(
     z: np.ndarray,
     scalars: PathScalars,
     pair: _Slice | None = None,
+    kind: str | None = None,
 ) -> np.ndarray:
-    """observable(tar) - observable(src) at each row of z, from one pass over
-    both conditions' stacked components; ``pair`` is ``model._pair``'s slice
+    """The ``kind`` head of tar minus that of src at each row of z, from one pass
+    over both conditions' stacked components; ``pair`` is ``model._pair``'s slice
     at ``scalars``, built here when not given."""
     if pair is None:
         pair = model._pair.at(scalars.alpha, scalars.sigma)
-    heads = _head(model, z[..., None, :], model._pair.x0(z, pair), scalars)
+    heads = _head(model, z[..., None, :], model._pair.x0(z, pair), scalars, kind)
     return heads[..., 0, :] - heads[..., 1, :]
 
 
 def posterior_x0(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.ndarray:
     """Posterior mean of the clean state given the noised query z at time t."""
-    z = np.asarray(z, dtype=float)
-    mixture = model.condition(cond)
-    return _posterior_x0(mixture, z, path_scalars(model.schedule, t))
+    return _query(model, z, t, cond, DATA_X0)
 
 
 def posterior_eps(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.ndarray:
@@ -346,7 +343,7 @@ def posterior_eps(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> n
     scalars = path_scalars(model.schedule, t)
     if scalars.sigma == 0.0:
         return np.zeros_like(z)
-    return _eps(z, _posterior_x0(model.condition(cond), z, scalars), scalars)
+    return _eps(z, _observe(model, model.condition(cond), z, scalars, DATA_X0), scalars)
 
 
 def velocity(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.ndarray:
@@ -355,10 +352,7 @@ def velocity(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.nda
     Equals -(alpha_dot * E[x0|z] + sigma_dot * E[eps|z]): the drift that moves
     the state toward the clean data of the chosen condition.
     """
-    z = np.asarray(z, dtype=float)
-    mixture = model.condition(cond)
-    scalars = path_scalars(model.schedule, t)
-    return _drift(z, _posterior_x0(mixture, z, scalars), scalars)
+    return _query(model, z, t, cond, VELOCITY)
 
 
 def observable(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.ndarray:
@@ -369,18 +363,13 @@ def observable(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.n
     velocity head: the ``velocity`` drift. The eps, v and score heads require
     sigma(t) at or above the schedule floor.
     """
-    z = np.asarray(z, dtype=float)
-    mixture = model.condition(cond)
-    return _observe(model, mixture, z, path_scalars(model.schedule, t))
+    return _query(model, z, t, cond)
 
 
 def delta_drift(model: BackboneModel, z: np.ndarray, t: float) -> np.ndarray:
     """Velocity residual between target and source conditions at (z, t)."""
     z = np.asarray(z, dtype=float)
-    scalars = path_scalars(model.schedule, t)
-    pair = model._pair.at(scalars.alpha, scalars.sigma)
-    drifts = _drift(z[..., None, :], model._pair.x0(z, pair), scalars)
-    return drifts[..., 0, :] - drifts[..., 1, :]
+    return _head_residual(model, z, path_scalars(model.schedule, t), kind=VELOCITY)
 
 
 def log_marginal_density(

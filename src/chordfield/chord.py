@@ -35,7 +35,8 @@ class ChordParams:
     use_prox          apply the denoising refinement after the step
     share_noise_across_times
                       reuse one noise draw for both query times (default);
-                      switch off to decouple the pair for ablations
+                      switch off to decouple the pair for ablations; at
+                      delta = 0 both take t's draws, as the naive field does
     prox_shared_noise reuse the main query time's draw 0 for the refinement
                       instead of an independent sub-stream
     """

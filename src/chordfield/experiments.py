@@ -67,8 +67,6 @@ class InvariantFailure(Exception):
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if value is None:
-        return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import BackboneModel, sample_condition, velocity
+from .backbone import TAR, BackboneModel, posterior_x0, sample_condition, velocity
 from .chord import ChordParams, chord_field
 from .errors import DivergenceError, DomainError
 from .proxy import (
@@ -27,7 +27,7 @@ from .proxy import (
     derive_stream,
     proxy_field,
 )
-from .schedules import PathScalars
+from .schedules import PathScalars, path_scalars
 
 # states beyond this norm abort loudly instead of silently overflowing
 DIVERGENCE_NORM = 1e6
@@ -78,14 +78,16 @@ def particle_seed(seed: int, index: int) -> int:
 
 
 def _batches(params: ChordParams, seed: int, dim: int):
-    """Noise batches for the two query times (shared by default)."""
+    """Noise batches for t - delta and t: one for both by default, else
+    sub-streams 0 and 1 of ``NS_TIME_DECOUPLE``, except at delta = 0, where
+    both queries sit at t and take the t batch."""
     if params.share_noise_across_times:
         batch = SharedNoiseBatch(seed=seed, n=params.n, dim=dim)
         return batch, batch
-    return (
-        SharedNoiseBatch(derive_stream(seed, NS_TIME_DECOUPLE, 0), params.n, dim),
-        SharedNoiseBatch(derive_stream(seed, NS_TIME_DECOUPLE, 1), params.n, dim),
-    )
+    curr = SharedNoiseBatch(derive_stream(seed, NS_TIME_DECOUPLE, 1), params.n, dim)
+    if params.delta == 0.0:
+        return curr, curr
+    return SharedNoiseBatch(derive_stream(seed, NS_TIME_DECOUPLE, 0), params.n, dim), curr
 
 
 def make_control_field(
@@ -206,9 +208,9 @@ def proximal_refine(
     x_pred = np.asarray(x_pred, dtype=float)
     if eps is None:
         eps = _refine_draw(seed, model.dim)
-    scalars, at = model._refine_entry(t_c)
+    scalars = path_scalars(model.schedule, t_c)
     z = scalars.alpha * x_pred + scalars.sigma * np.asarray(eps, dtype=float)
-    return model.target._stack.x0(z, at)[..., 0, :]
+    return posterior_x0(model, z, t_c, TAR)
 
 
 def _refine_draw(seed, dim):

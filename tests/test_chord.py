@@ -440,3 +440,11 @@ class TestContractionHypothesis:
         slack = 1e-12 * np.abs(pair).max(axis=0) + UNDERFLOW
         assert np.all(lo - slack <= u) and np.all(u <= hi + slack)
         assert at_most(float(u @ u), max(float(r_prev @ r_prev), float(r_curr @ r_curr)))
+
+
+def test_window_minimizer_at_zero_delta_returns_u_prev_bit_for_bit():
+    # a window of width 0 adds nothing to the prior, whatever its one sample holds
+    u_prev = np.array([0.1, -0.0, 1e300, 5e-324])
+    got = window_minimizer(u_prev, [(0.9, np.full(4, 7.0))], 0.9, 0.0)
+    assert got.tobytes() == u_prev.tobytes()
+    assert got is not u_prev

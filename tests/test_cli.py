@@ -970,3 +970,51 @@ class TestExitCodes:
         monkeypatch.setitem(experiments.RUNNERS, "coeffs", runner)
         assert main(["coeffs", "--out", str(tmp_path / "run")]) == code
         assert capsys.readouterr().err == f"{prefix}: raised by the run\n"
+
+
+_RAGGED = '{"weights": [0.5, 0.5], "means": [[0, 0], [1]], "scales": [1, 1]}'
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["toy", "--override", "chord.t"], "is not of the form key=value"),
+        (["toy", "--override", ".=1"], "has an empty key"),
+        (["toy", "--config", "@absent.json"], "config file not found"),
+        (["toy", "--config", "@bad.json"], "config file is not valid JSON"),
+        (["toy", "--config", "@list.json"], "config file must hold a JSON object"),
+        (["toy", "--override", 'schedule={"kind": "vp_generic"}'], "vp_generic needs"),
+        (
+            ["toy", "--override", f"backbone={{\"source\": {_RAGGED}, \"target\": {_RAGGED}}}"],
+            "invalid mixture section",
+        ),
+        (["toy", "--override", 'backbone.preset="no_such_preset"'], "unknown preset"),
+        (["toy", "--override", 'backbone.preset=""'], "needs either a preset name"),
+        (["toy", "--override", 'backbone.output_kind="logits"'], "invalid backbone section"),
+        (["toy", "--override", "chord.t=2"], "invalid chord section"),
+        ([], "usage: chordfield"),
+    ],
+)
+def test_each_rejected_invocation_exits_two_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, args, message
+):
+    # "@name" is a config file in tmp_path; absent.json is never written
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    out = tmp_path / "run"
+    monkeypatch.setenv("CHORDFIELD_OUT", str(out))
+    assert main([str(tmp_path / a[1:]) if a.startswith("@") else a for a in args]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert not out.exists() and not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("experiment, rows", [("noise_ablation", 20), ("diagnostics", 24)])
+def test_a_runaway_transport_step_exits_three_and_writes_nothing(
+    tmp_path, capsys, experiment, rows
+):
+    out = tmp_path / "run"
+    assert main([experiment, "--out", str(out), "--override", "chord.step_scale=1e9"]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"divergence: state diverged during the transport step (rows {list(range(rows))})"
+    assert not out.exists()

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chordfield import transport
-from chordfield.backbone import BackboneModel, observable, posterior_eps, posterior_x0
+from chordfield.backbone import (
+    BackboneModel,
+    delta_drift,
+    observable,
+    posterior_eps,
+    posterior_x0,
+    velocity,
+)
 from chordfield.errors import (
     DegeneratePosteriorError,
     DomainError,
@@ -178,3 +185,45 @@ def test_kernel_heads_and_estimate_bit_equal_to_the_oracle(
         assert _bits_or_error(
             lambda: _estimate(model, rows, *shaped(rows.shape[1]))
         ) == _bits_or_error(lambda: _oracle_estimate(model, rows, *stacked))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(PRESETS),
+    st.sampled_from(SCHEDULES),
+    st.sampled_from(PARAMETERIZATION_KINDS),
+    st.sampled_from([(), (3,), (2, 2)]),
+    st.one_of(st.sampled_from([0.0, 1.0, 1e-7]), st.floats(0.0, 1.0)),
+    st.one_of(st.none(), st.sampled_from([np.nan, np.inf, 1e200])),
+    st.integers(0, 2**32 - 1),
+)
+def test_named_heads_bit_equal_to_the_oracle_whatever_the_model_head(
+    preset, schedule, head, lead, t, bad, seed
+):
+    # posterior_x0 is the data head and velocity and delta_drift the velocity
+    # head of every model, whichever head the model itself exposes
+    src, tar = load_preset(preset)
+    model = BackboneModel(schedule=schedule, source=src, target=tar, output_kind=head)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=lead + (model.dim,)) * 2.0
+    if bad is not None:
+        x.reshape(-1)[rng.integers(x.size)] = bad
+    scalars = path_scalars(schedule, t)
+    for cond, mixture in (("tar", tar), ("src", src)):
+        at = mixture._stack.at(scalars.alpha, scalars.sigma)
+
+        def oracle_x0():
+            return _oracle_x0(mixture._stack, x, at)[..., 0, :]
+
+        assert _bits_or_error(lambda: posterior_x0(model, x, t, cond)) == _bits_or_error(oracle_x0)
+        assert _bits_or_error(lambda: velocity(model, x, t, cond)) == _bits_or_error(
+            lambda: _oracle_drift(x, oracle_x0(), scalars)
+        )
+
+    def oracle_residual():
+        pair = model._pair.at(scalars.alpha, scalars.sigma)
+        drifts = _oracle_drift(x[..., None, :], _oracle_x0(model._pair, x, pair), scalars)
+        return drifts[..., 0, :] - drifts[..., 1, :]
+
+    assert _bits_or_error(lambda: delta_drift(model, x, t)) == _bits_or_error(oracle_residual)

@@ -1173,3 +1173,38 @@ def test_chordedit_rejects_rows_without_one_seed_each(shape, seeds):
     model = preset_model("two_blob_2d")
     with pytest.raises(DomainError):
         chordedit(model, np.zeros(shape), DEFAULTS, seeds)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(PRESETS),
+    st.sampled_from(SCHEDULES),
+    st.sampled_from(PARAMETERIZATION_KINDS),
+    st.sampled_from([1, 4]),
+    st.booleans(),
+    st.booleans(),
+    st.floats(0.05, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_chord_field_at_zero_delta_is_the_naive_field(
+    name, schedule, head, n, share, use_prox, t, seed
+):
+    # at delta = 0 both queries sit at t, so every chord path takes the naive
+    # field's draws, whether or not the two query times share their noise
+    model = preset_model(name, schedule, head)
+    params = ChordParams(
+        t=t, delta=0.0, n=n, share_noise_across_times=share, use_prox=use_prox
+    )
+    x = np.random.default_rng(seed).normal(size=model.dim) * 2.0
+    naive = _value_or_error_type(lambda: make_control_field(model, params, "naive", seed)(x))
+    both = make_control_field(model, params, ("chord", "naive"), seed)
+    got = [
+        _value_or_error_type(lambda: make_control_field(model, params, "chord", seed)(x)),
+        _value_or_error_type(lambda: chordedit(model, x, params, seed).u_hat),
+        _value_or_error_type(lambda: both(np.stack([x, x]))[0]),
+    ]
+    for value in got:
+        if isinstance(naive, type):
+            assert value is naive
+        else:
+            assert value.tobytes() == naive.tobytes()
