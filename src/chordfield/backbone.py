@@ -340,10 +340,11 @@ def posterior_x0(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np
 def posterior_eps(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.ndarray:
     """Posterior mean of the path noise; zero by convention when sigma = 0."""
     z = np.asarray(z, dtype=float)
-    scalars = path_scalars(model.schedule, t)
+    # the condition is read first, so that a bad one fails whatever sigma is
+    mixture, scalars = model.condition(cond), path_scalars(model.schedule, t)
     if scalars.sigma == 0.0:
         return np.zeros_like(z)
-    return _eps(z, _observe(model, model.condition(cond), z, scalars, DATA_X0), scalars)
+    return _eps(z, _observe(model, mixture, z, scalars, DATA_X0), scalars)
 
 
 def velocity(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.ndarray:

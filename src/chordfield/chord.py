@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _allocated
 
 
 @dataclass
@@ -228,6 +228,14 @@ def _check_grid_step(grid_step: float) -> None:
         raise DomainError("grid_step must be positive and finite")
 
 
+def _kernel_lags(taps: int, grid_step: float) -> np.ndarray:
+    """The lags 0, 1, ..., taps - 1, as floats, of a kernel on a valid grid."""
+    _check_grid_step(grid_step)
+    if taps < 1:
+        raise DomainError("a kernel needs at least one tap")
+    return _allocated(f"{taps} kernel weights", np.arange, taps, dtype=float)
+
+
 def dirac_kernel(grid_step: float) -> SmoothingKernel:
     _check_grid_step(grid_step)
     return SmoothingKernel(weights=np.array([1.0 / grid_step]), grid_step=grid_step)
@@ -237,25 +245,19 @@ def chord_two_tap_kernel(t: float, delta: float, grid_step: float) -> SmoothingK
     """Two taps at lags delta and 0 with masses t/(t+delta), delta/(t+delta)."""
     _check_grid_step(grid_step)
     taps = _lag_steps(delta, grid_step)
-    w = np.zeros(taps + 1)
+    w = _allocated(f"{taps + 1} kernel weights", np.zeros, taps + 1)
     w[0] = delta / ((t + delta) * grid_step)
     w[taps] = t / ((t + delta) * grid_step)
     return SmoothingKernel(weights=w, grid_step=grid_step)
 
 
 def uniform_causal_kernel(taps: int, grid_step: float) -> SmoothingKernel:
-    _check_grid_step(grid_step)
-    if taps < 1:
-        raise DomainError("a kernel needs at least one tap")
-    w = np.full(taps, 1.0 / (taps * grid_step))
+    w = np.full_like(_kernel_lags(taps, grid_step), 1.0 / (taps * grid_step))
     return SmoothingKernel(weights=w, grid_step=grid_step)
 
 
 def triangular_causal_kernel(taps: int, grid_step: float) -> SmoothingKernel:
-    _check_grid_step(grid_step)
-    if taps < 1:
-        raise DomainError("a kernel needs at least one tap")
-    ramp = np.arange(taps, 0, -1, dtype=float)  # heaviest at lag 0
+    ramp = taps - _kernel_lags(taps, grid_step)  # heaviest at lag 0
     w = ramp / (ramp.sum() * grid_step)
     return SmoothingKernel(weights=w, grid_step=grid_step)
 
@@ -263,12 +265,10 @@ def triangular_causal_kernel(taps: int, grid_step: float) -> SmoothingKernel:
 def exponential_causal_kernel(
     taps: int, grid_step: float, rate: float = 1.0
 ) -> SmoothingKernel:
-    _check_grid_step(grid_step)
-    if taps < 1:
-        raise DomainError("a kernel needs at least one tap")
+    lags = _kernel_lags(taps, grid_step)
     if rate <= 0:
         raise DomainError("rate must be positive")
-    w = np.exp(-rate * np.arange(taps, dtype=float))
+    w = np.exp(-rate * lags)
     w /= w.sum() * grid_step
     return SmoothingKernel(weights=w, grid_step=grid_step)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .backbone import BackboneModel, GaussianMixtureCondition
 from .chord import ChordParams
 from .diagnostics import BOUND_SLACK
-from .errors import DomainError
+from .errors import DomainError, _allocated
 from .preset_lib import load_preset
 from .schedules import (
     LINEAR_INTERP,
@@ -287,7 +287,8 @@ def build_schedule(section: dict) -> Schedule:
             times, values = (section["beta_table"].get(k) for k in ("times", "values"))
         elif "beta_ramp" in section:
             ramp = {**_RAMP, **section["beta_ramp"]}
-            times = np.linspace(0.0, 1.0, ramp["points"])
+            points = ramp["points"]
+            times = _allocated(f"{points} ramp points", np.linspace, 0.0, 1.0, points)
             values = ramp["base"] + ramp["scale"] * times ** ramp["power"]
         else:
             raise UsageError("vp_generic needs schedule.beta_csv, beta_table or beta_ramp")

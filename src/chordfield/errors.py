@@ -1,4 +1,4 @@
-"""Exception types shared by every module in the package."""
+"""Exception types shared by every module in the package, and the allocation guard."""
 
 
 class DomainError(ValueError):
@@ -32,3 +32,12 @@ class DivergenceError(ArithmeticError):
     def __init__(self, message, last_state=None):
         super().__init__(message)
         self.last_state = last_state
+
+
+def _allocated(what, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a new array of ``what`` (a count and a noun),
+    or ``DomainError`` where that array is too large to hold."""
+    try:
+        return make(*args, **kwargs)
+    except (MemoryError, ValueError) as err:
+        raise DomainError(f"{what} do not fit in memory") from err

@@ -36,7 +36,7 @@ from .diagnostics import (
     projection_energy_gap,
     risk_experiment,
 )
-from .errors import DivergenceError, IllConditionedMapError
+from .errors import DivergenceError, IllConditionedMapError, _allocated
 from .proxy import _MASK64, NS_CELL, _philox_normals, derive_stream
 from .schedules import (
     PARAMETERIZATION_KINDS,
@@ -123,6 +123,18 @@ def _model_and_params(cfg: ExperimentConfig):
     return model, build_chord_params(cfg.chord)
 
 
+def _cell_seeds(seed: int, count: int, first: int = 0):
+    """Cell seeds ``first`` to ``first + count - 1`` of ``seed``, made as they are read."""
+    return (derive_stream(seed, NS_CELL, first + k) for k in range(count))
+
+
+def _method_sweeps(model, params, seed: int, x0, h_values, horizon):
+    """``global_error_sweep`` from x0 of the chord and the naive field, as the
+    rows of one run: one query at t serves the two fields."""
+    field = make_control_field(model, params, _METHODS, seed)
+    return global_error_sweep(field, np.stack([x0, x0]), h_values, horizon=horizon)
+
+
 def _dist_to_nearest_mode(points, mixture) -> np.ndarray:
     miss = points[:, None, :] - mixture.means
     return np.sqrt(np.vecdot(miss, miss)).min(axis=1)
@@ -135,7 +147,9 @@ def _dist_to_nearest_mode(points, mixture) -> np.ndarray:
 def run_coeffs(cfg: ExperimentConfig) -> int:
     p = read_params(cfg)
     schedule = build_schedule(cfg.schedule)
-    t_values = p.t_values or np.linspace(p.t_start, p.t_stop, p.t_count).tolist()
+    t_values = p.t_values or _allocated(
+        f"{p.t_count} query times", np.linspace, p.t_start, p.t_stop, p.t_count
+    ).tolist()
     rows = []
     for t in t_values:
         for kind in PARAMETERIZATION_KINDS:
@@ -267,28 +281,20 @@ def run_noise_ablation(cfg: ExperimentConfig) -> int:
         raise UsageError("noise ablation needs at least 10 seeds")
     model, params = _model_and_params(cfg)
     # each seed index's cell seed and start point, shared by every method and n
-    cell_seeds = [derive_stream(cfg.seed, NS_CELL, k) for k in range(p.seeds)]
-    starts = np.array([sample_particles(model, 1, cell_seed).points[0] for cell_seed in cell_seeds])
-    rows = []
+    starts = sample_particles(model, p.seeds, _cell_seeds(cfg.seed, p.seeds)).points
+    cell_seeds = list(_cell_seeds(cfg.seed, p.seeds))
+    # rows and summary lines in (method, n, seed) order, the sorted cell key
+    rows, lines = [], ["noise ablation summary (per method and n):"]
     for method in _METHODS:
         for n in sorted(p.n_values):
             run_params = replace(_method_params(params, method), n=n)
             res = chordedit(model, starts, run_params, cell_seeds)
             _raise_unless_live(res.live, starts, "the transport step")
-            distances = _dist_to_nearest_mode(res.x_out, model.target)
-            rows += [(method, n, k, *pair) for k, pair in enumerate(zip(distances, res.energy))]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    _write(cfg, "noise_ablation.csv", ["method", "n", "seed", "endpoint_error", "energy"], rows)
-    lines = ["noise ablation summary (per method and n):"]
-    for method in _METHODS:
-        for n in sorted(p.n_values):
-            errs = np.array(
-                [r[3] for r in rows if r[0] == method and r[1] == n], dtype=float
-            )
+            errs = _dist_to_nearest_mode(res.x_out, model.target)
+            rows += [(method, n, k, *pair) for k, pair in enumerate(zip(errs, res.energy))]
             cov = float(errs.std(ddof=1) / errs.mean()) if errs.size > 1 else 0.0
-            lines.append(
-                f"{method} n={n}: mean {errs.mean():.6f} cov {cov:.6f}"
-            )
+            lines.append(f"{method} n={n}: mean {errs.mean():.6f} cov {cov:.6f}")
+    _write(cfg, "noise_ablation.csv", ["method", "n", "seed", "endpoint_error", "energy"], rows)
     return _write_summary(cfg, lines)
 
 
@@ -299,7 +305,8 @@ def run_noise_ablation(cfg: ExperimentConfig) -> int:
 def run_risk(cfg: ExperimentConfig) -> int:
     p = read_params(cfg)
     sigma, trials = p.noise_sigma, p.trials
-    u_star = np.full((p.series_length, 2), p.series_value)
+    count = p.series_length
+    u_star = _allocated(f"{count} series values", np.full, (count, 2), p.series_value)
     names, kernels = zip(*sorted(shipped_causal_kernels(p.grid_step, p.taps).items()))
     # one call: every kernel smooths the same trials, each drawn once
     pairs = risk_experiment(u_star, sigma, kernels, trials, cfg.seed)
@@ -322,13 +329,7 @@ def run_error_order(cfg: ExperimentConfig) -> int:
         raise UsageError("error order needs at least 4 step sizes")
     model, params = _model_and_params(cfg)
     x0 = sample_particles(model, 1, cfg.seed).points[0]
-    # both methods as rows of one run: one query at t serves the two fields
-    sweeps = global_error_sweep(
-        make_control_field(model, params, _METHODS, cfg.seed),
-        np.stack([x0, x0]),
-        p.h_values,
-        horizon=p.horizon,
-    )
+    sweeps = _method_sweeps(model, params, cfg.seed, x0, p.h_values, p.horizon)
     rows = [
         (method, h, err if math.isfinite(err) else "diverged")
         for method, (errors, _) in zip(_METHODS, sweeps)
@@ -383,38 +384,30 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
     # consistency proxy of the raw and smoothed series fields, plus the grid
     # Lipschitz margin, on a separable synthetic field; the pass verdict must
     # survive a 2x grid refinement
-    def margin_pair(grid_pts):
-        t0 = float(t_all[kernel.taps - 1])
+    t0 = float(t_all[kernel.taps - 1])
+    shrank = lambda pair: pair[1] <= pair[0] * (1 + 1e-9)
 
-        def spatial(x):
-            return np.array([math.tanh(x[0]), 0.5 * x[0]])
+    def series_field(series):
+        """x, t -> (tanh x_0, x_0 / 2) times ``series`` at t, its first value at t0."""
+        value = lambda t: float(series[round((t - t0) / ds), 0])
+        return lambda x, t: np.array([math.tanh(x[0]), 0.5 * x[0]]) * value(t)
 
-        def raw_fn(x, t):
-            j = int(round((t - t0) / ds))
-            return spatial(x) * float(profile[j + kernel.taps - 1, 0])
-
-        def smooth_fn(x, t):
-            j = int(round((t - t0) / ds))
-            return spatial(x) * float(smoothed[j, 0])
-
-        t_range = (t0, float(t_all[-1]))
-        bounds = [(-1.5, 1.5)]
-        c_raw, (_, m_raw, _) = consistency_proxy(raw_fn, bounds, t_range, grid_pts)
-        c_smooth, (_, m_smooth, _) = consistency_proxy(
-            smooth_fn, bounds, t_range, grid_pts
+    def margins(grid_pts):
+        """The (raw, smoothed) consistency proxies and Lipschitz margins."""
+        (c_raw, (_, m_raw, _)), (c_smooth, (_, m_smooth, _)) = (
+            consistency_proxy(series_field(s), [(-1.5, 1.5)], (t0, float(t_all[-1])), grid_pts)
+            for s in (profile[kernel.taps - 1 :], smoothed)
         )
-        return c_raw, c_smooth, m_raw, m_smooth
+        return (c_raw, c_smooth), (m_raw, m_smooth)
 
-    c_raw, c_smooth, m_raw, m_smooth = margin_pair(smoothed.shape[0])
-    report.consistency_naive, report.consistency_chord = c_raw, c_smooth
-    report.lipschitz_naive, report.lipschitz_chord = m_raw, m_smooth
-    ok_coarse = c_smooth <= c_raw * (1 + 1e-9) and m_smooth <= m_raw * (1 + 1e-9)
-    report.checks["consistency_contraction"] = c_smooth <= c_raw * (1 + 1e-9)
-    report.checks["lipschitz_contraction"] = m_smooth <= m_raw * (1 + 1e-9)
+    coarse = margins(smoothed.shape[0])
+    report.consistency_naive, report.consistency_chord = coarse[0]
+    report.lipschitz_naive, report.lipschitz_chord = coarse[1]
+    report.checks["consistency_contraction"] = shrank(coarse[0])
+    report.checks["lipschitz_contraction"] = shrank(coarse[1])
     # refinement invariance: double the spatial grid, same verdicts
-    c_raw2, c_smooth2, m_raw2, m_smooth2 = margin_pair(2 * smoothed.shape[0])
-    ok_fine = c_smooth2 <= c_raw2 * (1 + 1e-9) and m_smooth2 <= m_raw2 * (1 + 1e-9)
-    report.checks["grid_refinement_invariance"] = ok_coarse == ok_fine
+    fine = margins(2 * smoothed.shape[0])
+    report.checks["grid_refinement_invariance"] = all(map(shrank, coarse)) == all(map(shrank, fine))
 
     # transport energies at one step
     particles = sample_particles(model, 24, cfg.seed)
@@ -429,31 +422,21 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
 
     # local truncation error against its bound (the hard check)
     field = make_control_field(model, params, "chord", cfg.seed)
-    xs = np.array(
-        [
-            sample_particles(model, 1, derive_stream(cfg.seed, NS_CELL, 500 + k)).points[0]
-            for k in range(p.lte_states)
-        ]
-    ).reshape(-1, model.dim)
-    # one reference run over all states; the worst is taken in state order
-    observed_all, bound_all = lte_check(field, xs, 0.0, 0.1)
-    worst_obs, worst_bound, ok_lte = 0.0, 0.0, True
-    for observed, bound in zip(observed_all.tolist(), bound_all.tolist()):
-        if observed > worst_obs:
-            worst_obs, worst_bound = observed, bound
-        if observed > bound * p.lte_slack:
-            ok_lte = False
-    report.lte_observed, report.lte_bound = worst_obs, worst_bound
-    report.checks["lte_bound_with_slack"] = ok_lte
+    xs = sample_particles(model, p.lte_states, _cell_seeds(cfg.seed, p.lte_states, 500)).points
+    # one reference run over all states; the worst is the first largest error,
+    # reported as (0, 0) where every error is 0
+    observed, bound = lte_check(field, xs, 0.0, 0.1)
+    worst = int(np.argmax(observed))
+    report.lte_observed, report.lte_bound = (
+        (float(observed[worst]), float(bound[worst])) if observed[worst] > 0 else (0.0, 0.0)
+    )
+    report.checks["lte_bound_with_slack"] = not (observed > bound * p.lte_slack).any()
 
     # global error slope and chord/naive ratio
     x0 = particles.points[0]
     h_values = [0.125, 0.0625, 0.03125, 0.015625]
-    (chord_err, chord_slope), (naive_err, _) = global_error_sweep(
-        make_control_field(model, params, _METHODS, cfg.seed),
-        np.stack([x0, x0]),
-        h_values,
-        horizon=params.step_scale,
+    (chord_err, chord_slope), (naive_err, _) = _method_sweeps(
+        model, params, cfg.seed, x0, h_values, params.step_scale
     )
     report.global_error_slope = chord_slope
     report.global_error_ratio = _ratio(chord_err[-1], naive_err[-1])

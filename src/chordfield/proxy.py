@@ -25,7 +25,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .backbone import BackboneModel, _head_residual, _observe
-from .errors import DomainError
+from .errors import DomainError, _allocated
 from .schedules import Schedule, evaluate
 
 _MASK64 = (1 << 64) - 1
@@ -87,10 +87,7 @@ class SharedNoiseBatch:
     def draws(self) -> np.ndarray:
         # allocated before any of the n keys is made: a count too large to
         # hold fails at once
-        try:
-            out = np.empty((self.n, self.dim))
-        except (MemoryError, ValueError) as err:
-            raise DomainError(f"{self.n} noise draws do not fit in memory") from err
+        out = _allocated(f"{self.n} noise draws", np.empty, (self.n, self.dim))
         seed = self.seed & _MASK64
         _philox_fill(out, ((seed, i) for i in range(self.n)))
         out.setflags(write=False)

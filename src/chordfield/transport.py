@@ -10,13 +10,14 @@ the query times stay fixed (the estimator is defined at one noise level).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import TAR, BackboneModel, posterior_x0, sample_condition, velocity
+from .backbone import BackboneModel, _observe, sample_condition, velocity
 from .chord import ChordParams, chord_field
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, _allocated
 from .proxy import (
     NS_PARTICLE,
     NS_PROX,
@@ -27,7 +28,7 @@ from .proxy import (
     derive_stream,
     proxy_field,
 )
-from .schedules import PathScalars, path_scalars
+from .schedules import DATA_X0, PathScalars, path_scalars
 
 # states beyond this norm abort loudly instead of silently overflowing
 DIVERGENCE_NORM = 1e6
@@ -57,18 +58,24 @@ class ParticleSet:
     points: np.ndarray
 
 
-def sample_particles(model: BackboneModel, count: int, seed: int) -> ParticleSet:
-    """Draw ``count`` source-condition samples from the Philox key
-    ``(derive_stream(seed, NS_PARTICLE), 0)``."""
+def sample_particles(model: BackboneModel, count: int, seed) -> ParticleSet:
+    """Draw ``count`` source-condition samples, all from the Philox key
+    ``(derive_stream(seed, NS_PARTICLE), 0)`` for an int ``seed``; for an
+    iterable of ``count`` seeds, row i from that key of seed i, bit-equal to
+    ``sample_particles(model, 1, seed_i).points[0]``. ``DomainError`` where the
+    iterable holds fewer or more seeds."""
     if count < 1:
         raise DomainError("particle count must be >= 1")
-    # allocated before any draw: a count too large to hold fails at once
-    try:
-        points = np.empty((count, model.dim))
-    except (MemoryError, ValueError) as err:
-        raise DomainError(f"{count} particles do not fit in memory") from err
-    key = (derive_stream(seed, NS_PARTICLE), 0)
-    _philox_fill(points[None], [key], lambda gen, out: sample_condition(model.source, gen, out))
+    # allocated before any seed is read: a count too large to hold fails at once
+    points = _allocated(f"{count} particles", np.empty, (count, model.dim))
+    if isinstance(seed, (int, np.integer)):
+        rows, seeds = points[None], [seed]
+    else:
+        rows, seeds = points[:, None], list(itertools.islice(seed, count + 1))
+        if len(seeds) != count:
+            raise DomainError(f"{count} particles need exactly {count} seeds")
+    keys = ((derive_stream(s, NS_PARTICLE), 0) for s in seeds)
+    _philox_fill(rows, keys, lambda gen, out: sample_condition(model.source, gen, out))
     return ParticleSet(points=points)
 
 
@@ -210,7 +217,7 @@ def proximal_refine(
         eps = _refine_draw(seed, model.dim)
     scalars = path_scalars(model.schedule, t_c)
     z = scalars.alpha * x_pred + scalars.sigma * np.asarray(eps, dtype=float)
-    return posterior_x0(model, z, t_c, TAR)
+    return _observe(model, model.target, z, scalars, DATA_X0)
 
 
 def _refine_draw(seed, dim):

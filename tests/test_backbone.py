@@ -564,3 +564,11 @@ def test_time_entries_from_many_threads_stay_bounded_and_exact():
     assert len(sizes) == 8 * 2 * times.size
     assert not mismatches
     assert max(sizes) <= _TIME_ENTRIES
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+def test_posterior_eps_rejects_an_unknown_condition_at_every_time(t):
+    # the condition is read before the sigma = 0 shortcut: at t = 0 on the
+    # linear path, where sigma is 0, a bad one fails as it does at t = 0.5
+    with pytest.raises(DomainError, match="condition must be 'src' or 'tar'"):
+        posterior_eps(two_basin_1d(), np.zeros(1), t, "bogus")

@@ -1018,3 +1018,25 @@ def test_a_runaway_transport_step_exits_three_and_writes_nothing(
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"divergence: state diverged during the transport step (rows {list(range(rows))})"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, override, count",
+    [
+        ("coeffs", "params.t_count=1e15", "1000000000000000 query times"),
+        ("risk", "params.series_length=1e15", "1000000000000000 series values"),
+        ("risk", "params.taps=1e15", "1000000000000001 kernel weights"),
+        ("noise_ablation", "params.seeds=1e15", "1000000000000000 particles"),
+        ("diagnostics", "params.lte_states=1e15", "1000000000000000 particles"),
+        ("step_sweep", "schedule.beta_ramp.points=1e15", "1000000000000000 ramp points"),
+    ],
+)
+def test_a_count_too_large_to_hold_exits_two_and_writes_nothing(
+    tmp_path, capsys, experiment, override, count
+):
+    # refused when its array is allocated, before any of it is filled or listed
+    out = tmp_path / "run"
+    assert main([experiment, "--out", str(out), "--override", override]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"usage error: {count} do not fit in memory"
+    assert not out.exists()

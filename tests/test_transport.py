@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chordfield import transport
@@ -498,6 +498,41 @@ class TestParticles:
         model = preset_model("two_blob_2d")
         with pytest.raises(DomainError, match="particles do not fit in memory"):
             sample_particles(model, 2**62, seed=0)
+
+    def test_rows_are_allocated_before_any_seed_is_read(self):
+        # an iterable of 2**62 seeds would take forever to list: the rows
+        # are refused first, and not one seed is read
+        model = preset_model("two_blob_2d")
+        read = []
+        seeds = (read.append(k) or k for k in range(2**62))
+        with pytest.raises(DomainError, match="particles do not fit in memory"):
+            sample_particles(model, 2**62, seeds)
+        assert read == []
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(
+        st.sampled_from(PRESET_NAMES),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+        st.booleans(),
+    )
+    def test_per_seed_rows_bit_equal_to_one_particle_each(self, name, seeds, lazy):
+        # row i comes from seed i's key alone, whatever the other seeds are
+        model = preset_model(name)
+        got = sample_particles(model, len(seeds), iter(seeds) if lazy else seeds).points
+        assert got.shape == (len(seeds), model.dim)
+        for row, seed in zip(got, seeds):
+            assert row.tobytes() == sample_particles(model, 1, seed).points[0].tobytes()
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(PRESET_NAMES), st.integers(1, 40), st.integers(0, 41), st.booleans())
+    def test_a_seed_count_other_than_the_row_count_is_a_domain_error(
+        self, name, count, supplied, lazy
+    ):
+        assume(supplied != count)
+        model = preset_model(name)
+        seeds = [derive_stream(7, NS_PARTICLE, k) for k in range(supplied)]
+        with pytest.raises(DomainError, match=f"{count} particles need exactly {count} seeds"):
+            sample_particles(model, count, iter(seeds) if lazy else seeds)
 
 
 class TestRk4:
