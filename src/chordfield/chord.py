@@ -87,9 +87,21 @@ def chord_field(
         raise DomainError("field samples must share a dimension")
     if t + delta <= 0.0:
         raise DomainError("t + delta must be positive")
+    return _blend(r_prev.copy(), r_curr.copy(), t, delta)
+
+
+def _blend(r_prev: np.ndarray, r_curr: np.ndarray, t: float, delta: float) -> np.ndarray:
+    """``chord_field``'s value written into ``r_curr`` and returned, with the
+    same operations in the same order (the sum's sides swapped, which is exact);
+    ``r_prev`` may be overwritten."""
     if delta == 0.0:
-        return r_prev.copy()
-    return (t * r_prev + delta * r_curr) / (t + delta)
+        r_curr[...] = r_prev
+        return r_curr
+    r_prev *= t
+    r_curr *= delta
+    r_curr += r_prev
+    r_curr /= t + delta
+    return r_curr
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:

@@ -65,10 +65,12 @@ class InvariantFailure(Exception):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    # floats first: nearly every cell is one (np.float64 included)
+    if not isinstance(value, float):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
     return format(float(value), ".17g")
 
 

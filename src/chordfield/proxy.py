@@ -52,7 +52,6 @@ def derive_stream(seed: int, namespace: int, index: int = 0) -> int:
     return _mix64((seed & _MASK64) ^ _mix64(label))
 
 
-_ZEROS4 = np.zeros(4, dtype=np.uint64)
 # held while the shared generator is re-keyed and drawn from
 _PHILOX_LOCK = threading.Lock()
 
@@ -104,19 +103,23 @@ def _philox_fill(out: np.ndarray, keys, draw=lambda gen, row: gen.standard_norma
     """``out`` with entry i filled by ``draw(gen, out[i])``, standard normals by
     default, where ``gen`` is the shared generator re-keyed to key pair i of
     ``keys``, an iterable: it draws what a fresh ``Philox(key=pair)`` would."""
-    key = np.empty(2, dtype=np.uint64)
     gen = _shared_generator()
+    # one state of plain ints, its key swapped per pair: the setter reads
+    # plain ints faster than the elements of uint64 arrays
+    zeros = (0, 0, 0, 0)
+    philox = {"counter": zeros, "key": None}
+    state = {
+        "bit_generator": "Philox",
+        "state": philox,
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     with _PHILOX_LOCK:
         for i, pair in enumerate(keys):
-            key[:] = pair
-            gen.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": _ZEROS4, "key": key},
-                "buffer": _ZEROS4,
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            philox["key"] = pair
+            gen.bit_generator.state = state
             draw(gen, out[i])
     return out
 
@@ -165,8 +168,10 @@ def proxy_field(
 def _estimate(model, x_tau, alpha, noise, a_t, scalars, pair):
     """a_t times the draw mean of the head residual at z = alpha x + noise, one time's or stacked."""
     z = alpha * x_tau[..., None, :] + noise
-    estimate = _draw_sum(_head_residual(model, z, scalars, pair))
-    return np.multiply(np.divide(estimate, z.shape[-2], out=estimate), a_t, out=estimate)
+    rows, n = _head_residual(model, z, scalars, pair), z.shape[-2]
+    # one draw is its own mean: _draw_sum's + 0.0, but no sum and no divide by 1
+    estimate = rows[..., 0, :] + 0.0 if n == 1 else _draw_sum(rows) / n
+    return np.multiply(estimate, a_t, out=estimate)
 
 
 def _draw_sum(rows: np.ndarray) -> np.ndarray:

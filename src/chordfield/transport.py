@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import BackboneModel, _observe, sample_condition, velocity
-from .chord import ChordParams, chord_field
+from .chord import ChordParams, _blend, chord_field
 from .errors import DivergenceError, DomainError, _allocated
 from .proxy import (
     NS_PARTICLE,
@@ -144,11 +144,8 @@ def make_control_field(
             if chord is None:
                 return u
             r_prev = proxy_field(model, x[chord], t - delta, batch_prev)
-        blend = chord_field(r_prev, u[chord], t, delta)
-        if kinds == (CHORD,):
-            # every row is a chord row: the blend is the whole field
-            return blend
-        u[chord] = blend
+        # both queries are arrays of this call's own, so the chord rows blend in place
+        _blend(r_prev, u[chord], t, delta)
         return u
 
     field.autonomous = True
@@ -230,7 +227,7 @@ def _guard_rows(x):
     within ``DIVERGENCE_NORM``, shaped ``x.shape[:-1]``. Each row is judged by
     its own norm, so a row's verdict in a batch is its verdict alone; a NaN or
     infinite coordinate makes that norm NaN or infinite, which fails the test."""
-    return np.sqrt(np.einsum("...d,...d->...", x, x)) <= DIVERGENCE_NORM
+    return np.sqrt(np.vecdot(x, x)) <= DIVERGENCE_NORM
 
 
 def _guard_state(x, last, context):
@@ -308,13 +305,20 @@ def _march(x0: np.ndarray, steps: int, step):
         raise DomainError("steps must be >= 1")
     x = np.array(x0, dtype=float)
     live = np.ones(x.shape[:-1], dtype=bool)
+    # until the first trip every row is live, and each next state is taken as it is
+    all_live = live.size > 0
     trajectory, fields = [x], []
     for i in range(steps):
         x_next, u = step(x, i)
-        live &= _guard_rows(x_next)
-        if not live.any():
-            break
-        x = np.where(live[..., None], x_next, x)
+        ok = _guard_rows(x_next)
+        if all_live and ok.all():
+            x = x_next
+        else:
+            all_live = False
+            live &= ok
+            if not live.any():
+                break
+            x = np.where(live[..., None], x_next, x)
         trajectory.append(x)
         fields.append(u)
     return trajectory, fields, live

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chordfield.backbone import (
     BackboneModel,
     GaussianMixtureCondition,
+    _head_residual,
     delta_drift,
     observable,
 )
@@ -20,6 +21,7 @@ from chordfield.proxy import (
     NS_COND_DECOUPLE,
     NS_TRIAL,
     SharedNoiseBatch,
+    _draw_sum,
     _philox_normals,
     derive_stream,
     noising_sample,
@@ -34,6 +36,7 @@ from chordfield.schedules import (
     VP_GENERIC,
     Schedule,
     coefficient,
+    path_scalars,
 )
 
 
@@ -407,3 +410,63 @@ def test_a_draw_count_too_large_to_hold_is_a_domain_error():
     batch = SharedNoiseBatch(seed=0, n=2**62, dim=2)
     with pytest.raises(DomainError, match="do not fit in memory"):
         batch.draws
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**63, 2**63 + 12345])
+def test_seeds_with_bit_63_set_draw_what_a_fresh_philox_draws(seed):
+    # a seed reads modulo 2**64, so -1 keys draw i as (2**64 - 1, i)
+    key0 = seed & (2**64 - 1)
+    got = SharedNoiseBatch(seed, 3, 2).draws
+    for i, row in enumerate(got):
+        fresh = np.random.Generator(np.random.Philox(key=np.array([key0, i], dtype=np.uint64)))
+        assert row.tobytes() == fresh.standard_normal(2).tobytes()
+
+
+def _one_draw_mean(model, x, t, batch):
+    """proxy_field from scratch at one draw, the n-draw sum divided by n = 1."""
+    scalars = path_scalars(model.schedule, t)
+    z = scalars.alpha * x[..., None, :] + scalars.sigma * batch.draws
+    a_t = coefficient(model.output_kind, model.schedule, t)
+    return a_t * (_draw_sum(_head_residual(model, z, scalars)) / 1)
+
+
+def _bytes_or_error(query):
+    try:
+        return np.asarray(query()).tobytes()
+    except (IllConditionedMapError, DegeneratePosteriorError) as err:
+        return type(err)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    _mixtures_and_anchors(),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    st.integers(0, 2**64 - 1),
+)
+def test_one_draw_estimate_bytes_equal_to_the_draw_mean(drawn, t, seed):
+    # bytes, so that the sign of a zero counts: every head and schedule kind,
+    # one anchor and rows of anchors
+    source, target, flat, _ = drawn
+    batch = SharedNoiseBatch(seed=seed, n=1, dim=source.dim)
+    for schedule in SCHEDULES:
+        for kind in PARAMETERIZATION_KINDS:
+            model = BackboneModel(schedule, source, target, output_kind=kind)
+            for x in (flat[0], flat):
+                got = _bytes_or_error(lambda: proxy_field(model, x, t, batch))
+                assert got == _bytes_or_error(lambda: _one_draw_mean(model, x, t, batch))
+
+
+def test_one_draw_estimate_of_a_negative_zero_residual_is_the_draw_mean():
+    # at t = 1 on the linear path, the v head residual of a target at 0.0 and a
+    # source at -0.0 is -0.0: the one-draw mean adds 0.0, as the n-draw sum does
+    model = BackboneModel(
+        Schedule(kind=LINEAR_INTERP),
+        GaussianMixtureCondition([1.0], [[-0.0]], [0.5]),
+        GaussianMixtureCondition([1.0], [[0.0]], [1.0]),
+        output_kind="v_pred",
+    )
+    x, batch = np.array([-0.0]), SharedNoiseBatch(seed=41, n=1, dim=1)
+    scalars = path_scalars(model.schedule, 1.0)
+    residual = _head_residual(model, scalars.alpha * x + scalars.sigma * batch.draws, scalars)
+    assert residual[0, 0] == 0.0 and np.signbit(residual[0, 0])
+    assert proxy_field(model, x, 1.0, batch).tobytes() == _one_draw_mean(model, x, 1.0, batch).tobytes()
