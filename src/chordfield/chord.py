@@ -298,19 +298,24 @@ def shipped_causal_kernels(
     }
 
 
+def _shifted_sum(values: np.ndarray, weights, shifts) -> np.ndarray:
+    """``sum_i weights[i] * values[shifts[i] :]`` over the rows that every shift
+    has, added term by term onto zeros: each output keeps the operation order
+    of its explicit sum 0 + w_0 v_0 + w_1 v_1 + ..., bit for bit."""
+    count = values.shape[0] - max(shifts)
+    acc = np.zeros_like(values[:count])
+    for w, s in zip(weights, shifts):
+        acc += w * values[s : s + count]
+    return acc
+
+
 def _causal_smooth(values: np.ndarray, kernel: SmoothingKernel) -> np.ndarray:
     """``kernel_smooth`` over the ``(T, ...)`` values of a series on the
     kernel's grid: the ``T - taps + 1`` outputs from index ``taps - 1`` on."""
     if kernel.taps == 1:
         return values.copy()
-    lag = kernel.taps - 1
-    count = values.shape[0] - lag
-    # tap by tap over all outputs: each output keeps the operation order of
-    # its explicit sum 0 + c_0 R(t_j) + c_1 R(t_j - ds) + ..., bit for bit
-    acc = np.zeros((count,) + values.shape[1:])
-    for i, c in enumerate(kernel.weights * kernel.grid_step):
-        acc += c * values[lag - i : lag - i + count]
-    return acc
+    # tap i reads R(t_j - i * ds)
+    return _shifted_sum(values, kernel.weights * kernel.grid_step, range(kernel.taps - 1, -1, -1))
 
 
 def kernel_smooth(

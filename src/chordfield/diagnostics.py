@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .chord import SmoothingKernel, _causal_smooth
+from .chord import SmoothingKernel, _causal_smooth, _shifted_sum
 from .errors import DomainError
 from .proxy import NS_TRIAL, _philox_normals, derive_stream
 from .transport import euler_march, integrate_rk4
@@ -365,16 +365,20 @@ def risk_experiment_symmetric(
     offsets = np.arange(-half_width, half_width + 1)
     weights = (half_width + 1.0) - np.abs(offsets)
     weights /= weights.sum()
+    smooth = partial(_shifted_sum, weights=weights, shifts=offsets + half_width)
     interior = slice(half_width, -half_width)
-
-    def smooth(noisy):
-        stop = noisy.shape[0] - half_width
-        acc = np.zeros_like(noisy[interior])
-        for off, w in zip(offsets, weights):
-            acc += w * noisy[half_width + off : stop + off]
-        return acc
-
     return _risk_trials(u_star, noise_sigma, [(smooth, interior)], trials, seed)[0]
+
+
+def _hat_basis(times, knots):
+    """Hat-function design matrix: column k rises over [knots[k-1], knots[k]]
+    (column 0 is 1 at knots[0] alone) and falls over (knots[k], knots[k+1]]."""
+    t, left, right, gaps = times[:, None], knots[:-1], knots[1:], np.diff(knots)
+    basis = np.zeros((times.size, knots.size))
+    basis[:, 0] = (times >= knots[0]) & (times <= knots[0])
+    basis[:, 1:] = np.where((t >= left) & (t <= right), (t - left) / gaps, 0.0)
+    basis[:, :-1] = np.where((t > left) & (t <= right), (right - t) / gaps, basis[:, :-1])
+    return basis
 
 
 def projection_energy_gap(
@@ -404,21 +408,7 @@ def projection_energy_gap(
     per_seg = round(segments)
     if per_seg < 2 or abs(per_seg * dt - grid_delta) > 1e-9:
         raise DomainError("each segment needs at least two sample intervals")
-    times = np.arange(count) * dt
-    knots = np.linspace(0.0, span, n_seg + 1)
-    # hat-function design matrix
-    basis = np.zeros((count, n_seg + 1))
-    for k, knot in enumerate(knots):
-        left = knots[k - 1] if k > 0 else knot
-        right = knots[k + 1] if k < n_seg else knot
-        rising = (times >= left) & (times <= knot)
-        if k > 0:
-            basis[rising, k] = (times[rising] - left) / (knot - left)
-        else:
-            basis[rising, k] = 1.0
-        falling = (times > knot) & (times <= right)
-        if k < n_seg:
-            basis[falling, k] = (right - times[falling]) / (right - knot)
+    basis = _hat_basis(np.arange(count) * dt, np.linspace(0.0, span, n_seg + 1))
     gram = basis.T @ basis
     coeff = np.linalg.solve(gram, basis.T @ u_star)
     proj = basis @ coeff

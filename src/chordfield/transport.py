@@ -226,7 +226,10 @@ def _guard_rows(x):
     """Whether each state of ``x``, one (d,) or rows (..., d), is finite and
     within ``DIVERGENCE_NORM``, shaped ``x.shape[:-1]``. Each row is judged by
     its own norm, so a row's verdict in a batch is its verdict alone; a NaN or
-    infinite coordinate makes that norm NaN or infinite, which fails the test."""
+    infinite coordinate makes that norm NaN or infinite, which fails the test.
+    Magnitudes are clipped at twice the limit first, so that the squares
+    cannot overflow: a coordinate past it fails the test either way."""
+    x = np.minimum(np.abs(x), 2 * DIVERGENCE_NORM)
     return np.sqrt(np.vecdot(x, x)) <= DIVERGENCE_NORM
 
 
@@ -300,14 +303,17 @@ def _march(x0: np.ndarray, steps: int, step):
     Returns the trajectory from ``x0`` on, the field values and the live mask
     (a scalar for one state). A row whose next state trips ``_guard_rows``
     stays at its last good state, so each row's values are those of its own
-    march; the march stops once no row is live."""
+    march; the march stops once no row is live. ``DomainError`` where the
+    trajectory of every step is too large to hold."""
     if steps < 1:
         raise DomainError("steps must be >= 1")
     x = np.array(x0, dtype=float)
+    trajectory = _allocated(f"{steps} march steps", np.empty, (steps + 1,) + x.shape)
+    trajectory[0] = x
     live = np.ones(x.shape[:-1], dtype=bool)
     # until the first trip every row is live, and each next state is taken as it is
     all_live = live.size > 0
-    trajectory, fields = [x], []
+    fields = []
     for i in range(steps):
         x_next, u = step(x, i)
         ok = _guard_rows(x_next)
@@ -319,9 +325,9 @@ def _march(x0: np.ndarray, steps: int, step):
             if not live.any():
                 break
             x = np.where(live[..., None], x_next, x)
-        trajectory.append(x)
+        trajectory[i + 1] = x
         fields.append(u)
-    return trajectory, fields, live
+    return list(trajectory[: len(fields) + 1]), fields, live
 
 
 def euler_march(field, x0: np.ndarray, h: float, steps: int):

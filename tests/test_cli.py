@@ -182,6 +182,25 @@ class TestDeclaredParams:
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize(
+        "experiment, override",
+        [
+            # a march holds every state, so one too long to hold stops before its first step
+            ("toy", "params.steps=1e15"),
+            ("step_sweep", "params.reference_steps=1e15"),
+            ("step_sweep", "params.s_values=[1,2,1e15]"),
+            # 1.25e14 Euler steps per h, after the sweep's reference run
+            ("error_order", "params.h_values=[8e-15,4e-15,2e-15,1e-15]"),
+        ],
+    )
+    def test_march_too_long_to_hold_is_a_usage_error(self, tmp_path, capsys, experiment, override):
+        out = tmp_path / "run"
+        assert main([experiment, "--out", str(out), "--override", override]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+        assert lines[0].endswith(" march steps do not fit in memory")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "value, want",
         [(150, 150), (150.0, 150), (2.7, None), (True, None), ("150", None)],
     )

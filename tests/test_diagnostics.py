@@ -17,6 +17,7 @@ from chordfield.chord import (
 )
 from chordfield.diagnostics import (
     RISK_CHUNK,
+    _hat_basis,
     _lattice,
     _sup_spectral,
     bb_energy,
@@ -650,6 +651,46 @@ class TestRiskExperiment:
 def fine_series(fn, dt=1.0 / 1024):
     t = np.arange(0.0, 1.0 + dt / 2, dt)
     return np.stack([f(t) for f in fn], axis=1), dt
+
+
+def _knot_loop_basis(times, knots):
+    """The hat basis built one knot at a time, the oracle of ``_hat_basis``."""
+    n_seg = knots.size - 1
+    basis = np.zeros((times.size, n_seg + 1))
+    for k, knot in enumerate(knots):
+        left = knots[k - 1] if k > 0 else knot
+        right = knots[k + 1] if k < n_seg else knot
+        rising = (times >= left) & (times <= knot)
+        if k > 0:
+            basis[rising, k] = (times[rising] - left) / (knot - left)
+        else:
+            basis[rising, k] = 1.0
+        falling = (times > knot) & (times <= right)
+        if k < n_seg:
+            basis[falling, k] = (right - times[falling]) / (right - knot)
+    return basis
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(2, 24),
+    st.floats(1e-4, 10.0),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_hat_basis_bit_equal_to_the_knot_loop(n_seg, per_seg, dt, uniform, seed):
+    count = n_seg * per_seg + 1
+    times = np.arange(count) * dt
+    span = (count - 1) * dt
+    if uniform:  # the knots of projection_energy_gap
+        knots = np.linspace(0.0, span, n_seg + 1)
+    else:  # uneven spacings over a span that may stop short of the samples' or pass it
+        steps = np.random.default_rng(seed).uniform(0.05, 2.0, n_seg)
+        knots = np.concatenate(([0.0], np.cumsum(steps))) * (span / n_seg)
+    basis = _hat_basis(times, knots)
+    assert basis.shape == (count, n_seg + 1)
+    assert basis.tobytes() == _knot_loop_basis(times, knots).tobytes()
 
 
 class TestProjectionEnergyGap:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1120,6 +1121,26 @@ def test_guard_rejects_non_finite_and_overflowing_states(row):
     np.testing.assert_array_equal(_guard_rows(np.stack([np.ones(2), x])), [True, False])
     with pytest.raises(DivergenceError):
         _guard_state(x, x, "a test")
+
+
+def test_guard_is_silent_where_the_squares_overflow_and_keeps_its_verdicts():
+    limit = transport.DIVERGENCE_NORM
+    near = [limit * (1 + k * np.finfo(float).eps) for k in (-3, 0, 3)]
+    rows = np.array(
+        [[1e300, 1e300], [1e200, -1e200], [1e154, 1e154], [2 * limit, 0.0], [math.nan, 1e300]]
+        + [[v, 0.0] for v in near]
+        + [[v / math.sqrt(2), -v / math.sqrt(2)] for v in near]
+    )
+    # the unclipped norms, overflow and all, are the verdicts to keep
+    with np.errstate(over="ignore"):
+        before = np.sqrt(np.vecdot(rows, rows)) <= limit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok = _guard_rows(rows)
+        one_by_one = [bool(_guard_rows(x)) for x in rows]
+    np.testing.assert_array_equal(ok, before)
+    assert one_by_one == before.tolist()
+    assert not ok[:2].any() and ok[5:7].all()
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
