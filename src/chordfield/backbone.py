@@ -49,6 +49,8 @@ from .schedules import (
 
 SRC = "src"
 TAR = "tar"
+# the routine np.einsum hands a call to when not optimising, without its Python layers
+_einsum = getattr(np._core.multiarray, "c_einsum", np.einsum)
 # query times whose constants one model keeps; past this many it starts over
 _TIME_ENTRIES = 64
 # held while a model's per-time entries are trimmed and added to
@@ -207,7 +209,7 @@ class _Stack:
         component (..., K), with the offsets ``z - alpha * means`` (..., K, d)
         it was computed from; both are fresh arrays."""
         diff = z[..., None, :] - at.alpha_means
-        log_mass = np.einsum("...kd,...kd->...k", diff, diff)
+        log_mass = _einsum("...kd,...kd->...k", diff, diff)
         log_mass /= at.variances
         log_mass += at.log_norm
         log_mass *= -0.5
@@ -220,9 +222,9 @@ class _Stack:
         peaks = np.maximum.reduceat(weights, self.starts, axis=-1)
         # max-subtraction keeps far-tail queries finite; only a non-finite
         # peak (every component at -inf, where a linear-space computation
-        # would already have returned 0/0 = NaN) is genuinely degenerate,
-        # unless the query itself was not finite
-        if not np.isfinite(peaks).all():
+        # would already have returned 0/0 = NaN; no log mass is +inf) is
+        # genuinely degenerate, unless the query itself was not finite
+        if not np.minimum.reduce(peaks, axis=None, initial=math.inf) > -math.inf:
             if not np.isfinite(z).all():
                 raise DomainError("posterior query must be finite")
             raise DegeneratePosteriorError(

@@ -83,13 +83,16 @@ def _lattice(fn, axes, ts):
 
     A field whose ``autonomous`` attribute is true takes rows and ignores t:
     one row call fills one time slice, which every slice shares, so its time
-    derivative is exactly zero. Any other ``fn`` is called point by point.
+    derivative is exactly zero. One whose ``rows`` attribute is true takes rows
+    and is called once per time slice; any other ``fn`` is called point by point.
     """
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
     if getattr(fn, "autonomous", False):
         values = np.asarray(fn(points, float(ts[0])), dtype=float)
         values = np.broadcast_to(values, (ts.size,) + values.shape)
+    elif getattr(fn, "rows", False):
+        values = np.array([fn(points, float(t)) for t in ts], dtype=float)
     else:
         values = np.array([[fn(x, float(t)) for x in points] for t in ts], dtype=float)
     values = values.reshape((ts.size,) + tuple(len(a) for a in axes) + (-1,))

@@ -390,9 +390,12 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
     shrank = lambda pair: pair[1] <= pair[0] * (1 + 1e-9)
 
     def series_field(series):
-        """x, t -> (tanh x_0, x_0 / 2) times ``series`` at t, its first value at t0."""
-        value = lambda t: float(series[round((t - t0) / ds), 0])
-        return lambda x, t: np.array([math.tanh(x[0]), 0.5 * x[0]]) * value(t)
+        """Rows x, t -> (tanh x_0, x_0 / 2) per row times ``series`` at t, its first value at t0."""
+        def field(x, t):
+            pairs = [(math.tanh(x_0), 0.5 * x_0) for x_0 in x[:, 0].tolist()]
+            return np.array(pairs) * float(series[round((t - t0) / ds), 0])
+        field.rows = True
+        return field
 
     def margins(grid_pts):
         """The (raw, smoothed) consistency proxies and Lipschitz margins."""

@@ -126,6 +126,12 @@ def make_control_field(
         j = kinds.index(CHORD)
         chord = Ellipsis if single else (Ellipsis, slice(j, j + 1), slice(None))
         fused = None if single else _two_time_pass(model, t, delta, batch_prev, batch_curr)
+        chord_rows = slice(j, None, len(kinds))  # the chord kind's flat rows, as a view
+
+        @functools.lru_cache(maxsize=1)
+        def gathered(k):
+            """Of k flat rows, each point's chord row in every kind's place, then every row."""
+            return np.stack((np.arange(k) // len(kinds) * len(kinds) + j, np.arange(k)))
 
     def field(x, s=0.0):
         x = np.asarray(x, dtype=float)
@@ -135,17 +141,16 @@ def make_control_field(
             )
         if fused is not None:
             # the chord rows (in every kind's place) at t - delta, then all at t
-            rows = np.empty((2,) + x.shape)
-            rows[0], rows[1] = x[chord], x
-            both = _estimate(model, rows.reshape(2, -1, dim), *fused(x.size // dim)).reshape(rows.shape)
-            r_prev, u = both[0][chord], both[1]
-        else:
-            u = proxy_field(model, x, t, batch_curr)
-            if chord is None:
-                return u
-            r_prev = proxy_field(model, x[chord], t - delta, batch_prev)
+            k = x.size // dim
+            both = _estimate(model, x.reshape(k, dim).take(gathered(k), 0), *fused(k))
+            # an array of this call's own, so the chord rows blend in place
+            _blend(both[0, chord_rows], both[1, chord_rows], t, delta)
+            return both[1].reshape(x.shape)
+        u = proxy_field(model, x, t, batch_curr)
+        if chord is None:
+            return u
         # both queries are arrays of this call's own, so the chord rows blend in place
-        _blend(r_prev, u[chord], t, delta)
+        _blend(proxy_field(model, x[chord], t - delta, batch_prev), u[chord], t, delta)
         return u
 
     field.autonomous = True
@@ -228,9 +233,11 @@ def _guard_rows(x):
     its own norm, so a row's verdict in a batch is its verdict alone; a NaN or
     infinite coordinate makes that norm NaN or infinite, which fails the test.
     Magnitudes are clipped at twice the limit first, so that the squares
-    cannot overflow: a coordinate past it fails the test either way."""
+    cannot overflow: a coordinate past it fails the test either way. The squared
+    norm meets the limit squared, 1e12, with the norm's verdict: sqrt(1e12) is
+    1e6 and the root of the next double up rounds above it."""
     x = np.minimum(np.abs(x), 2 * DIVERGENCE_NORM)
-    return np.sqrt(np.vecdot(x, x)) <= DIVERGENCE_NORM
+    return np.vecdot(x, x) <= DIVERGENCE_NORM * DIVERGENCE_NORM
 
 
 def _guard_state(x, last, context):
@@ -317,7 +324,7 @@ def _march(x0: np.ndarray, steps: int, step):
     for i in range(steps):
         x_next, u = step(x, i)
         ok = _guard_rows(x_next)
-        if all_live and ok.all():
+        if all_live and np.logical_and.reduce(ok, axis=None):
             x = x_next
         else:
             all_live = False

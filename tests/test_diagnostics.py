@@ -284,6 +284,60 @@ def test_autonomous_lattice_equals_the_per_point_lattice(drawn, grid, slices, se
     assert not fast[1].any()
 
 
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(2, 5),
+    st.integers(1, 4),
+    st.floats(-0.5, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+def test_rows_lattice_equals_the_per_point_lattice(dim, grid, slices, t_lo, seed):
+    # a time-dependent field over rows, elementwise per row: one call per time
+    # slice against one call per site, and one call for an autonomous field
+    rng = np.random.default_rng(seed)
+    scale = rng.normal(size=2)
+    calls = []
+
+    def plain(x, t):
+        calls.append(np.shape(x))
+        x = np.asarray(x)
+        # (tanh(a x_0) cos 3t, x_last t + t^2), output dimension 2 whatever dim is
+        first = np.tanh(scale[0] * x[..., :1]) * math.cos(3.0 * t)
+        return np.concatenate([first, x[..., -1:] * t + t * t], axis=-1)
+
+    def rows(x, t):
+        return plain(x, t)
+
+    def autonomous(x, t):
+        return plain(x, 0.25)
+
+    rows.rows = True
+    autonomous.autonomous = True
+    lo = rng.normal(size=dim) * 2.0
+    axes = [np.linspace(a, a + w, grid) for a, w in zip(lo, rng.uniform(0.1, 2.0, dim))]
+    ts = np.linspace(t_lo, t_lo + 0.3, slices)
+    sites = grid**dim
+
+    fast = _lattice(rows, axes, ts)
+    assert calls == [(sites, dim)] * slices
+    calls.clear()
+    slow = _lattice(plain, axes, ts)
+    assert calls == [(dim,)] * (slices * sites)
+    for got, want in zip(fast, slow):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    calls.clear()
+    still = _lattice(autonomous, axes, ts)
+    assert calls == [(sites, dim)]
+    once = _lattice(lambda x, t: plain(x, 0.25), axes, ts)
+    for got, want in zip(still, once):
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert not still[1].any()
+
+
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
 @given(
     control_fields(),

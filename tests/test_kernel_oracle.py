@@ -6,6 +6,8 @@ the same arithmetic written out of place, one fresh array per step; every
 element must come out with the same bits, or the same error.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from chordfield import transport
 from chordfield.backbone import (
     BackboneModel,
+    GaussianMixtureCondition,
     delta_drift,
     observable,
     posterior_eps,
@@ -227,3 +230,74 @@ def test_named_heads_bit_equal_to_the_oracle_whatever_the_model_head(
         return drifts[..., 0, :] - drifts[..., 1, :]
 
     assert _bits_or_error(lambda: delta_drift(model, x, t)) == _bits_or_error(oracle_residual)
+
+
+# a crafted query that may return or raise, whichever the oracle does
+_EITHER = "either"
+
+
+def _crafted_rows(stack, at):
+    """Queries at the edges of the log-mass arithmetic, one (d,) row each, with
+    the error each must raise (None where it must return)."""
+    big = np.finfo(float).max
+    rows = [(mean.copy(), None) for mean in np.asarray(at.alpha_means)]  # offset +0
+    rows += [
+        (np.array([-0.0, -0.0]), None),  # -0.0 minus a zero mean, squared: +0
+        (np.array([1e-160, 0.0]), None),  # squared offset 1e-320, subnormal
+        (np.array([3e-162, -2e-161]), None),
+        (np.array([2.0**-537, 2.0**-540]), None),  # the smallest subnormal square
+        (np.array([1e-300, 1e-300]), None),  # squares underflow to +0
+        (np.array([1e200, 0.0]), DegeneratePosteriorError),  # every square overflows
+        # squares finite, most or all of their ratios to the variances overflowing
+        (np.array([math.sqrt(0.9 * big), 0.0]), _EITHER),
+        (np.array([math.sqrt(0.45 * big), math.sqrt(0.45 * big)]), _EITHER),
+        (np.array([np.nan, 0.0]), DomainError),
+        (np.array([0.0, np.inf]), DomainError),
+        (np.array([-np.inf, 1.0]), DomainError),
+    ]
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("t", [0.05, 0.5, 0.95, 1.0])
+def test_crafted_rows_bit_equal_to_the_oracle_and_raise_its_errors(schedule, t):
+    # a component mean at the origin, so that offsets can be subnormal
+    src = GaussianMixtureCondition([0.5, 0.5], [[0.0, 0.0], [1.5, -1.0]], [0.3, 0.7])
+    tar = GaussianMixtureCondition(
+        [0.2, 0.3, 0.5], [[0.0, 0.0], [-1.0, 2.0], [3.0, 0.5]], [1.0, 0.1, 0.5]
+    )
+    model = BackboneModel(schedule=schedule, source=src, target=tar)
+    scalars = path_scalars(schedule, t)
+    for stack in (src._stack, tar._stack, model._pair):
+        at = stack.at(scalars.alpha, scalars.sigma)
+        crafted = _crafted_rows(stack, at)
+        for z, error in crafted:
+            got = _bits_or_error(lambda: stack.x0(z, at))
+            assert got == _bits_or_error(lambda: _oracle_x0(stack, z, at))
+            if error is None:
+                assert isinstance(got, bytes)
+            elif error is not _EITHER:
+                assert got is error
+        # the rows that return, together, are each row alone
+        fine = np.array([z for z, error in crafted if error is None])
+        together = stack.x0(fine, at)
+        assert together.tobytes() == _oracle_x0(stack, fine, at).tobytes()
+        for z, row in zip(fine, together):
+            assert row.tobytes() == stack.x0(z, at).tobytes()
+        # no rows: an empty result, and no error
+        empty = stack.x0(np.empty((0, 2)), at)
+        assert empty.shape == (0, stack.starts.size, 2)
+
+    # the stacked two-time pass of the tuple-kind field, on the same rows
+    batch = SharedNoiseBatch(7, 1, 2)
+    shaped = transport._two_time_pass(model, t, 0.25 * t, batch, batch)
+    if shaped is not None:
+        stacked = _oracle_stacked(model, t, 0.25 * t, batch, batch)
+        for z, _ in _crafted_rows(model._pair, model._pair.at(scalars.alpha, scalars.sigma)):
+            rows = np.stack([z, -z])[:, None]
+            assert _bits_or_error(lambda: _estimate(model, rows, *shaped(1))) == _bits_or_error(
+                lambda: _oracle_estimate(model, rows, *stacked)
+            )
+        rows = np.empty((2, 0, 2))
+        assert _estimate(model, rows, *shaped(0)).shape == (2, 0, 2)

@@ -1123,6 +1123,36 @@ def test_guard_rejects_non_finite_and_overflowing_states(row):
         _guard_state(x, x, "a test")
 
 
+def test_guard_on_squared_norms_agrees_with_the_norms_either_side_of_the_limit():
+    # the guard meets each squared norm with the limit squared, a double
+    limit_sq = DIVERGENCE_NORM * DIVERGENCE_NORM
+    assert limit_sq == DIVERGENCE_NORM**2 == 1e12
+    # every double within 2e5 steps of it, as a squared norm
+    squares = (np.array(limit_sq).view(np.int64) + np.arange(-200_000, 200_001)).view(float)
+    np.testing.assert_array_equal(np.sqrt(squares) <= DIVERGENCE_NORM, squares <= limit_sq)
+    # rows whose squared norms land on and next to it, and rows that are not
+    # finite or run far away
+    ulp = np.spacing(DIVERGENCE_NORM)
+    near = [
+        [DIVERGENCE_NORM + j * ulp, math.sqrt(m * np.spacing(limit_sq))]
+        for j in range(-3, 4)
+        for m in range(5)
+    ]
+    far = [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0], [1e200, 0.0], [-1e200, 1e200]]
+    rows = np.array(near + [[math.sqrt(q), 0.0] for q in squares[::4001]] + far)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.vecdot(rows, rows)
+        want = np.sqrt(sq) <= DIVERGENCE_NORM
+    assert {np.nextafter(limit_sq, 0.0), limit_sq, np.nextafter(limit_sq, np.inf)} <= set(sq)
+    assert want.any() and not want.all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _guard_rows(rows)
+        alone = [bool(_guard_rows(x)) for x in rows]
+    np.testing.assert_array_equal(got, want)
+    assert alone == want.tolist()
+
+
 def test_guard_is_silent_where_the_squares_overflow_and_keeps_its_verdicts():
     limit = transport.DIVERGENCE_NORM
     near = [limit * (1 + k * np.finfo(float).eps) for k in (-3, 0, 3)]
