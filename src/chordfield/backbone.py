@@ -9,17 +9,19 @@ surface a distilled text-to-image backbone would: a single head selected by
 time-only coefficient, reproduces the velocity residual exactly.
 
 ``posterior_x0``, ``posterior_eps``, ``velocity``, ``observable`` and
-``delta_drift`` take one query of shape (d,) or rows of shape (..., d); each
-row's result is bit-identical to that of the row queried alone. Each is a
+``delta_drift`` take one query (d,) or rows (..., d), d the model's dimension;
+each row's result is bit-identical to that of the row queried alone. Each is a
 head of the posterior: data, velocity, the model's own, or the velocity
 residual between conditions; ``_head`` alone chooses it.
 
 The posterior kernel splits its work into what depends on the time only
 (``_Stack.at``) and what depends on the rows. A model keeps the time-only
 part of each query time the proxy field asks for, so a transport run, whose
-query times never change, builds it once. The kernel and the heads also take
-the values of times stacked on a leading axis, as arrays, which take no scalar
-branch (sigma = 0, the eps-head floor): their sigmas must clear the floor.
+query times never change, builds it once, and per draw count keeps it pinned
+to the shapes of one anchor's kernel pass (``BackboneModel._time_values``).
+The kernel and the heads take pinned values, or those of times stacked on a
+leading axis, as arrays, which take no scalar branch (sigma = 0, the eps-head
+floor): their sigmas must clear the floor.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegeneratePosteriorError, DomainError, IllConditionedMapError
+from .errors import DegeneratePosteriorError, DomainError, IllConditionedMapError, _allocated
 from .schedules import (
     CONSISTENCY,
     DATA_X0,
@@ -53,6 +55,8 @@ TAR = "tar"
 _einsum = getattr(np._core.multiarray, "c_einsum", np.einsum)
 # query times whose constants one model keeps; past this many it starts over
 _TIME_ENTRIES = 64
+# most bytes of pinned values one model keeps for one query time and draw count
+_PIN_BYTES = 1 << 14
 # held while a model's per-time entries are trimmed and added to
 _TIMES_LOCK = threading.Lock()
 
@@ -110,7 +114,9 @@ class BackboneModel:
         if self.output_kind not in PARAMETERIZATION_KINDS:
             raise DomainError(f"unknown output kind {self.output_kind!r}")
         self._pair = _Stack((self.target, self.source))
-        self._times = {}
+        self._times, self._pins = {}, {}
+        # bytes per draw of one time's pins: alpha and sigma (d), path scalars (2, d), the slice
+        self._pin_bytes = 8 * (10 * self.dim + sum(map(np.size, self._pair.at(1.0, 1.0))))
 
     @property
     def dim(self) -> int:
@@ -133,8 +139,33 @@ class BackboneModel:
             with _TIMES_LOCK:
                 if len(self._times) >= _TIME_ENTRIES:
                     self._times.clear()
+                    self._pins.clear()
                 self._times[key] = entry
         return entry
+
+    def _time_values(self, t: float, n: int, always: bool = False):
+        """alpha, sigma, coefficient, PathScalars and ``_pair`` slice at t for one row
+        of n draws, pinned to the shapes they meet, (n, d), (d,), (n, 2 mixtures, d)
+        and (n, ...), where sigma clears the floor and they fit ``_PIN_BYTES`` (kept by
+        (t, n)) or ``always``; else the floats, on which the kernel and heads branch."""
+        values = self._pins.get((t, n))
+        if values is None:
+            a_t, s, pair = self._time_entry(t)
+            values = (s.alpha, s.sigma, a_t, s, pair)
+            fits = n * self._pin_bytes <= _PIN_BYTES
+            if s.sigma >= self.schedule.alpha_floor and (fits or always):
+                d, four = self.dim, (s.alpha, s.sigma, s.alpha_dot, s.sigma_dot)
+                values = (
+                    _pinned(s.alpha, (n, d)), _pinned(s.sigma, (n, d)), _pinned(a_t, (d,)),
+                    PathScalars(t, *(_pinned(v, (n, 2, d)) for v in four)),
+                    pair._make(_pinned(v, (n,) + np.shape(v)) for v in pair),
+                )
+                if fits:
+                    with _TIMES_LOCK:
+                        if len(self._pins) >= _TIME_ENTRIES:
+                            self._pins.clear()
+                        self._pins[t, n] = values
+        return values
 
     def condition(self, which: str) -> GaussianMixtureCondition:
         if which == SRC:
@@ -142,6 +173,13 @@ class BackboneModel:
         if which == TAR:
             return self.target
         raise DomainError(f"condition must be 'src' or 'tar', got {which!r}")
+
+
+def _pinned(value, shape):
+    """A fresh read-only array of ``shape`` filled with ``value`` (``DomainError`` if too large)."""
+    out = _allocated(f"pinned values of shape {shape}", np.full, shape, value)
+    out.setflags(write=False)
+    return out
 
 
 def marginal_moments(
@@ -309,11 +347,19 @@ def _observe(
     return _head(model, z, x0, scalars, kind)
 
 
+def _rows(model: BackboneModel, z) -> np.ndarray:
+    """z as float rows (..., d); ``DomainError`` unless d is the model's dimension."""
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1:] != (model.dim,):
+        raise DomainError(f"shape {z.shape} does not end in the anchor dimension {model.dim}")
+    return z
+
+
 def _query(
     model: BackboneModel, z: np.ndarray, t: float, cond: str, kind: str | None = None
 ) -> np.ndarray:
     """The ``kind`` head of condition ``cond`` at each row of z at time t."""
-    z = np.asarray(z, dtype=float)
+    z = _rows(model, z)
     mixture = model.condition(cond)
     return _observe(model, mixture, z, path_scalars(model.schedule, t), kind)
 
@@ -341,7 +387,7 @@ def posterior_x0(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np
 
 def posterior_eps(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.ndarray:
     """Posterior mean of the path noise; zero by convention when sigma = 0."""
-    z = np.asarray(z, dtype=float)
+    z = _rows(model, z)
     # the condition is read first, so that a bad one fails whatever sigma is
     mixture, scalars = model.condition(cond), path_scalars(model.schedule, t)
     if scalars.sigma == 0.0:
@@ -371,7 +417,7 @@ def observable(model: BackboneModel, z: np.ndarray, t: float, cond: str) -> np.n
 
 def delta_drift(model: BackboneModel, z: np.ndarray, t: float) -> np.ndarray:
     """Velocity residual between target and source conditions at (z, t)."""
-    z = np.asarray(z, dtype=float)
+    z = _rows(model, z)
     return _head_residual(model, z, path_scalars(model.schedule, t), kind=VELOCITY)
 
 
@@ -379,7 +425,7 @@ def log_marginal_density(
     model: BackboneModel, z: np.ndarray, t: float, cond: str
 ) -> float:
     """Log density of the noised mixture marginal (diagnostic helper)."""
-    z = np.asarray(z, dtype=float)
+    z = _rows(model, z)
     mixture = model.condition(cond)
     stack = mixture._stack
     log_mass, _ = stack.log_mass(z, stack.at(*evaluate(model.schedule, t)))

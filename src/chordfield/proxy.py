@@ -24,7 +24,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .backbone import BackboneModel, _head_residual, _observe
+from .backbone import BackboneModel, _head_residual, _observe, _rows
 from .errors import DomainError, _allocated
 from .schedules import Schedule, evaluate
 
@@ -154,15 +154,14 @@ def proxy_field(
     velocity-head model this is exactly the mean of the velocity residual.
     ``x_tau`` is one anchor (d,) or rows of anchors (..., d); every anchor
     and draw goes through the posterior in one pass, and each row's estimate
-    is bit-identical to that of the anchor queried alone. The coefficient,
-    the schedule scalars and the kernel constants at t are built once per
-    model and reused by later queries at t.
+    is bit-identical to that of the anchor queried alone. The values at t are
+    built once per model and draw count (``BackboneModel._time_values``).
     """
-    x_tau = np.asarray(x_tau, dtype=float)
-    if x_tau.shape[-1:] != (batch.dim,):
+    x_tau = _rows(model, x_tau)
+    if batch.dim != model.dim:
         raise DomainError("anchor dimension does not match the noise batch")
-    a_t, scalars, pair = model._time_entry(t)
-    return _estimate(model, x_tau, scalars.alpha, scalars.sigma * batch.draws, a_t, scalars, pair)
+    alpha, sigma, a_t, scalars, pair = model._time_values(t, batch.n)
+    return _estimate(model, x_tau, alpha, sigma * batch.draws, a_t, scalars, pair)
 
 
 def _estimate(model, x_tau, alpha, noise, a_t, scalars, pair):
@@ -192,9 +191,9 @@ def proxy_field_decoupled(
     Exists to quantify the variance penalty of giving up common random
     numbers; not used by the transport path.
     """
-    x_tau = np.asarray(x_tau, dtype=float)
-    if batch_tar.n != batch_src.n:
-        raise DomainError("decoupled batches must have equal draw counts")
+    x_tau = _rows(model, x_tau)
+    if batch_tar.n != batch_src.n or {batch_tar.dim, batch_src.dim} != {model.dim}:
+        raise DomainError("decoupled batches must have equal draw counts and the anchor dimension")
     a_t, scalars, _ = model._time_entry(t)
     z_tar = scalars.alpha * x_tau + scalars.sigma * batch_tar.draws
     z_src = scalars.alpha * x_tau + scalars.sigma * batch_src.draws

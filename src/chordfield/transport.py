@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import BackboneModel, _observe, sample_condition, velocity
+from .backbone import BackboneModel, _observe, _pinned, _rows, sample_condition, velocity
 from .chord import ChordParams, _blend, chord_field
 from .errors import DivergenceError, DomainError, _allocated
 from .proxy import (
@@ -158,43 +158,28 @@ def make_control_field(
 
 
 def _two_time_pass(model, t, delta, batch_prev, batch_curr):
-    """``_estimate``'s values for rows (2, k, d) at t - delta and t, by k, read-only,
-    broadcast to (2, k, n, ...) and kept for the last k; None (two queries) where
-    a time's values fail to build or its sigma is below the floor."""
+    """``_estimate``'s values for rows (2, k, d) at t - delta and t, by k: the two
+    times' pinned ``_time_values``, made once the draws are read, stacked on axis 0,
+    pinned to (2, k, ...) and kept for the last k; None (two queries) where a time's
+    values fail to build or its sigma is below the floor, so that they are unpinned."""
+    draws = np.stack((batch_prev.draws, batch_curr.draws))
     try:
-        (a_p, s_p, at_p), (a_t, s_t, at_t) = (model._time_entry(u) for u in (t - delta, t))
+        times = [model._time_values(u, batch_curr.n, always=True) for u in (t - delta, t)]
     except (DomainError, ArithmeticError):
         return None
-    if min(s_p.sigma, s_t.sigma) < model.schedule.alpha_floor:
+    if not all(isinstance(values[0], np.ndarray) for values in times):
         return None
-    # each time's values on axis 0, then axes for the rows and the draws
-    time_only = np.array(
-        [[s.alpha, s.sigma, s.alpha_dot, s.sigma_dot] for s in (s_p, s_t)]
-    ).T.reshape(4, 2, 1, 1, 1, 1)
-    noise = time_only[1, ..., 0] * np.stack((batch_prev.draws, batch_curr.draws))[:, None]
-    at = at_p._make(np.stack(values)[:, None, None] for values in zip(at_p, at_t))
+    # each value of the two times on axis 0, then an axis for the rows
+    flat = [(*v[:3], v[3].alpha, v[3].sigma, v[3].alpha_dot, v[3].sigma_dot, *v[4]) for v in times]
+    stacked = [np.stack(both)[:, None] for both in zip(*flat)]
+    stacked[1] = stacked[1] * draws[:, None]  # sigma times the draws: the noise
 
     @functools.lru_cache(maxsize=1)
     def shaped(k):
-        rows, dim = (2, k, batch_curr.n), model.dim
-        # the heads meet rows (2, k, n, mixtures, d), the queries (2, k, n, d)
-        scalars = PathScalars((t - delta, t), *(_pinned(v, rows + (2, dim)) for v in time_only))
-        return (
-            scalars.alpha[..., 0, :],
-            _pinned(noise, rows + (dim,)),
-            _pinned(np.array([a_p, a_t])[:, None, None], (2, k, dim)),
-            scalars,
-            at._make(_pinned(v, rows + v.shape[3:]) for v in at),
-        )
+        v = [_pinned(value, (2, k) + value.shape[2:]) for value in stacked]
+        return v[0], v[1], v[2], PathScalars((t - delta, t), *v[3:7]), times[0][4]._make(v[7:])
 
     return shaped
-
-
-def _pinned(value, shape):
-    """``value`` broadcast to ``shape``, as a fresh read-only array."""
-    out = np.broadcast_to(value, shape).copy()
-    out.setflags(write=False)
-    return out
 
 
 def proximal_refine(
@@ -214,7 +199,7 @@ def proximal_refine(
     """
     if not (0.0 < t_c < 1.0):
         raise DomainError("t_c must lie in (0, 1)")
-    x_pred = np.asarray(x_pred, dtype=float)
+    x_pred = _rows(model, x_pred)
     if eps is None:
         eps = _refine_draw(seed, model.dim)
     scalars = path_scalars(model.schedule, t_c)

@@ -572,3 +572,34 @@ def test_posterior_eps_rejects_an_unknown_condition_at_every_time(t):
     # linear path, where sigma is 0, a bad one fails as it does at t = 0.5
     with pytest.raises(DomainError, match="condition must be 'src' or 'tar'"):
         posterior_eps(two_basin_1d(), np.zeros(1), t, "bogus")
+
+
+_QUERIES = {
+    "posterior_x0": lambda m, z: posterior_x0(m, z, 0.5, "src"),
+    "posterior_eps": lambda m, z: posterior_eps(m, z, 0.5, "tar"),
+    "velocity": lambda m, z: velocity(m, z, 0.5, "src"),
+    "observable": lambda m, z: observable(m, z, 0.5, "tar"),
+    "delta_drift": lambda m, z: delta_drift(m, z, 0.5),
+    "log_marginal_density": lambda m, z: log_marginal_density(m, z, 0.5, "src"),
+}
+
+
+@pytest.mark.parametrize("query", sorted(_QUERIES))
+@pytest.mark.parametrize("offset", [-1, 1])
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("model_dim", [1, 2])
+def test_queries_off_the_model_dimension_rejected(query, offset, lead, model_dim):
+    # d - 1 and d + 1 coordinates would otherwise broadcast against the
+    # mixture means (a 1-vector on a 2-d model returns a 2-vector)
+    model = BackboneModel(
+        Schedule(kind=VP_CONST_BETA, beta0=1.0),
+        single([0.5] * model_dim, 0.4),
+        single([-1.0] * model_dim, 0.6),
+    )
+    with pytest.raises(DomainError, match="anchor dimension"):
+        _QUERIES[query](model, np.zeros(lead + (model_dim + offset,)))
+    if not lead or query != "log_marginal_density":
+        assert np.shape(_QUERIES[query](model, np.zeros(lead + (model_dim,)))) in (
+            (),
+            lead + (model_dim,),
+        )

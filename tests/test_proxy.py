@@ -1,11 +1,16 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordfield import transport
 from chordfield.backbone import (
+    _PIN_BYTES,
+    _TIME_ENTRIES,
     BackboneModel,
     GaussianMixtureCondition,
     _head_residual,
@@ -22,6 +27,7 @@ from chordfield.proxy import (
     NS_TRIAL,
     SharedNoiseBatch,
     _draw_sum,
+    _estimate,
     _philox_normals,
     derive_stream,
     noising_sample,
@@ -470,3 +476,173 @@ def test_one_draw_estimate_of_a_negative_zero_residual_is_the_draw_mean():
     residual = _head_residual(model, scalars.alpha * x + scalars.sigma * batch.draws, scalars)
     assert residual[0, 0] == 0.0 and np.signbit(residual[0, 0])
     assert proxy_field(model, x, 1.0, batch).tobytes() == _one_draw_mean(model, x, 1.0, batch).tobytes()
+
+
+def _unpinned_estimate(model, x, t, batch):
+    """proxy_field from the time entry's floats and broadcast constants alone."""
+    a_t, s, pair = model._time_entry(t)
+    return _estimate(model, x, s.alpha, s.sigma * batch.draws, a_t, s, pair)
+
+
+def _floor_times(schedule):
+    """The first time whose sigma clears the schedule's floor, and the time just below it."""
+    lo, hi = 0.0, 1.0
+    while math.nextafter(lo, 1.0) < hi:
+        mid = 0.5 * (lo + hi)
+        if path_scalars(schedule, mid).sigma >= schedule.alpha_floor:
+            hi = mid
+        else:
+            lo = mid
+    return hi, lo
+
+
+def _pinned(model, t, n):
+    """Whether the model's values at (t, n) are pinned arrays, not the entry's floats."""
+    return isinstance(model._time_values(t, n)[0], np.ndarray)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(_mixtures_and_anchors(), st.floats(0.0, 1.0), st.integers(0, 2**64 - 1))
+def test_pinned_proxy_field_bytes_equal_to_the_unpinned_estimate(drawn, t, seed):
+    # every schedule kind and head, n = 1 and 4, one anchor and rows of
+    # anchors, at both ends, a drawn time and either side of the sigma floor;
+    # each query twice, so that the second reads the kept pins
+    source, target, flat, _ = drawn
+    pinned = []
+    for schedule in SCHEDULES:
+        above, below = _floor_times(schedule)
+        for kind in PARAMETERIZATION_KINDS:
+            model = BackboneModel(schedule, source, target, output_kind=kind)
+            for n in (1, 4):
+                batch = SharedNoiseBatch(seed=seed, n=n, dim=source.dim)
+                for u in (0.0, 1.0, t, above, below):
+                    want = _bytes_or_error(lambda: _unpinned_estimate(model, flat, u, batch))
+                    for x in (flat[0], flat, flat[0], flat):
+                        got = _bytes_or_error(lambda: proxy_field(model, x, u, batch))
+                        if x is flat:
+                            assert got == want
+                        else:
+                            row = _bytes_or_error(lambda: _unpinned_estimate(model, x, u, batch))
+                            assert got == row
+                    if not isinstance(want, type):
+                        sigma = path_scalars(schedule, u).sigma
+                        pinned.append(_pinned(model, u, n))
+                        assert pinned[-1] == (sigma >= schedule.alpha_floor)
+                assert len(model._pins) <= _TIME_ENTRIES
+    # the heads whose coefficient builds below the floor query it unpinned
+    assert any(pinned) and not all(pinned)
+
+
+def test_pins_are_read_only_and_shaped_to_one_row():
+    model = model_2d()
+    alpha, sigma, a_t, scalars, pair = model._time_values(0.8, 3)
+    assert alpha.shape == sigma.shape == (3, 2) and a_t.shape == (2,)
+    assert scalars.alpha.shape == scalars.sigma_dot.shape == (3, 2, 2)
+    assert pair.alpha_means.shape == pair.pull.shape == (3, 4, 2)
+    assert pair.variances.shape == pair.log_weights.shape == (3, 4)
+    for value in (alpha, sigma, a_t, scalars.alpha, scalars.sigma_dot, *pair):
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0.0
+
+
+def test_a_time_below_the_floor_queries_with_floats():
+    schedule = Schedule(kind=LINEAR_INTERP)
+    model = model_2d(schedule=schedule)
+    above, below = _floor_times(schedule)
+    batch = SharedNoiseBatch(seed=2, n=2, dim=2)
+    for t in (0.0, below):
+        values = model._time_values(t, 2)
+        assert not isinstance(values[0], np.ndarray) and (t, 2) not in model._pins
+        got = proxy_field(model, np.array([0.5, -1.0]), t, batch)
+        assert got.tobytes() == _unpinned_estimate(model, np.array([0.5, -1.0]), t, batch).tobytes()
+    assert _pinned(model, above, 2)
+
+
+def test_a_draw_count_over_the_size_bound_queries_with_broadcast_constants():
+    model = model_2d()
+    most = _PIN_BYTES // model._pin_bytes
+    pins = model._time_values(0.8, most)
+    assert sum(value.nbytes for value in (*pins[:3], *pins[4])) + 4 * pins[3].alpha.nbytes == (
+        most * model._pin_bytes + pins[2].nbytes
+    )
+    assert _pinned(model, 0.8, most) and not _pinned(model, 0.8, most + 1)
+    assert set(model._pins) == {(0.8, most)}
+    x, batch = np.array([[0.5, -1.0], [-2.0, 0.25]]), SharedNoiseBatch(seed=9, n=most + 1, dim=2)
+    got = proxy_field(model, x, 0.8, batch)
+    assert got.tobytes() == _unpinned_estimate(model, x, 0.8, batch).tobytes()
+    # the fused pass of a tuple-kind field pins at any draw count, and keeps none over the bound
+    shaped = transport._two_time_pass(model, 0.8, 0.1, batch, batch)
+    assert shaped is not None and shaped(3)[1].shape == (2, 3, most + 1, 2)
+    assert set(model._pins) == {(0.8, most)}
+
+
+def test_an_evicted_time_entry_drops_its_pins():
+    model = model_2d()
+    batch = SharedNoiseBatch(seed=4, n=4, dim=2)
+    x = np.array([0.5, -1.0])
+    want = proxy_field(model, x, 0.8, batch).tobytes()
+    assert (0.8, 4) in model._pins
+    for t in np.linspace(0.3, 0.7, _TIME_ENTRIES):
+        proxy_field(model, x, t, batch)
+        assert len(model._pins) <= _TIME_ENTRIES
+    assert 0.8 not in model._times and (0.8, 4) not in model._pins
+    assert proxy_field(model, x, 0.8, batch).tobytes() == want
+
+
+def test_pins_from_many_threads_stay_bounded_and_exact():
+    # more (time, draw count) pairs than a model keeps pins for, from threads
+    # with a short switch interval: every value stays that of the floats, and
+    # the pins never pass their bound
+    model, x = model_2d(), np.array([0.5, -1.0])
+    times = np.linspace(0.3, 0.9, _TIME_ENTRIES // 2)
+    batches = [SharedNoiseBatch(seed=6, n=n, dim=2) for n in (1, 2, 3)]
+    want = {
+        (i, j): _unpinned_estimate(model, x, t, batch).tobytes()
+        for i, t in enumerate(times)
+        for j, batch in enumerate(batches)
+    }
+    mismatches, sizes = [], []
+
+    def work(offset):
+        for k in range(2 * len(want)):
+            i, j = (offset + 5 * k) % len(times), (offset + k) % len(batches)
+            if proxy_field(model, x, times[i], batches[j]).tobytes() != want[i, j]:
+                mismatches.append((i, j))
+            sizes.append(len(model._pins))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(sizes) == 8 * 2 * len(want)
+    assert not mismatches
+    assert max(sizes) <= _TIME_ENTRIES
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_proxy_queries_off_the_model_dimension_rejected(dim, lead):
+    # anchors of dimension d - 1 and d + 1 under a batch of the model's
+    # dimension and under one of the anchors', on the 2-d model
+    model, x = model_2d(), np.zeros(lead + (dim,))
+    for batch_dim in (2, dim):
+        batch = SharedNoiseBatch(seed=0, n=2, dim=batch_dim)
+        with pytest.raises(DomainError, match="anchor dimension"):
+            proxy_field(model, x, 0.8, batch)
+        with pytest.raises(DomainError, match="anchor dimension"):
+            proxy_field_decoupled(model, x, 0.8, batch, batch)
+        with pytest.raises(DomainError, match="anchor dimension"):
+            sample_proxy_field(model, x, [0.8], batch)
+    # a right anchor under draws of the wrong dimension
+    batch, right = SharedNoiseBatch(seed=0, n=2, dim=dim), np.zeros(lead + (2,))
+    with pytest.raises(DomainError, match="anchor dimension"):
+        proxy_field(model, right, 0.8, batch)
+    with pytest.raises(DomainError, match="anchor dimension"):
+        proxy_field_decoupled(model, right, 0.8, batch, SharedNoiseBatch(seed=1, n=2, dim=2))

@@ -1294,3 +1294,10 @@ def test_chord_field_at_zero_delta_is_the_naive_field(
             assert value is naive
         else:
             assert value.tobytes() == naive.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (4, 1), (4, 3)])
+def test_refinement_off_the_model_dimension_rejected(shape):
+    # a state of d - 1 or d + 1 coordinates would broadcast against the draw
+    with pytest.raises(DomainError, match="anchor dimension"):
+        proximal_refine(preset_model("two_blob_2d"), np.zeros(shape), 0.3, seed=0)
