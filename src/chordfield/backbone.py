@@ -18,10 +18,10 @@ The posterior kernel splits its work into what depends on the time only
 (``_Stack.at``) and what depends on the rows. A model keeps the time-only
 part of each query time the proxy field asks for, so a transport run, whose
 query times never change, builds it once, and per draw count keeps it pinned
-to the shapes of one anchor's kernel pass (``BackboneModel._time_values``).
-The kernel and the heads take pinned values, or those of times stacked on a
-leading axis, as arrays, which take no scalar branch (sigma = 0, the eps-head
-floor): their sigmas must clear the floor.
+to the shapes of one anchor's kernel pass while that fits ``_PIN_BYTES``. The
+kernel and the heads take pinned values, or those of times stacked on a leading
+axis, as arrays, which take no scalar branch (sigma = 0, the eps-head floor), so
+a time whose sigma is below the floor is queried with the floats.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ TAR = "tar"
 _einsum = getattr(np._core.multiarray, "c_einsum", np.einsum)
 # query times whose constants one model keeps; past this many it starts over
 _TIME_ENTRIES = 64
-# most bytes of pinned values one model keeps for one query time and draw count
-_PIN_BYTES = 1 << 14
+# most bytes of pins a model keeps for one (time, draw count), 16 MiB over _TIME_ENTRIES;
+# queries past it take the floats, as pins built for one query cost more than they save
+_PIN_BYTES = (16 << 20) // _TIME_ENTRIES
 # held while a model's per-time entries are trimmed and added to
 _TIMES_LOCK = threading.Lock()
 
@@ -115,8 +116,6 @@ class BackboneModel:
             raise DomainError(f"unknown output kind {self.output_kind!r}")
         self._pair = _Stack((self.target, self.source))
         self._times, self._pins = {}, {}
-        # bytes per draw of one time's pins: alpha and sigma (d), path scalars (2, d), the slice
-        self._pin_bytes = 8 * (10 * self.dim + sum(map(np.size, self._pair.at(1.0, 1.0))))
 
     @property
     def dim(self) -> int:
@@ -143,29 +142,37 @@ class BackboneModel:
                 self._times[key] = entry
         return entry
 
-    def _time_values(self, t: float, n: int, always: bool = False):
-        """alpha, sigma, coefficient, PathScalars and ``_pair`` slice at t for one row
-        of n draws, pinned to the shapes they meet, (n, d), (d,), (n, 2 mixtures, d)
-        and (n, ...), where sigma clears the floor and they fit ``_PIN_BYTES`` (kept by
-        (t, n)) or ``always``; else the floats, on which the kernel and heads branch."""
+    def _time_values(self, t: float, n: int):
+        """alpha, sigma, coefficient, PathScalars and ``_pair`` slice at t for n draws: pinned
+        and kept by (t, n) where sigma clears the floor and they fit; else the floats."""
         values = self._pins.get((t, n))
         if values is None:
-            a_t, s, pair = self._time_entry(t)
+            entry = a_t, s, pair = self._time_entry(t)
             values = (s.alpha, s.sigma, a_t, s, pair)
-            fits = n * self._pin_bytes <= _PIN_BYTES
-            if s.sigma >= self.schedule.alpha_floor and (fits or always):
-                d, four = self.dim, (s.alpha, s.sigma, s.alpha_dot, s.sigma_dot)
-                values = (
-                    _pinned(s.alpha, (n, d)), _pinned(s.sigma, (n, d)), _pinned(a_t, (d,)),
-                    PathScalars(t, *(_pinned(v, (n, 2, d)) for v in four)),
-                    pair._make(_pinned(v, (n,) + np.shape(v)) for v in pair),
-                )
-                if fits:
-                    with _TIMES_LOCK:
-                        if len(self._pins) >= _TIME_ENTRIES:
-                            self._pins.clear()
-                        self._pins[t, n] = values
+            # alpha and sigma (n, d), the path scalars (n, 2, d) and the slice, 8 bytes each
+            fits = 8 * n * (10 * self.dim + sum(map(np.size, pair))) <= _PIN_BYTES
+            if s.sigma >= self.schedule.alpha_floor and fits:
+                values = self._pin((), n, entry)
+                with _TIMES_LOCK:
+                    if len(self._pins) >= _TIME_ENTRIES:
+                        self._pins.clear()
+                    self._pins[t, n] = values
         return values
+
+    def _pin(self, rows: tuple, n: int, entry):
+        """A ``_time_entry`` (its arrays may lead with axes that meet those of rows) as fresh
+        read-only ``_time_values`` of the shapes a kernel pass over rows of n draws meets:
+        rows + (n, d), rows + (d,), rows + (n, 2 mixtures, d) and rows + (n, ...)."""
+        (a_t, s, pair), lead, d = entry, len(rows), self.dim
+        values = (s.alpha, s.sigma, a_t, s.alpha, s.sigma, s.alpha_dot, s.sigma_dot, *pair)
+        tails = [(n, d)] * 2 + [(d,)] + [(n, 2, d)] * 4 + [(n,) + np.shape(v)[lead:] for v in pair]
+        pins = []
+        for value, tail in zip(values, tails):
+            own = np.shape(value)[lead:]  # the axes after those that meet rows
+            value = np.reshape(value, np.shape(value)[:lead] + (1,) * (len(tail) - len(own)) + own)
+            pins.append(_allocated(f"pins of shape {rows + tail}", np.full, rows + tail, value))
+            pins[-1].setflags(write=False)
+        return (*pins[:3], PathScalars(s.t, *pins[3:7]), pair._make(pins[7:]))
 
     def condition(self, which: str) -> GaussianMixtureCondition:
         if which == SRC:
@@ -173,13 +180,6 @@ class BackboneModel:
         if which == TAR:
             return self.target
         raise DomainError(f"condition must be 'src' or 'tar', got {which!r}")
-
-
-def _pinned(value, shape):
-    """A fresh read-only array of ``shape`` filled with ``value`` (``DomainError`` if too large)."""
-    out = _allocated(f"pinned values of shape {shape}", np.full, shape, value)
-    out.setflags(write=False)
-    return out
 
 
 def marginal_moments(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import BackboneModel, _observe, _pinned, _rows, sample_condition, velocity
+from .backbone import BackboneModel, _observe, _rows, sample_condition, velocity
 from .chord import ChordParams, _blend, chord_field
 from .errors import DivergenceError, DomainError, _allocated
 from .proxy import (
@@ -158,26 +158,26 @@ def make_control_field(
 
 
 def _two_time_pass(model, t, delta, batch_prev, batch_curr):
-    """``_estimate``'s values for rows (2, k, d) at t - delta and t, by k: the two
-    times' pinned ``_time_values``, made once the draws are read, stacked on axis 0,
-    pinned to (2, k, ...) and kept for the last k; None (two queries) where a time's
-    values fail to build or its sigma is below the floor, so that they are unpinned."""
-    draws = np.stack((batch_prev.draws, batch_curr.draws))
+    """``_estimate``'s values for rows (2, k, d) at t - delta and t, by k, pinned by the model
+    (the times on axis 0) once the draws are read and kept for the last k, the only per-draw
+    values held; None (two queries) where a time's values fail or its sigma is below the floor."""
+    draws = batch_prev.draws, batch_curr.draws
     try:
-        times = [model._time_values(u, batch_curr.n, always=True) for u in (t - delta, t)]
+        (a_p, s_p, at_p), (a_t, s_t, at_t) = (model._time_entry(u) for u in (t - delta, t))
     except (DomainError, ArithmeticError):
         return None
-    if not all(isinstance(values[0], np.ndarray) for values in times):
+    if min(s_p.sigma, s_t.sigma) < model.schedule.alpha_floor:
         return None
-    # each value of the two times on axis 0, then an axis for the rows
-    flat = [(*v[:3], v[3].alpha, v[3].sigma, v[3].alpha_dot, v[3].sigma_dot, *v[4]) for v in times]
-    stacked = [np.stack(both)[:, None] for both in zip(*flat)]
-    stacked[1] = stacked[1] * draws[:, None]  # sigma times the draws: the noise
+    four = np.array([[s.alpha, s.sigma, s.alpha_dot, s.sigma_dot] for s in (s_p, s_t)]).T[..., None]
+    at = at_p._make(np.stack(values)[:, None] for values in zip(at_p, at_t))
+    entry = np.array([[a_p], [a_t]]), PathScalars((t - delta, t), *four), at
 
     @functools.lru_cache(maxsize=1)
     def shaped(k):
-        v = [_pinned(value, (2, k) + value.shape[2:]) for value in stacked]
-        return v[0], v[1], v[2], PathScalars((t - delta, t), *v[3:7]), times[0][4]._make(v[7:])
+        alpha, sigma, *rest = model._pin((2, k), batch_curr.n, entry)
+        noise = sigma * np.stack(draws)[:, None]  # each time's own draws on every row
+        noise.setflags(write=False)
+        return alpha, noise, *rest
 
     return shaped
 

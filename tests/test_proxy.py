@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -558,22 +559,54 @@ def test_a_time_below_the_floor_queries_with_floats():
     assert _pinned(model, above, 2)
 
 
+def _pinned_bytes(values):
+    """Bytes of one (time, draw count)'s pins that grow with the draw count."""
+    alpha, sigma, _, scalars, pair = values
+    return sum(value.nbytes for value in (alpha, sigma, *pair)) + 4 * scalars.alpha.nbytes
+
+
 def test_a_draw_count_over_the_size_bound_queries_with_broadcast_constants():
     model = model_2d()
-    most = _PIN_BYTES // model._pin_bytes
-    pins = model._time_values(0.8, most)
-    assert sum(value.nbytes for value in (*pins[:3], *pins[4])) + 4 * pins[3].alpha.nbytes == (
-        most * model._pin_bytes + pins[2].nbytes
-    )
+    one = _pinned_bytes(model_2d()._time_values(0.8, 1))
+    most = _PIN_BYTES // one
+    assert _pinned_bytes(model._time_values(0.8, most)) == most * one <= _PIN_BYTES
     assert _pinned(model, 0.8, most) and not _pinned(model, 0.8, most + 1)
     assert set(model._pins) == {(0.8, most)}
     x, batch = np.array([[0.5, -1.0], [-2.0, 0.25]]), SharedNoiseBatch(seed=9, n=most + 1, dim=2)
     got = proxy_field(model, x, 0.8, batch)
     assert got.tobytes() == _unpinned_estimate(model, x, 0.8, batch).tobytes()
-    # the fused pass of a tuple-kind field pins at any draw count, and keeps none over the bound
+    # the fused pass of a tuple-kind field pins at any draw count, and keeps its pins itself
     shaped = transport._two_time_pass(model, 0.8, 0.1, batch, batch)
     assert shaped is not None and shaped(3)[1].shape == (2, 3, most + 1, 2)
     assert set(model._pins) == {(0.8, most)}
+
+
+def test_the_fused_pass_holds_no_per_draw_values_but_its_pins():
+    # what a tuple-kind field keeps past its pins is as small as the time entries
+    model, n = model_2d(), 2000
+    batch_prev, batch_curr = (SharedNoiseBatch(seed=s, n=n, dim=2) for s in (1, 2))
+    draws = batch_prev.draws, batch_curr.draws
+    model._time_entry(0.7), model._time_entry(0.8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        shaped = transport._two_time_pass(model, 0.8, 0.1, batch_prev, batch_curr)
+        alpha, noise, a_t, scalars, pair = shaped(1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    four = (scalars.alpha, scalars.sigma, scalars.alpha_dot, scalars.sigma_dot)
+    pinned = sum(value.nbytes for value in (alpha, noise, a_t, *four, *pair))
+    assert pinned <= held < pinned + 8 * n
+    assert not model._pins
+    # nor does the closure reach the single-time pins, nor a copy of the draws
+    cells = [cell.cell_contents for cell in shaped.__wrapped__.__closure__]
+    arrays = [v for v in cells if isinstance(v, np.ndarray)]
+    for v in cells:
+        if isinstance(v, tuple):
+            arrays += [w for w in v if isinstance(w, np.ndarray)]
+            arrays += [w for u in v if isinstance(u, tuple) for w in u if isinstance(w, np.ndarray)]
+    assert all(v is draws[0] or v is draws[1] or v.size < n for v in arrays)
 
 
 def test_an_evicted_time_entry_drops_its_pins():
