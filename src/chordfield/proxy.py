@@ -93,6 +93,14 @@ class SharedNoiseBatch:
         return out
 
 
+class _RowsBatch:
+    """Per-row draws (P, n, d) for ``proxy_field``: row i the ``draws`` of ``batches[i]``."""
+
+    def __init__(self, batches):
+        self.draws = _allocated("rows of noise draws", np.stack, [b.draws for b in batches])
+        self.n, self.dim = self.draws.shape[1:]
+
+
 def _philox_normals(keys, shape) -> np.ndarray:
     """Standard normals of shape ``(len(keys), *shape)``: entry i holds what a
     fresh ``Philox(key=keys[i])`` generator draws first, in C order."""
@@ -139,9 +147,12 @@ class ProxyField:
 def noising_sample(
     schedule: Schedule, x_tau: np.ndarray, t: float, eps: np.ndarray
 ) -> np.ndarray:
-    """One draw of the forward noising kernel: alpha(t) x + sigma(t) eps."""
+    """One draw of the forward noising kernel: alpha(t) x + sigma(t) eps; x and eps end in d."""
+    x_tau, eps = np.asarray(x_tau, dtype=float), np.asarray(eps, dtype=float)
+    if x_tau.shape[-1:] != eps.shape[-1:]:
+        raise DomainError(f"noise of shape {eps.shape} does not match the state's {x_tau.shape}")
     a, s = evaluate(schedule, t)
-    return a * np.asarray(x_tau, dtype=float) + s * np.asarray(eps, dtype=float)
+    return a * x_tau + s * eps
 
 
 def proxy_field(
@@ -152,10 +163,10 @@ def proxy_field(
     Averages the head residual over the batch draws (identical draws for both
     conditions) and scales by the head's comparison-domain coefficient. For a
     velocity-head model this is exactly the mean of the velocity residual.
-    ``x_tau`` is one anchor (d,) or rows of anchors (..., d); every anchor
-    and draw goes through the posterior in one pass, and each row's estimate
-    is bit-identical to that of the anchor queried alone. The values at t are
-    built once per model and draw count (``BackboneModel._time_values``).
+    ``x_tau`` is one anchor (d,) or rows of anchors (..., d); every anchor and draw goes
+    through the posterior in one pass, and each row's estimate is bit-identical to that of
+    the anchor queried alone, also for anchors (P, d) under per-row draws (P, n, d), a
+    ``_RowsBatch``. The values at t are built once per model and draw count (``_time_values``).
     """
     x_tau = _rows(model, x_tau)
     if batch.dim != model.dim:

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -623,6 +624,56 @@ class TestStepSweep:
         flags = ["--override", "params.particles=3", "--override", "params.reference_steps=8"]
         assert main(["step_sweep", "--out", str(tmp_path / "run"), *flags]) == 0
         assert len(made) == 2 * 3
+
+    @pytest.mark.parametrize(
+        "overrides", [[], ["chord.share_noise_across_times=false", "chord.n=2"]]
+    )
+    def test_batched_and_row_by_row_fields_do_the_same_work(self, tmp_path, monkeypatch, overrides):
+        # every particle's rows in one query, or each field on its own row
+        # inside a plain closure, as a tracer wraps it: the same noised rows,
+        # draws and keys, and the same bytes out
+        from chordfield import proxy
+
+        query, fill = transport.proxy_field, proxy.SharedNoiseBatch.draws.func
+        work = {}
+
+        def proxy_field(model, x, t, batch):
+            work["calls"] += 1
+            work["rows"] += np.asarray(x).size // model.dim * batch.n
+            return query(model, x, t, batch)
+
+        def draws(batch):
+            work["draws"] += batch.n
+            work["keys"].update((batch.seed & proxy._MASK64, i) for i in range(batch.n))
+            return fill(batch)
+
+        counted = functools.cached_property(draws)
+        counted.__set_name__(proxy.SharedNoiseBatch, "draws")
+        monkeypatch.setattr(proxy.SharedNoiseBatch, "draws", counted)
+        monkeypatch.setattr(transport, "proxy_field", proxy_field)
+        make = transport.make_control_field
+
+        def closed(*args):
+            field = make(*args)
+            return lambda x, s=0.0: field(x, s)  # without the field's attributes
+
+        flags = ["--override", "params.particles=3", "--override", "params.reference_steps=8"]
+        flags += [arg for override in overrides for arg in ("--override", override)]
+        calls, seen = [], []
+        for wrapped in (False, True):
+            if wrapped:
+                monkeypatch.setattr(experiments, "make_control_field", closed)
+            work.update(calls=0, rows=0, draws=0, keys=set())
+            out = tmp_path / f"wrapped_{wrapped}"
+            assert main(["step_sweep", "--out", str(out), *flags]) == 0
+            calls.append(work.pop("calls"))
+            files = [(out / name).read_bytes() for name in ("step_sweep.csv", "summary.txt")]
+            seen.append((work["rows"], work["draws"], len(work["keys"]), files))
+        # every reference row stayed tame, so row by row is 3 calls for each batched one
+        assert calls[1] == 3 * calls[0]
+        assert seen[0] == seen[1]
+        # 3 particles: one draw per method, or n = 2 at both chord times and at the naive t
+        assert seen[0][1] == (3 * (2 * 2 + 2) if overrides else 3 * 2)
 
     def test_rows_match_one_reference_and_march_per_particle(self, tmp_path):
         # the naive march at S=8 runs away on 4 of the 20 particles

@@ -136,6 +136,23 @@ class TestNoisingSample:
         z = noising_sample(sched, np.array([2.0, 0.0]), 0.5, np.array([1.0, 1.0]))
         np.testing.assert_allclose(z, [1.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "x, eps", [([0.1, 0.2], [1.0]), ([0.1], [1.0, 2.0]), ([0.1, 0.2], np.ones((3, 1)))]
+    )
+    def test_noise_off_the_state_dimension_rejected(self, x, eps):
+        # a last axis of 1 would broadcast against the state's instead
+        with pytest.raises(DomainError, match="does not match the state"):
+            noising_sample(Schedule(kind=LINEAR_INTERP), x, 0.5, eps)
+
+    def test_one_state_against_many_draws(self):
+        # a state (d,) meets n draws (n, d): one noised sample per draw
+        sched = Schedule(kind=VP_CONST_BETA, beta0=2.0)
+        x, eps = np.array([0.1, 0.2]), np.arange(6.0).reshape(3, 2)
+        z = noising_sample(sched, x, 0.5, eps)
+        assert z.shape == (3, 2)
+        for z_i, eps_i in zip(z, eps):
+            assert z_i.tobytes() == noising_sample(sched, x, 0.5, eps_i).tobytes()
+
 
 class TestProxyField:
     def test_identical_conditions_give_zero(self):

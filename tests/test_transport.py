@@ -1,5 +1,8 @@
+import functools
+import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from chordfield.schedules import (
 )
 from chordfield.transport import (
     DIVERGENCE_NORM,
+    FIELD_KINDS,
     _batches,
     _guard_rows,
     _guard_state,
@@ -1301,3 +1305,125 @@ def test_refinement_off_the_model_dimension_rejected(shape):
     # a state of d - 1 or d + 1 coordinates would broadcast against the draw
     with pytest.raises(DomainError, match="anchor dimension"):
         proximal_refine(preset_model("two_blob_2d"), np.zeros(shape), 0.3, seed=0)
+
+
+def _per_row(fields):
+    """The rows field evaluated row by row: row i is ``fields[i]`` at that row."""
+    return lambda x, s=0.0: np.array([f(x_i, s) for f, x_i in zip(fields, x)]).reshape(x.shape)
+
+
+def _spied(field, calls):
+    """``field`` appending to ``calls`` when called, with its attributes (``query`` among them)."""
+
+    @functools.wraps(field)
+    def spy(x, s=0.0):
+        calls.append(x.shape)
+        return field(x, s)
+
+    return spy
+
+
+def _marches_equal(got, want):
+    """Two ``_march`` results, or the types of their errors, are the same bytes."""
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+        return
+    (traj, values, live), (traj_w, values_w, live_w) = got, want
+    assert np.stack(traj).tobytes() == np.stack(traj_w).tobytes()
+    assert len(values) == len(values_w)
+    assert all(u.tobytes() == w.tobytes() for u, w in zip(values, values_w))
+    assert live.tobytes() == live_w.tobytes()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(PRESETS),
+    st.sampled_from(SCHEDULES),
+    st.sampled_from(PARAMETERIZATION_KINDS),
+    st.sampled_from(FIELD_KINDS),
+    st.sampled_from([1, 4]),
+    st.booleans(),
+    st.sampled_from([0.0, 0.1]),
+    st.sampled_from([0, 1, 5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_rows_field_bit_equal_to_one_field_per_row(
+    name, schedule, head, kind, n, share, delta, count, seed
+):
+    # one-kind fields of one model, params and kind query every row at once,
+    # each row under its own draws; the row-by-row path is the oracle
+    model = preset_model(name, schedule, head)
+    params = ChordParams(t=0.8, delta=delta, n=n, share_noise_across_times=share)
+    calls = []
+    fields = [
+        _spied(make_control_field(model, params, kind, particle_seed(seed, i)), calls)
+        for i in range(count)
+    ]
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, model.source.n_components, count)
+    states = model.source.means[picks] + rng.normal(size=(count, model.dim))
+    # every row, then a subset, as step_sweep marches the rows whose reference stayed tame
+    keep = np.flatnonzero(rng.random(count) < 0.5)
+    for rows, x in ((fields, states), ([fields[i] for i in keep], states[keep])):
+        got = _value_or_error_type(lambda: transport._rows_field(rows)(x))
+        assert calls == []  # the batched path calls no field
+        want = _value_or_error_type(lambda: _per_row(rows)(x))
+        assert got is want if isinstance(want, type) else got.tobytes() == want.tobytes()
+        calls.clear()
+    # a row far out, where an RK4 step of 64 overshoots, among the tame ones
+    if count:
+        states[0] = 9e5 / math.sqrt(model.dim)
+    for march in (
+        lambda field: rk4_march(field, states, 0.0, 64.0, 1),
+        lambda field: euler_march(field, states, 0.5, 3),
+    ):
+        got = _value_or_error_type(lambda: march(transport._rows_field(fields)))
+        assert calls == []
+        _marches_equal(got, _value_or_error_type(lambda: march(_per_row(fields))))
+        calls.clear()
+
+
+def test_batched_rk4_march_freezes_the_runaway_row_alone():
+    # the far row trips the guard where the tame rows take their step, each
+    # row bit-equal to its own field's march
+    model = preset_model("two_blob_2d")
+    for kind, n in itertools.product(FIELD_KINDS, (1, 4)):
+        params = ChordParams(t=0.8, delta=0.1, n=n)
+        fields = [make_control_field(model, params, kind, particle_seed(7, i)) for i in range(4)]
+        states = np.random.default_rng(7).normal(size=(4, 2))
+        states[2] = [9e5, 0.0]
+        got = rk4_march(transport._rows_field(fields), states, 0.0, 64.0, 1)
+        assert got[2].tolist() == [True, True, False, True]
+        _marches_equal(got, rk4_march(_per_row(fields), states, 0.0, 64.0, 1))
+        for i, field in enumerate(fields):
+            trajectory, _, live = rk4_march(field, states[i], 0.0, 64.0, 1)
+            assert live == got[2][i]
+            assert trajectory[-1].tobytes() == got[0][-1][i].tobytes()
+
+
+def test_rows_field_evaluates_other_fields_row_by_row():
+    # mixed kinds, other params or another model, wrappers without the fields'
+    # attributes and tuple kinds each call every field on its own row
+    model, params = preset_model("two_blob_2d"), ChordParams(n=2)
+    naive, chord = (
+        [make_control_field(model, params, kind, s) for s in (1, 2, 3)] for kind in FIELD_KINDS
+    )
+    elsewhere = [
+        make_control_field(model, replace(params, delta=0.2), "chord", 4),
+        make_control_field(preset_model("two_blob_2d"), params, "chord", 4),
+        lambda x, s=0.0: chord[2](x, s),
+    ]
+    x = np.random.default_rng(0).normal(size=(3, 2))
+    for odd in [naive[0], *elsewhere]:
+        fields, calls = [chord[0], chord[1], odd], []
+        got = transport._rows_field([_spied(f, calls) for f in fields])(x)
+        assert calls == [(2,)] * 3
+        assert got.tobytes() == _per_row(fields)(x).tobytes()
+    both = [make_control_field(model, params, ("chord", "naive"), s) for s in (1, 2, 3)]
+    pairs, calls = np.stack([x, x], axis=1), []
+    got = transport._rows_field([_spied(f, calls) for f in both])(pairs)
+    assert calls == [(2, 2)] * 3
+    assert got.tobytes() == _per_row(both)(pairs).tobytes()
+    # the same fields, all one kind, are queried together
+    got = transport._rows_field([_spied(f, calls) for f in chord])(x)
+    assert len(calls) == 3 and got.tobytes() == _per_row(chord)(x).tobytes()
