@@ -94,11 +94,14 @@ class SharedNoiseBatch:
 
 
 class _RowsBatch:
-    """Per-row draws (P, n, d) for ``proxy_field``: row i the ``draws`` of ``batches[i]``."""
+    """Rows' draws (P, n, d), stacked at first read: row i the ``draws`` of ``batches[i]``."""
 
     def __init__(self, batches):
-        self.draws = _allocated("rows of noise draws", np.stack, [b.draws for b in batches])
-        self.n, self.dim = self.draws.shape[1:]
+        self.batches, self.n, self.dim = batches, batches[0].n, batches[0].dim
+
+    @cached_property
+    def draws(self) -> np.ndarray:
+        return _allocated("rows of noise draws", np.stack, [b.draws for b in self.batches])
 
 
 def _philox_normals(keys, shape) -> np.ndarray:
@@ -163,10 +166,10 @@ def proxy_field(
     Averages the head residual over the batch draws (identical draws for both
     conditions) and scales by the head's comparison-domain coefficient. For a
     velocity-head model this is exactly the mean of the velocity residual.
-    ``x_tau`` is one anchor (d,) or rows of anchors (..., d); every anchor and draw goes
-    through the posterior in one pass, and each row's estimate is bit-identical to that of
-    the anchor queried alone, also for anchors (P, d) under per-row draws (P, n, d), a
-    ``_RowsBatch``. The values at t are built once per model and draw count (``_time_values``).
+    ``x_tau`` is one anchor (d,) or rows of anchors (..., d), or (P, d) under the per-row
+    draws (P, n, d) of a ``_RowsBatch``; every anchor and draw goes through the posterior in
+    one pass, and each row's estimate is bit-identical to that of the anchor queried alone.
+    Errors come in one order: the anchor dimension, then t's values, then the draws.
     """
     x_tau = _rows(model, x_tau)
     if batch.dim != model.dim:

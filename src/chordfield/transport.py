@@ -110,9 +110,17 @@ def make_control_field(
     evaluates kind j on [..., j, :] and sends both times through one kernel pass.
     Each row's value is bit-identical to that of the row alone under its
     kind's own field. An optional pseudo-time argument is ignored, so that
-    integrators can treat the field like any other; its ``autonomous``
-    attribute is True to say so. ``_rows_field`` reads a one-kind field's ``query``.
+    integrators can treat the field like any other (``autonomous`` is True to
+    say so). One builder makes it and ``_rows_field``'s field over rows.
     """
+    batches = _batches(params, seed, model.dim)
+    field = _control_field(model, params, field_kind, *batches)
+    field.query = None if isinstance(field_kind, tuple) else (model, params, field_kind, *batches)
+    return field
+
+
+def _control_field(model, params, field_kind, batch_prev, batch_curr):
+    """``field_kind``'s field, querying t - delta with ``batch_prev`` and t with ``batch_curr``."""
     single = not isinstance(field_kind, tuple)
     kinds = (field_kind,) if single else field_kind
     if not kinds or not all(kind in FIELD_KINDS for kind in kinds):
@@ -120,7 +128,6 @@ def make_control_field(
     if len(set(kinds)) < len(kinds):
         raise DomainError("field kinds must be distinct")
     t, delta, dim = params.t, params.delta, model.dim
-    batch_prev, batch_curr = _batches(params, seed, dim)
     # the chord rows as a basic index, so selecting them makes a view
     chord = fused = None
     if CHORD in kinds:
@@ -155,7 +162,6 @@ def make_control_field(
         return u
 
     field.autonomous = True
-    field.query = (model, params, field_kind, batch_prev, batch_curr) if single else None
     return field
 
 
@@ -336,25 +342,16 @@ def euler_march(field, x0: np.ndarray, h: float, steps: int):
 
 
 def _rows_field(fields):
-    """The field over rows (P, d), P >= 0, whose row i is ``fields[i]`` at that row. Where each
-    field's ``query`` names one model, params and kind, one ``proxy_field`` call per query time
-    takes all rows and their draws (P, n, d); else (mixed or tuple kinds, wrapped fields, other
-    callables) it evaluates row by row. Each row is bit-equal either way."""
+    """The field over rows (P, d), P >= 0, whose row i is ``fields[i]`` at that row:
+    ``_control_field`` over ``_RowsBatch`` objects where every field's ``query`` names one
+    model, params and kind, else row by row; each row's value or error is the same either way."""
     qs = [getattr(f, "query", None) for f in fields] or [None]
     model, p, kind, *_ = qs[0] or (None,) * 5
     if model is None or any(q is None or q[0] is not model or q[1:3] != (p, kind) for q in qs):
         return lambda x, s=0.0: np.array([f(x_i, s) for f, x_i in zip(fields, x)]).reshape(x.shape)
-    # batch j of every field (3 at t - delta, 4 at t) as rows, stacked when a field would draw it
-    rows = functools.cache(lambda j: _RowsBatch([q[j] for q in qs]))
-    prev = 4 if all(q[3] is q[4] for q in qs) else 3
-
-    def field(x, s=0.0):
-        u = proxy_field(model, x, p.t, rows(4))
-        if kind == CHORD:
-            _blend(proxy_field(model, x, p.t - p.delta, rows(prev)), u, p.t, p.delta)
-        return u
-
-    return field
+    curr = _RowsBatch([q[4] for q in qs])
+    prev = curr if all(q[3] is q[4] for q in qs) else _RowsBatch([q[3] for q in qs])
+    return _control_field(model, p, kind, prev, curr)
 
 
 def multi_step_transport(

@@ -1110,3 +1110,40 @@ def test_a_count_too_large_to_hold_exits_two_and_writes_nothing(
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"usage error: {count} do not fit in memory"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, overrides", [("step_sweep", []), ("toy", ["params.steps=3"])])
+def test_a_query_time_below_the_floor_fails_alike_batched_row_by_row_and_in_one_step(
+    tmp_path, monkeypatch, capsys, experiment, overrides
+):
+    # sigma(1e-7) is below the noise head's floor and 2**62 draws do not fit:
+    # every path names the floor, as the query time's constants fail first
+    overrides = [
+        *overrides,
+        'backbone.output_kind="noise_eps"',
+        "chord.t=1e-7",
+        "chord.delta=0",
+        "chord.n=4611686018427387904",
+    ]
+    errors = []
+
+    def run(name, extra=()):
+        out = tmp_path / f"run{len(errors)}"
+        flags = [arg for override in [*overrides, *extra] for arg in ("--override", override)]
+        assert main([name, "--out", str(out), *flags]) == 2
+        assert not out.exists() and not list(tmp_path.rglob("*.csv"))
+        errors.append(capsys.readouterr().err)
+
+    run(experiment)
+    # one-step toy under the same schedule transports by chordedit, not by fields
+    run("toy", ["params.steps=1", f"schedule={json.dumps(DEFAULTS[experiment]['schedule'])}"])
+    make = transport.make_control_field
+
+    def closed(*args):
+        field = make(*args)
+        return lambda x, s=0.0: field(x, s)  # without the field's attributes
+
+    monkeypatch.setattr(experiments, "make_control_field", closed)
+    run(experiment)
+    assert "below floor" in errors[0]
+    assert errors == [errors[0]] * 3

@@ -1427,3 +1427,31 @@ def test_rows_field_evaluates_other_fields_row_by_row():
     # the same fields, all one kind, are queried together
     got = transport._rows_field([_spied(f, calls) for f in chord])(x)
     assert len(calls) == 3 and got.tobytes() == _per_row(chord)(x).tobytes()
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@pytest.mark.parametrize("delta, share", [(0.0, True), (0.0, False), (5e-8, True), (5e-8, False)])
+def test_batched_rows_field_fails_where_the_query_time_fails(kind, delta, share):
+    # sigma(1e-7) is below the floor of the noise head, and 2**62 draws do not
+    # fit: the query time's constants fail before the draws are read, on the
+    # batched path as row by row
+    model = preset_model("two_blob_2d", Schedule(kind=VP_CONST_BETA, beta0=0.5), "noise_eps")
+    params = ChordParams(t=1e-7, delta=delta, n=2**62, share_noise_across_times=share)
+    fields = [make_control_field(model, params, kind, particle_seed(0, i)) for i in range(3)]
+    x = np.zeros((3, 2))
+    with pytest.raises(IllConditionedMapError, match="below floor") as want:
+        _per_row(fields)(x)
+    with pytest.raises(IllConditionedMapError) as got:
+        transport._rows_field(fields)(x)
+    assert str(got.value) == str(want.value)
+
+
+def test_rows_field_is_not_batched_again():
+    # a rows field carries no query, so a list of rows fields goes row by row
+    model, params = preset_model("two_blob_2d"), ChordParams(n=2)
+    fields = [make_control_field(model, params, "chord", s) for s in (1, 2)]
+    rows = transport._rows_field(fields)
+    assert getattr(rows, "query", None) is None
+    x = np.random.default_rng(0).normal(size=(2, 2, 2))
+    got = transport._rows_field([rows, rows])(x)
+    assert got.tobytes() == np.stack([rows(x_i) for x_i in x]).tobytes()
