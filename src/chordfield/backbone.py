@@ -348,10 +348,10 @@ def _observe(
 
 
 def _rows(model: BackboneModel, z) -> np.ndarray:
-    """z as float rows (..., d); ``DomainError`` unless d is the model's dimension."""
+    """z as float rows (..., d); ``DomainError``, naming the last axis, unless it is d."""
     z = np.asarray(z, dtype=float)
     if z.shape[-1:] != (model.dim,):
-        raise DomainError(f"shape {z.shape} does not end in the anchor dimension {model.dim}")
+        raise DomainError(f"a last axis {z.shape[-1:]} is not the anchor dimension ({model.dim},)")
     return z
 
 

@@ -129,11 +129,11 @@ def _control_field(model, params, field_kind, batch_prev, batch_curr):
         raise DomainError("field kinds must be distinct")
     t, delta, dim = params.t, params.delta, model.dim
     # the chord rows as a basic index, so selecting them makes a view
-    chord = fused = None
-    if CHORD in kinds:
+    chord, fused = (Ellipsis if field_kind == CHORD else None), None
+    if not single and CHORD in kinds:
         j = kinds.index(CHORD)
-        chord = Ellipsis if single else (Ellipsis, slice(j, j + 1), slice(None))
-        fused = None if single else _two_time_pass(model, t, delta, batch_prev, batch_curr)
+        chord = (Ellipsis, slice(j, j + 1), slice(None))
+        fused = _two_time_pass(model, t, delta, batch_prev, batch_curr)
         chord_rows = slice(j, None, len(kinds))  # the chord kind's flat rows, as a view
 
         @functools.lru_cache(maxsize=1)
@@ -167,15 +167,15 @@ def _control_field(model, params, field_kind, batch_prev, batch_curr):
 
 def _two_time_pass(model, t, delta, batch_prev, batch_curr):
     """``_estimate``'s values for rows (2, k, d) at t - delta and t, by k, pinned by the model
-    (the times on axis 0) once the draws are read and kept for the last k, the only per-draw
-    values held; None (two queries) where a time's values fail or its sigma is below the floor."""
-    draws = batch_prev.draws, batch_curr.draws
+    (the times on axis 0) and kept for the last k, the only per-draw values held; None (two
+    queries), before a draw is read, where a time's values fail or its sigma is below the floor."""
     try:
         (a_p, s_p, at_p), (a_t, s_t, at_t) = (model._time_entry(u) for u in (t - delta, t))
     except (DomainError, ArithmeticError):
         return None
     if min(s_p.sigma, s_t.sigma) < model.schedule.alpha_floor:
         return None
+    draws = batch_prev.draws, batch_curr.draws
     four = np.array([[s.alpha, s.sigma, s.alpha_dot, s.sigma_dot] for s in (s_p, s_t)]).T[..., None]
     at = at_p._make(np.stack(values)[:, None] for values in zip(at_p, at_t))
     entry = np.array([[a_p], [a_t]]), PathScalars((t - delta, t), *four), at
@@ -253,10 +253,11 @@ def chordedit(
     ``x_src`` is one state (d,) with an int ``seed``, or rows (P, d) with P
     seeds: row i queries both times with its own batch of ``params.n`` draws
     from seed i (one batch for both times by default) and refines with its own
-    draw. The blend, step, guard and refinement run once over the rows, each
-    row bit-equal to its one-state run. Rows flag a runaway step in ``live``
-    and refine only the live rows; one state raises ``DivergenceError``
-    carrying the source state.
+    draw. Each time's query (row by row where the seeds' fields lack their
+    ``query``, as in ``_rows_field``), the blend, step, guard and refinement
+    run once over the rows, each row bit-equal to its one-state run. Rows flag
+    a runaway step in ``live`` and refine only the live rows; one state raises
+    ``DivergenceError`` carrying the source state.
     """
     x_src = np.asarray(x_src, dtype=float)
     if x_src.ndim == 1:
@@ -269,12 +270,18 @@ def chordedit(
     if x_src.ndim != 2 or np.ndim(seed) != 1 or len(seed) != len(x_src):
         raise DomainError("chordedit takes one state (d,) and a seed, or rows (P, d) and P seeds")
     t, delta, dim = params.t, params.delta, model.dim
-    queried, batches = np.empty((2,) + x_src.shape), []
-    for i, (x, seed_i) in enumerate(zip(x_src, seed)):
-        batch_prev, batch_curr = _batches(params, seed_i, dim)
-        queried[0, i] = proxy_field(model, x, t - delta, batch_prev)
-        queried[1, i] = proxy_field(model, x, t, batch_curr)
-        batches.append(batch_curr)
+    rows = _rows_query([make_control_field(model, params, CHORD, s) for s in seed])
+    if rows is not None:
+        *_, prev, curr = rows
+        queried = proxy_field(model, x_src, t - delta, prev), proxy_field(model, x_src, t, curr)
+        batches = curr.batches
+    else:  # fields without their query, as a tracer wraps them: row by row
+        queried, batches = np.empty((2,) + x_src.shape), []
+        for i, (x, seed_i) in enumerate(zip(x_src, seed)):
+            batch_prev, batch_curr = _batches(params, seed_i, dim)
+            queried[0, i] = proxy_field(model, x, t - delta, batch_prev)
+            queried[1, i] = proxy_field(model, x, t, batch_curr)
+            batches.append(batch_curr)
     u_hat = chord_field(*queried, t, delta)
     x_pred = x_src + params.step_scale * u_hat
     live = _guard_rows(x_pred)
@@ -341,17 +348,25 @@ def euler_march(field, x0: np.ndarray, h: float, steps: int):
     return _march(x0, steps, step)
 
 
-def _rows_field(fields):
-    """The field over rows (P, d), P >= 0, whose row i is ``fields[i]`` at that row:
-    ``_control_field`` over ``_RowsBatch`` objects where every field's ``query`` names one
-    model, params and kind, else row by row; each row's value or error is the same either way."""
+def _rows_query(fields):
+    """Where every field's ``query`` names one model, params and kind, those and ``_RowsBatch``
+    objects of each field's draws at t - delta and t; None otherwise, and for no fields."""
     qs = [getattr(f, "query", None) for f in fields] or [None]
     model, p, kind, *_ = qs[0] or (None,) * 5
     if model is None or any(q is None or q[0] is not model or q[1:3] != (p, kind) for q in qs):
-        return lambda x, s=0.0: np.array([f(x_i, s) for f, x_i in zip(fields, x)]).reshape(x.shape)
+        return None
     curr = _RowsBatch([q[4] for q in qs])
     prev = curr if all(q[3] is q[4] for q in qs) else _RowsBatch([q[3] for q in qs])
-    return _control_field(model, p, kind, prev, curr)
+    return model, p, kind, prev, curr
+
+
+def _rows_field(fields):
+    """The field over rows (P, d), P >= 0, whose row i is ``fields[i]`` at that row, its value
+    or error the same either way: ``_control_field(*_rows_query(fields))``, else row by row."""
+    query = _rows_query(fields)
+    if query is None:
+        return lambda x, s=0.0: np.array([f(x_i, s) for f, x_i in zip(fields, x)]).reshape(x.shape)
+    return _control_field(*query)
 
 
 def multi_step_transport(

@@ -582,6 +582,77 @@ class TestToy:
         assert main(["toy", "--out", str(out), *flags]) == code
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            [],
+            ["chord.share_noise_across_times=false", "chord.n=2"],
+            ["chord.prox_shared_noise=true", "chord.n=3"],
+        ],
+    )
+    def test_batched_and_row_by_row_queries_do_the_same_work(
+        self, tmp_path, monkeypatch, capsys, overrides
+    ):
+        # one-step transport queries every particle's rows at once, or each
+        # particle on its own once its fields are wrapped in a plain closure,
+        # as a tracer wraps them: the same noised rows, draws and keys, and
+        # the same bytes out
+        from chordfield import proxy
+
+        query, fill = transport.proxy_field, proxy.SharedNoiseBatch.draws.func
+        work = {}
+
+        def proxy_field(model, x, t, batch):
+            work["calls"] += 1
+            work["rows"] += np.asarray(x).size // model.dim * batch.n
+            return query(model, x, t, batch)
+
+        def draws(batch):
+            work["draws"] += batch.n
+            work["keys"].update((batch.seed & proxy._MASK64, i) for i in range(batch.n))
+            return fill(batch)
+
+        counted = functools.cached_property(draws)
+        counted.__set_name__(proxy.SharedNoiseBatch, "draws")
+        monkeypatch.setattr(proxy.SharedNoiseBatch, "draws", counted)
+        monkeypatch.setattr(transport, "proxy_field", proxy_field)
+        make = transport.make_control_field
+
+        def closed(*args):
+            field = make(*args)
+            return lambda x, s=0.0: field(x, s)  # without the field's attributes
+
+        flags = ["--override", "params.particles=100"]
+        flags += [arg for override in overrides for arg in ("--override", override)]
+        # sigma(1e-7) is below the noise head's floor, and 2**62 draws do not fit
+        floor = ['backbone.output_kind="noise_eps"', "chord.t=1e-7", "chord.delta=0"]
+        floor = [arg for o in [*floor, "chord.n=4611686018427387904"] for arg in ("--override", o)]
+        names = [f"particles_after_{m}.csv" for m in ("chord", "naive")]
+        names += ["particles_before.csv", "energy.csv", "summary.txt"]
+        calls, seen, failed = [], [], []
+        for wrapped in (False, True):
+            if wrapped:
+                monkeypatch.setattr(transport, "make_control_field", closed)
+            work.update(calls=0, rows=0, draws=0, keys=set())
+            out = tmp_path / f"wrapped_{wrapped}"
+            assert main(["toy", "--out", str(out), *flags]) == 0
+            calls.append(work["calls"])
+            files = [(out / name).read_bytes() for name in names]
+            seen.append((work["rows"], work["draws"], len(work["keys"]), files))
+            capsys.readouterr()
+            assert main(["toy", "--out", str(tmp_path / f"floor_{wrapped}"), *floor]) == 2
+            failed.append(capsys.readouterr().err)
+        # two queries per method: over every particle at once, or one per particle
+        assert calls == [2 * 2, 2 * 2 * 100]
+        assert seen[0] == seen[1]
+        # per method and particle, one batch of n draws (two when decoupled at
+        # delta > 0, one at the naive delta = 0), and one refinement draw unless shared
+        n, decoupled = (2, True) if "chord.n=2" in overrides else (3 if overrides else 1, False)
+        refine = 0 if "chord.prox_shared_noise=true" in overrides else 1
+        assert seen[0][1] == 100 * (n * (2 + decoupled) + 2 * refine)
+        assert failed[0] == failed[1] and "below floor" in failed[0]
+        assert not list(tmp_path.glob("floor_*/*.csv"))
+
 
 class TestStepSweep:
     def test_energy_trends(self, tmp_path):
@@ -878,6 +949,18 @@ class TestErrorOrder:
         assert main(["error_order", "--out", str(out), *NULL_EDIT]) == 0
         ratio = (out / "summary.txt").read_text().splitlines()[-1]
         assert ratio == "chord/naive error ratio at smallest h: nan"
+
+    def test_query_time_below_the_floor_names_the_floor(self, tmp_path, capsys):
+        # the paired field's fused pass finds sigma(1e-7) below the noise head's
+        # floor before it reads its 2**62 draws, which would not fit
+        out = tmp_path / "run"
+        overrides = ['backbone.output_kind="noise_eps"', "chord.t=1e-7", "chord.delta=0"]
+        overrides += ["chord.n=4611686018427387904"]
+        flags = [arg for override in overrides for arg in ("--override", override)]
+        assert main(["error_order", "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: sigma(t) = ") and "below floor" in err
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestDiagnostics:

@@ -1455,3 +1455,119 @@ def test_rows_field_is_not_batched_again():
     x = np.random.default_rng(0).normal(size=(2, 2, 2))
     got = transport._rows_field([rows, rows])(x)
     assert got.tobytes() == np.stack([rows(x_i) for x_i in x]).tobytes()
+
+
+def _closed(make):
+    """``make``'s fields in a plain closure without their attributes, as a tracer wraps them."""
+
+    def make_closed(*args):
+        field = make(*args)
+        return lambda x, s=0.0: field(x, s)
+
+    return make_closed
+
+
+def _chordedit_both_ways(model, states, params, seeds):
+    """``chordedit`` over the rows with one query per time, then with the seeds' fields
+    wrapped, which queries row by row; each run's result and its ``proxy_field`` shapes."""
+    runs, query = [], transport.proxy_field
+    for wrapped in (False, True):
+        shapes = []
+
+        def counted(model, x, t, batch):
+            shapes.append(np.shape(x))
+            return query(model, x, t, batch)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(transport, "proxy_field", counted)
+            if wrapped:
+                patch.setattr(transport, "make_control_field", _closed(make_control_field))
+            runs.append((chordedit(model, states, params, seeds), shapes))
+    return runs
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(PRESETS),
+    st.sampled_from([1, 4]),
+    st.sampled_from([0.0, 0.1]),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_chordedit_rows_bit_equal_with_fields_wrapped(
+    name, n, delta, use_prox, prox_shared, share, count, far, seed
+):
+    # one query per time over every row, or two per row once the fields lose
+    # their query: the same bytes in every output
+    model = preset_model(name)
+    params = ChordParams(
+        delta=delta,
+        n=n,
+        # a step long enough that the far row lands past the guard's limit
+        step_scale=5000.0 if far else 1.0,
+        use_prox=use_prox,
+        prox_shared_noise=prox_shared,
+        share_noise_across_times=share,
+    )
+    rng = np.random.default_rng(seed)
+    states = model.source.means[rng.integers(0, model.source.n_components, count)]
+    states = states + rng.normal(size=states.shape)
+    if far:
+        direction = rng.normal(size=model.dim)
+        states[rng.integers(0, count)] = direction / np.linalg.norm(direction) * 9e5
+    seeds = rng.integers(0, 2**63, count).tolist()
+    (batched, rows), (wrapped, one_by_one) = _chordedit_both_ways(model, states, params, seeds)
+    assert rows == [states.shape] * 2
+    assert one_by_one == [(model.dim,)] * (2 * count)
+    assert batched.live.sum() == count - far
+    for field in ("x_pred", "x_out", "u_hat", "energy", "live"):
+        got, want = getattr(batched, field), getattr(wrapped, field)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert [t for t, _ in batched.fields_queried] == [t for t, _ in wrapped.fields_queried]
+    for (_, got), (_, want) in zip(batched.fields_queried, wrapped.fields_queried):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_anchor_dimension_error_reads_the_same_on_every_path():
+    # rows of 3 coordinates for a 2-d model: the batched and the wrapped rows
+    # field, and rows or one state through chordedit, all name one state's axis
+    model = preset_model("two_blob_2d")
+    fields = [make_control_field(model, DEFAULTS, "chord", s) for s in (1, 2, 3)]
+    rows = np.zeros((3, 3))
+    wrapped = [_closed(make_control_field)(model, DEFAULTS, "chord", s) for s in (1, 2, 3)]
+    runs = [
+        lambda: transport._rows_field(fields)(rows),
+        lambda: transport._rows_field(wrapped)(rows),
+        lambda: chordedit(model, rows, DEFAULTS, [1, 2, 3]),
+        lambda: chordedit(model, rows[0], DEFAULTS, 1),
+        lambda: proxy_field(model, rows[0], 0.5, _batches(DEFAULTS, 1, 2)[0]),
+    ]
+    messages = []
+    for run in runs:
+        with pytest.raises(DomainError, match="anchor dimension") as err:
+            run()
+        messages.append(str(err.value))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "make_control_field", _closed(make_control_field))
+        with pytest.raises(DomainError, match="anchor dimension") as err:
+            chordedit(model, rows, DEFAULTS, [1, 2, 3])
+        messages.append(str(err.value))
+    assert messages == [messages[0]] * 6 and "(3,)" in messages[0]
+
+
+@pytest.mark.parametrize("kinds", [("chord", "naive"), ("naive", "chord")])
+def test_tuple_field_below_the_floor_names_the_floor_before_the_draws(kinds):
+    # 2**62 draws do not fit, but the fused pass reads none before it finds
+    # sigma below the floor, so the field names the floor as a query would
+    model = preset_model("two_blob_2d", Schedule(kind=VP_CONST_BETA, beta0=0.5), "noise_eps")
+    params = ChordParams(t=1e-7, delta=0.0, n=2**62)
+    field = make_control_field(model, params, kinds, 0)
+    with pytest.raises(IllConditionedMapError, match="below floor") as want:
+        proxy_field(model, np.zeros(2), 1e-7, _batches(params, 0, 2)[1])
+    with pytest.raises(IllConditionedMapError) as got:
+        field(np.zeros((1, 2, 2)))
+    assert str(got.value) == str(want.value)
