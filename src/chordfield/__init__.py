@@ -44,7 +44,7 @@ from .errors import (
     DomainError,
     IllConditionedMapError,
 )
-from .preset_lib import list_presets, load_preset
+from .preset_lib import load_preset
 from .proxy import ProxyField, SharedNoiseBatch, noising_sample, proxy_field
 from .schedules import Schedule, coefficient, derivatives, evaluate
 from .transport import (
@@ -85,7 +85,6 @@ __all__ = [
     "evaluate",
     "global_error_sweep",
     "kernel_smooth",
-    "list_presets",
     "load_preset",
     "lte_check",
     "marginal_moments",

@@ -179,10 +179,8 @@ def surrogate_objective(
     if delta == 0.0:
         return value
     times, vectors = _validate_window(window_samples, t, delta)
-    weights = _trapezoid_weights(times)
-    for w, r in zip(weights, vectors):
-        value += w * float(np.sum((u - r) ** 2))
-    return value
+    misfits = ((u - vectors) ** 2).reshape(times.size, -1).sum(axis=1)
+    return value + float(_trapezoid_weights(times) @ misfits)
 
 
 def window_minimizer(
@@ -248,30 +246,32 @@ def _kernel_lags(taps: int, grid_step: float) -> np.ndarray:
     return _allocated(f"{taps} kernel weights", np.arange, taps, dtype=float)
 
 
+def _unit_mass(raw: np.ndarray, grid_step: float) -> SmoothingKernel:
+    """The kernel of density ``raw`` scaled to unit mass on the grid."""
+    return SmoothingKernel(weights=raw / (raw.sum() * grid_step), grid_step=grid_step)
+
+
 def dirac_kernel(grid_step: float) -> SmoothingKernel:
     _check_grid_step(grid_step)
-    return SmoothingKernel(weights=np.array([1.0 / grid_step]), grid_step=grid_step)
+    return _unit_mass(np.ones(1), grid_step)
 
 
 def chord_two_tap_kernel(t: float, delta: float, grid_step: float) -> SmoothingKernel:
     """Two taps at lags delta and 0 with masses t/(t+delta), delta/(t+delta)."""
     _check_grid_step(grid_step)
     taps = _lag_steps(delta, grid_step)
-    w = _allocated(f"{taps + 1} kernel weights", np.zeros, taps + 1)
-    w[0] = delta / ((t + delta) * grid_step)
-    w[taps] = t / ((t + delta) * grid_step)
-    return SmoothingKernel(weights=w, grid_step=grid_step)
+    raw = _allocated(f"{taps + 1} kernel weights", np.zeros, taps + 1)
+    raw[0], raw[taps] = delta, t
+    return _unit_mass(raw, grid_step)
 
 
 def uniform_causal_kernel(taps: int, grid_step: float) -> SmoothingKernel:
-    w = np.full_like(_kernel_lags(taps, grid_step), 1.0 / (taps * grid_step))
-    return SmoothingKernel(weights=w, grid_step=grid_step)
+    return _unit_mass(np.ones_like(_kernel_lags(taps, grid_step)), grid_step)
 
 
 def triangular_causal_kernel(taps: int, grid_step: float) -> SmoothingKernel:
     ramp = taps - _kernel_lags(taps, grid_step)  # heaviest at lag 0
-    w = ramp / (ramp.sum() * grid_step)
-    return SmoothingKernel(weights=w, grid_step=grid_step)
+    return _unit_mass(ramp, grid_step)
 
 
 def exponential_causal_kernel(
@@ -280,9 +280,7 @@ def exponential_causal_kernel(
     lags = _kernel_lags(taps, grid_step)
     if rate <= 0:
         raise DomainError("rate must be positive")
-    w = np.exp(-rate * lags)
-    w /= w.sum() * grid_step
-    return SmoothingKernel(weights=w, grid_step=grid_step)
+    return _unit_mass(np.exp(-rate * lags), grid_step)
 
 
 def shipped_causal_kernels(

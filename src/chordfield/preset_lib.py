@@ -35,7 +35,3 @@ def load_preset(name: str) -> tuple[GaussianMixtureCondition, GaussianMixtureCon
     if src.dim != data["dim"] or tar.dim != data["dim"]:
         raise DomainError(f"preset {name!r} data is dimensionally inconsistent")
     return src, tar
-
-
-def list_presets() -> tuple[str, ...]:
-    return PRESET_NAMES

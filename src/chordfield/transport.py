@@ -384,6 +384,7 @@ def multi_step_transport(
     field. Query times stay fixed. For one state ``x_src`` (d,), returns the
     trajectory (including the start point) and the per-sub-step fields.
     """
+    # kept although _march checks too: the step size below divides by steps first
     if steps < 1:
         raise DomainError("steps must be >= 1")
     field = make_control_field(model, params, field_kind, seed)

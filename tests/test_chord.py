@@ -448,3 +448,45 @@ def test_window_minimizer_at_zero_delta_returns_u_prev_bit_for_bit():
     got = window_minimizer(u_prev, [(0.9, np.full(4, 7.0))], 0.9, 0.0)
     assert got.tobytes() == u_prev.tobytes()
     assert got is not u_prev
+
+
+class TestKernelClosedForms:
+    """Each constructor's weights are their closed forms bit for bit."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.floats(1e-3, 10.0),
+        st.integers(1, 40),
+        st.floats(0.01, 1.0),
+        st.integers(1, 40),
+        st.floats(0.01, 10.0),
+    )
+    def test_weights(self, gs, taps, t, lag, rate):
+        lags = np.arange(taps, dtype=float)
+        ramp = taps - lags
+        decay = np.exp(-rate * lags)
+        forms = [
+            (dirac_kernel(gs), np.array([1 / gs])),
+            (uniform_causal_kernel(taps, gs), np.full(taps, 1 / (taps * gs))),
+            # the ramp's sum taps (taps + 1) / 2 is exact
+            (triangular_causal_kernel(taps, gs), ramp / (taps * (taps + 1) / 2 * gs)),
+            (exponential_causal_kernel(taps, gs, rate), decay / (decay.sum() * gs)),
+        ]
+        for kernel, want in forms:
+            assert kernel.weights.tobytes() == want.tobytes()
+        self.check_two_tap(t, lag, gs)
+
+    @pytest.mark.parametrize("lag", [1, 6, 7, 8, 15, 64])
+    def test_two_tap_on_either_side_of_numpy_s_eight_way_sum(self, lag):
+        # from 8 entries on numpy sums in eight interleaved partial sums
+        for t in (0.9, 0.3, 1.0, 0.123):
+            self.check_two_tap(t, lag, 0.05)
+
+    @staticmethod
+    def check_two_tap(t, lag, gs):
+        delta = lag * gs
+        kernel = chord_two_tap_kernel(t, delta, gs)
+        want = np.zeros(lag + 1)
+        want[0] = delta / ((t + delta) * gs)
+        want[lag] = t / ((t + delta) * gs)
+        assert kernel.weights.tobytes() == want.tobytes()

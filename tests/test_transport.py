@@ -1571,3 +1571,27 @@ def test_tuple_field_below_the_floor_names_the_floor_before_the_draws(kinds):
     with pytest.raises(IllConditionedMapError) as got:
         field(np.zeros((1, 2, 2)))
     assert str(got.value) == str(want.value)
+
+
+# the chord estimate is a convex combination of its two proxy queries, so no
+# row's norm exceeds the larger of theirs; the blend and the norms round, and
+# 4 ulp of the larger norm cover that (the excess measured 0 ulp)
+CONVEX_SLACK_ULP = 4
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(PRESET_NAMES),
+    st.sampled_from([Schedule(kind=VP_CONST_BETA, beta0=0.5), Schedule(kind=LINEAR_INTERP)]),
+    st.sampled_from([1, 4]),
+    st.sampled_from([0.0, 0.1]),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+)
+def test_chordedit_rows_never_exceed_their_larger_query(name, schedule, n, delta, seeds):
+    model = preset_model(name, schedule)
+    rows = sample_particles(model, len(seeds), seeds).points
+    res = chordedit(model, rows, ChordParams(n=n, delta=delta), seeds)
+    (_, r_prev), (_, r_curr) = res.fields_queried
+    bound = np.maximum(np.linalg.norm(r_prev, axis=1), np.linalg.norm(r_curr, axis=1))
+    excess = np.linalg.norm(res.u_hat, axis=1) - bound
+    assert np.all(excess <= CONVEX_SLACK_ULP * np.spacing(bound))
