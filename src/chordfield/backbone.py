@@ -284,14 +284,6 @@ class _Stack:
         return np.add.reduceat(component_means, self.starts, axis=-2)
 
 
-def _log_responsibilities(
-    cond: GaussianMixtureCondition, z: np.ndarray, alpha: float, sigma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior component weights and variances of one mixture."""
-    at = cond._stack.at(alpha, sigma)
-    return cond._stack.responsibilities(z, at)[0], at.variances
-
-
 def _eps(z: np.ndarray, x0: np.ndarray, scalars: PathScalars) -> np.ndarray:
     """The path noise (z - alpha x0) / sigma implied by z and E[x0|z]."""
     eps = scalars.alpha * x0
@@ -423,14 +415,15 @@ def delta_drift(model: BackboneModel, z: np.ndarray, t: float) -> np.ndarray:
 
 def log_marginal_density(
     model: BackboneModel, z: np.ndarray, t: float, cond: str
-) -> float:
-    """Log density of the noised mixture marginal (diagnostic helper)."""
+) -> float | np.ndarray:
+    """Log density of the noised mixture marginal (diagnostic helper): a float
+    for one state (d,), an array (...) for rows (..., d)."""
     z = _rows(model, z)
     mixture = model.condition(cond)
     stack = mixture._stack
     log_mass, _ = stack.log_mass(z, stack.at(*evaluate(model.schedule, t)))
-    peak = float(np.max(log_mass))
-    return peak + math.log(float(np.sum(np.exp(log_mass - peak))))
+    peak = np.max(log_mass, axis=-1, keepdims=True)
+    return peak[..., 0] + np.log(np.sum(np.exp(log_mass - peak), axis=-1))
 
 
 def sample_condition(

@@ -153,10 +153,11 @@ def _validate_window(window_samples, t: float, delta: float):
 
 
 def _window_solve(u_prev, times, values, t: float) -> np.ndarray:
-    """Normal-equation solve of the window objective over ``(times, values)``."""
+    """Normal-equation solve of the window objective over ``(times, values)``; the
+    samples are added in order, so each row (..., d) gets the value it gets alone."""
     weights = _trapezoid_weights(times)
     total = float(weights.sum())
-    return (t * u_prev + weights @ values) / (t + total)
+    return (t * u_prev + _shifted_sum(values, weights, range(times.size))[0]) / (t + total)
 
 
 def surrogate_objective(
@@ -195,7 +196,8 @@ def window_minimizer(
 
         u* = (t * u_prev + sum_j w_j R_j) / (t + sum_j w_j)
 
-    where w_j are the trapezoid weights of the sample grid.
+    where w_j are the trapezoid weights of the sample grid. States may be rows
+    (..., d), each row's minimizer bit-identical to the row's alone.
     """
     u_prev = np.asarray(u_prev, dtype=float)
     if delta == 0.0:
@@ -258,6 +260,8 @@ def dirac_kernel(grid_step: float) -> SmoothingKernel:
 
 def chord_two_tap_kernel(t: float, delta: float, grid_step: float) -> SmoothingKernel:
     """Two taps at lags delta and 0 with masses t/(t+delta), delta/(t+delta)."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise DomainError(f"t must be finite and non-negative, got {t}")
     _check_grid_step(grid_step)
     taps = _lag_steps(delta, grid_step)
     raw = _allocated(f"{taps + 1} kernel weights", np.zeros, taps + 1)
@@ -345,7 +349,8 @@ def recursive_chord_series(
         u_hat(t_j) = (t_j * u_hat(t_j - delta) + trapezoid R over the window)
                      / (t_j + delta)
 
-    seeded with the raw field over the first window. Diagnostics-only.
+    seeded with the raw field over the first window. Diagnostics-only. Samples
+    may be rows (..., d), each row's series bit-identical to the row's alone.
     """
     times, values = _series_arrays(series)
     if times.size < 2:

@@ -203,14 +203,15 @@ def proxy_field_decoupled(
     """Independent-noise variant: separate draws per condition.
 
     Exists to quantify the variance penalty of giving up common random
-    numbers; not used by the transport path.
+    numbers; not used by the transport path. ``x_tau`` is one anchor (d,) or
+    rows (..., d), each row's estimate bit-identical to the row's alone.
     """
     x_tau = _rows(model, x_tau)
     if batch_tar.n != batch_src.n or {batch_tar.dim, batch_src.dim} != {model.dim}:
         raise DomainError("decoupled batches must have equal draw counts and the anchor dimension")
     a_t, scalars, _ = model._time_entry(t)
-    z_tar = scalars.alpha * x_tau + scalars.sigma * batch_tar.draws
-    z_src = scalars.alpha * x_tau + scalars.sigma * batch_src.draws
+    z_tar = scalars.alpha * x_tau[..., None, :] + scalars.sigma * batch_tar.draws
+    z_src = scalars.alpha * x_tau[..., None, :] + scalars.sigma * batch_src.draws
     residual = _observe(model, model.target, z_tar, scalars) - _observe(
         model, model.source, z_src, scalars
     )

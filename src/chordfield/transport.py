@@ -233,11 +233,6 @@ def _guard_rows(x):
     return np.vecdot(x, x) <= DIVERGENCE_NORM * DIVERGENCE_NORM
 
 
-def _guard_state(x, last, context):
-    """Reject a non-finite or runaway state, one (d,) or rows (k, d)."""
-    _raise_unless_live(_guard_rows(x), last, context)
-
-
 def _raise_unless_live(live, last, context):
     """``DivergenceError`` carrying ``last`` unless all ``live``, naming rows not live."""
     if not live.all():

@@ -199,6 +199,16 @@ class TestSmoothingKernel:
         with pytest.raises(DomainError, match="grid_step"):
             make(grid_step)
 
+    @pytest.mark.parametrize("t", [-0.1, -0.2, math.nan, math.inf])
+    def test_two_tap_time_negative_or_not_finite_rejected(self, t):
+        # t = -delta leaves no mass to divide by; checked before any arithmetic
+        with pytest.raises(DomainError, match="t must"):
+            chord_two_tap_kernel(t, 0.2, 0.05)
+
+    def test_two_tap_at_time_zero_is_all_at_lag_zero(self):
+        weights = chord_two_tap_kernel(0.0, 0.2, 0.05).weights
+        assert weights[0] == pytest.approx(20.0, rel=1e-15) and not weights[1:].any()
+
     def test_shipped_kernels_all_unit_mass(self):
         for name, k in shipped_causal_kernels(0.02).items():
             assert abs(k.weights.sum() * k.grid_step - 1.0) <= 1e-9, name

@@ -3,7 +3,6 @@ import functools
 import json
 import math
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,13 +57,6 @@ NULL_EDIT = ["--override", f"backbone.source={_SAME}", "--override", f"backbone.
 # a target mean so far out that the posterior mass underflows for every component
 _FAR = '{"weights": [1], "means": [[1e200, 0]], "scales": [1]}'
 _FAR_BACKBONE = f'backbone={{"source": {_SAME}, "target": {_FAR}}}'
-
-
-def _kind_name(kind):
-    """A declared kind as the README's key table names it."""
-    if isinstance(kind, list):
-        return f"{_kind_name(kind[0])} list"
-    return {np.ndarray: "nested numbers", dict: "object"}.get(kind, kind.__name__)
 
 
 class TestConfig:
@@ -237,38 +229,6 @@ class TestDeclaredParams:
             assert main(["step_sweep", "--out", str(tmp_path / tag), *flags]) == 0
             csvs.append((tmp_path / tag / "step_sweep.csv").read_bytes())
         assert csvs[0] == csvs[1]
-
-    def test_readme_lists_every_declared_param(self):
-        from chordfield.config import PARAMS
-
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        for p in PARAMS:
-            many = isinstance(p.kind, list)
-            kind = f"{p.kind[0].__name__} list" if many else p.kind.__name__
-            default = "unset" if p.default is None else json.dumps(p.default)
-            row = f"| `{p.experiment}` | `{p.name}` | {kind} | {default} | [{p.low}, {p.high}] |"
-            assert row in readme, row
-
-    def test_readme_lists_every_config_key(self):
-        from chordfield.config import CONFIG
-
-        def rows(prefix, kinds):
-            for name, spec in kinds.items():
-                kind, *low = spec if isinstance(spec, tuple) else (spec,)
-                if isinstance(kind, dict):
-                    yield from rows(f"{prefix}{name}.", kind)
-                else:
-                    bound = f" in [{low[0]}, inf]" if low else ""
-                    yield f"| `{prefix}{name}` | {_kind_name(kind)}{bound} |"
-
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        listed = list(rows("", CONFIG))
-        for row in listed:
-            assert row in readme, row
-        # and no row for a key that is not declared: the key table's rows
-        # are the README's only three-column rows that start with a key
-        documented = [r for r in readme.splitlines() if r.startswith("| `") and r.count("|") == 4]
-        assert len(documented) == len(listed)
 
 
 class TestValuesOutsideParams:

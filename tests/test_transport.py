@@ -38,7 +38,7 @@ from chordfield.transport import (
     FIELD_KINDS,
     _batches,
     _guard_rows,
-    _guard_state,
+    _raise_unless_live,
     chordedit,
     chordedit_multi_noise,
     euler_march,
@@ -972,7 +972,7 @@ def test_guard_rows_agree_with_the_guard_row_by_row(norms, dim, seed):
 
     def trips(x):
         try:
-            _guard_state(x, x, "a test")
+            _raise_unless_live(_guard_rows(x), x, "a test")
         except DivergenceError as err:
             return str(err)
         return None
@@ -1124,7 +1124,7 @@ def test_guard_rejects_non_finite_and_overflowing_states(row):
     assert not _guard_rows(x)
     np.testing.assert_array_equal(_guard_rows(np.stack([np.ones(2), x])), [True, False])
     with pytest.raises(DivergenceError):
-        _guard_state(x, x, "a test")
+        _raise_unless_live(_guard_rows(x), x, "a test")
 
 
 def test_guard_on_squared_norms_agrees_with_the_norms_either_side_of_the_limit():
