@@ -14,6 +14,7 @@ CHORDFIELD_OUT environment variable when set; the --out flag wins over it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -28,6 +29,7 @@ from .experiments import (
 )
 
 
+@functools.cache  # one per process: main is called once per repetition
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chordfield",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chord import SmoothingKernel, _causal_smooth, _shifted_sum
 from .errors import DomainError
-from .proxy import NS_TRIAL, _philox_normals, derive_stream
+from .proxy import NS_TRIAL, _derive_streams, _philox_normals
 from .transport import euler_march, integrate_rk4
 
 # multiplicative slack applied to theoretical bounds to absorb the
@@ -261,7 +261,15 @@ def _squared_norms(values, truth):
     allocator hands back and faults in again."""
     values -= truth
     values *= values
-    return values.sum(axis=-1)
+    if not 0 < values.shape[-1] < 8:
+        # from 8 entries numpy sums in 8-way pairwise blocks
+        return values.sum(axis=-1)
+    # below 8 it adds them one after another, as these strided adds do, and
+    # they skip the reduction's per-row set-up
+    total = values[..., 0].copy()
+    for j in range(1, values.shape[-1]):
+        total += values[..., j]
+    return total
 
 
 def _add_means(total, sq):
@@ -297,7 +305,7 @@ def _risk_trials(u_star, noise_sigma, smoothers, trials, seed):
     totals = [[0.0, 0.0] for _ in smoothers]
     for start in range(0, trials, RISK_CHUNK):
         stop = min(start + RISK_CHUNK, trials)
-        keys = [(derive_stream(seed, NS_TRIAL, k), 0) for k in range(start, stop)]
+        keys = [(s, 0) for s in _derive_streams(seed, NS_TRIAL, range(start, stop))]
         noisy = _philox_normals(keys, u_star.shape)
         noisy *= noise_sigma
         noisy += u_star

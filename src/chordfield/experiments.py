@@ -44,12 +44,12 @@ from .schedules import (
     epsilon_coefficient_forms,
 )
 from .transport import (
+    _particle_seeds,
     _raise_unless_live,
     _rows_field,
     chordedit,
     euler_march,
     make_control_field,
-    particle_seed,
     rk4_march,
     sample_particles,
 )
@@ -76,10 +76,10 @@ def _fmt(value) -> str:
 
 def write_csv(path, header: list[str], rows: list[tuple]) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    lines = [",".join(header)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write(cfg: ExperimentConfig, name: str, header: list[str], rows: list[tuple]) -> None:
@@ -187,7 +187,7 @@ def run_toy(cfg: ExperimentConfig) -> int:
     count, steps = p.particles, p.steps
     model, params = _model_and_params(cfg)
     particles = sample_particles(model, count, cfg.seed)
-    seeds = [particle_seed(cfg.seed, i) for i in range(count)]
+    seeds = _particle_seeds(cfg.seed, count)
     coords = ["particle"] + [f"x{k}" for k in range(model.dim)]
     after, energy_rows = {}, []
     # naive first: a run where both diverge names the naive transport
@@ -238,7 +238,7 @@ def run_step_sweep(cfg: ExperimentConfig) -> int:
         raise UsageError("step sweep needs at least 3 step counts including 1")
     model, params = _model_and_params(cfg)
     particles = sample_particles(model, count, cfg.seed)
-    seeds = [particle_seed(cfg.seed, i) for i in range(count)]
+    seeds = _particle_seeds(cfg.seed, count)
     # (S, method) -> (live, fields, errors), keyed S-major for the checks' order
     cells = dict.fromkeys((s, m) for s in s_values for m in _METHODS)
     for method in _METHODS:
@@ -416,7 +416,7 @@ def run_diagnostics(cfg: ExperimentConfig) -> int:
 
     # transport energies at one step
     particles = sample_particles(model, 24, cfg.seed)
-    seeds = [particle_seed(cfg.seed, i) for i in range(24)]
+    seeds = _particle_seeds(cfg.seed, 24)
     for method in _METHODS:
         res = chordedit(model, particles.points, _method_params(params, method), seeds)
         _raise_unless_live(res.live, particles.points, "the transport step")

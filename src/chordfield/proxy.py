@@ -40,6 +40,8 @@ NS_CELL = 6
 
 
 def _mix64(x: int) -> int:
+    # also takes 1-d uint64 arrays, which wrap as the masks do (a 0-d product
+    # would warn on overflow)
     x &= _MASK64
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
@@ -50,6 +52,27 @@ def derive_stream(seed: int, namespace: int, index: int = 0) -> int:
     """Deterministic 64-bit sub-seed for (seed, namespace, index)."""
     label = ((namespace & 0xFFFFFFFF) << 32) | (index & 0xFFFFFFFF)
     return _mix64((seed & _MASK64) ^ _mix64(label))
+
+
+def _uint64s(values) -> np.ndarray:
+    """``values`` modulo 2**64 as a 1-d uint64 array: an int as one entry, a
+    range by wrapping arithmetic, any other sequence of ints entry by entry."""
+    if isinstance(values, range):
+        steps = np.arange(len(values), dtype=np.uint64)
+        steps *= np.uint64(values.step & _MASK64)
+        return steps + np.uint64(values.start & _MASK64)
+    if isinstance(values, (int, np.integer)):
+        values = [values]
+    return np.array([v & _MASK64 for v in values], dtype=np.uint64)
+
+
+def _derive_streams(seeds, namespace: int, indices) -> list[int]:
+    """``derive_stream(seed, namespace, index)`` over ``seeds`` and ``indices``
+    broadcast against each other, in one array pass: each an int, a range or
+    a sequence of ints. The sub-seeds are Python ints, bit-equal to the calls'."""
+    labels = _uint64s(indices) & np.uint64(0xFFFFFFFF)
+    labels |= np.uint64((namespace & 0xFFFFFFFF) << 32)
+    return _mix64(_uint64s(seeds) ^ _mix64(labels)).tolist()
 
 
 # held while the shared generator is re-keyed and drawn from

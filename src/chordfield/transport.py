@@ -23,6 +23,7 @@ from .proxy import (
     NS_PROX,
     NS_TIME_DECOUPLE,
     SharedNoiseBatch,
+    _derive_streams,
     _estimate,
     _philox_fill,
     _RowsBatch,
@@ -83,6 +84,11 @@ def sample_particles(model: BackboneModel, count: int, seed) -> ParticleSet:
 def particle_seed(seed: int, index: int) -> int:
     """Per-particle transport seed, independent of processing order."""
     return derive_stream(seed, NS_PARTICLE, index + 1)
+
+
+def _particle_seeds(seed: int, count: int) -> list[int]:
+    """``particle_seed(seed, i)`` for every i < count, in one array pass."""
+    return _derive_streams(seed, NS_PARTICLE, range(1, count + 1))
 
 
 def _batches(params: ChordParams, seed: int, dim: int):
@@ -209,15 +215,15 @@ def proximal_refine(
         raise DomainError("t_c must lie in (0, 1)")
     x_pred = _rows(model, x_pred)
     if eps is None:
-        eps = _refine_draw(seed, model.dim)
+        eps = _refine_draw(derive_stream(seed, NS_PROX), model.dim)
     scalars = path_scalars(model.schedule, t_c)
     z = scalars.alpha * x_pred + scalars.sigma * np.asarray(eps, dtype=float)
     return _observe(model, model.target, z, scalars, DATA_X0)
 
 
-def _refine_draw(seed, dim):
-    """The refinement's own draw (d,): the first of the ``NS_PROX`` sub-stream of ``seed``."""
-    return SharedNoiseBatch(seed=derive_stream(seed, NS_PROX), n=1, dim=dim).draws[0]
+def _refine_draw(stream, dim):
+    """The refinement's own draw (d,): the first of ``stream``, a seed's ``NS_PROX`` sub-stream."""
+    return SharedNoiseBatch(seed=stream, n=1, dim=dim).draws[0]
 
 
 def _guard_rows(x):
@@ -282,9 +288,15 @@ def chordedit(
     live = _guard_rows(x_pred)
     x_out = x_pred
     if params.use_prox:
-        eps = np.empty((int(live.sum()), dim))
-        for row, i in zip(eps, np.flatnonzero(live)):
-            row[:] = batches[i].draws[0] if params.prox_shared_noise else _refine_draw(seed[i], dim)
+        refined = np.flatnonzero(live)
+        if params.prox_shared_noise:
+            draws = (batches[i].draws[0] for i in refined)
+        else:
+            streams = _derive_streams([seed[i] for i in refined], NS_PROX, 0)
+            draws = (_refine_draw(stream, dim) for stream in streams)
+        eps = np.empty((len(refined), dim))
+        for row, draw in zip(eps, draws):
+            row[:] = draw
         x_out = x_pred.copy()
         x_out[live] = proximal_refine(model, x_pred[live], params.t_c, None, eps=eps)
     fields = [(t - delta, queried[0]), (t, queried[1])]

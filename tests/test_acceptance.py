@@ -44,8 +44,6 @@ from chordfield.schedules import (
 )
 from chordfield.transport import chordedit, chordedit_multi_noise, make_control_field
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 
 def ramp_schedule():
     t = np.linspace(0.0, 1.0, 101)

@@ -19,8 +19,6 @@ from chordfield.errors import (
 from chordfield.experiments import InvariantFailure
 from chordfield.proxy import NS_TRIAL, derive_stream
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
@@ -854,6 +852,15 @@ class TestRisk:
         assert main(["risk", "--out", str(tmp_path / "run"), *flags]) == 0
         keys = [(derive_stream(4, NS_TRIAL, k), 0) for k in range(trials)]
         assert drawn == keys
+
+
+    def test_an_override_does_not_outlive_its_call(self, tmp_path):
+        # the parser is built once per process and shared by every call
+        flags = ["--override", "params.trials=100"]
+        assert main(["risk", "--out", str(tmp_path / "override"), *flags]) == 0
+        assert main(["risk", "--out", str(tmp_path / "default")]) == 0
+        for name, trials in (("override", "100"), ("default", "400")):
+            assert {r["trials"] for r in read_csv(tmp_path / name / "risk.csv")} == {trials}
 
 
 class TestErrorOrder:

@@ -492,6 +492,32 @@ def test_sweep_row_that_diverges_is_frozen_and_alone_gets_inf():
     assert max(float(np.abs(x[0]).max()) for x in evaluated) <= 1e6
 
 
+@pytest.mark.parametrize("dim", range(1, 13))
+@pytest.mark.parametrize("lead", [(0, 6), (4, 0), (5, 37)])
+@pytest.mark.parametrize("layout", ["contiguous", "trials inner"])
+def test_squared_norms_bytes_equal_to_the_coordinate_sum(dim, lead, layout):
+    # the strided adds below 8 coordinates against numpy's own reduction,
+    # on trial-major values and on the smoothers' (points, trials) layout
+    rng = np.random.default_rng(dim)
+    trials, points = lead
+    values = rng.standard_normal((points, trials, dim))
+    truth = rng.standard_normal((points, dim))
+    if values.size:
+        values[0] = truth[0]  # zeros
+        values[-1, 0, 0] = np.inf
+        values[0, -1, -1] = -np.inf
+        values[-1, -1, 0] = np.nan
+    values = np.moveaxis(values, 1, 0)
+    if layout == "contiguous":
+        values = np.ascontiguousarray(values)
+    expected = values - truth
+    expected *= expected
+    got = diagnostics._squared_norms(values.copy(), truth)
+    expected = expected.sum(axis=-1)
+    assert got.shape == expected.shape == lead
+    assert got.tobytes() == expected.tobytes()
+
+
 def trial_noise(seed, trial, shape):
     key = np.array([derive_stream(seed, NS_TRIAL, trial), 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)

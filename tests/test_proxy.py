@@ -24,9 +24,14 @@ from chordfield.errors import (
     IllConditionedMapError,
 )
 from chordfield.proxy import (
+    NS_CELL,
     NS_COND_DECOUPLE,
+    NS_PARTICLE,
+    NS_PROX,
+    NS_TIME_DECOUPLE,
     NS_TRIAL,
     SharedNoiseBatch,
+    _derive_streams,
     _draw_sum,
     _estimate,
     _philox_normals,
@@ -696,3 +701,26 @@ def test_proxy_queries_off_the_model_dimension_rejected(dim, lead):
         proxy_field(model, right, 0.8, batch)
     with pytest.raises(DomainError, match="anchor dimension"):
         proxy_field_decoupled(model, right, 0.8, batch, SharedNoiseBatch(seed=1, n=2, dim=2))
+
+
+SEEDS = [0, 1, -1, 2**64 - 1, 2**70 + 5]
+NAMESPACES = [NS_PARTICLE, NS_PROX, NS_TIME_DECOUPLE, NS_COND_DECOUPLE, NS_TRIAL, NS_CELL]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_derived_streams_equal_one_derive_stream_per_index(seed):
+    # under the RuntimeWarning gate: the uint64 products wrap without a warning
+    ranges = [range(0), range(1), range(3, 4), range(2**32 - 3, 2**32 + 3), range(9, -3, -4)]
+    for namespace in NAMESPACES:
+        for indices in ranges:
+            streams = _derive_streams(seed, namespace, indices)
+            assert streams == [derive_stream(seed, namespace, k) for k in indices]
+            assert all(type(s) is int for s in streams)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2**32 + 1, -1])
+def test_derived_streams_equal_one_derive_stream_per_seed(index):
+    for namespace in NAMESPACES:
+        for seeds in ([], SEEDS[:1], SEEDS):
+            streams = _derive_streams(seeds, namespace, index)
+            assert streams == [derive_stream(s, namespace, index) for s in seeds]
