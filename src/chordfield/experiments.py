@@ -7,6 +7,7 @@ their sorted cell key, and line endings are LF.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import asdict, replace
@@ -64,20 +65,21 @@ class InvariantFailure(Exception):
     """A hard verification inequality failed; maps to exit code 1."""
 
 
-def _fmt(value) -> str:
-    # floats first: nearly every cell is one (np.float64 included)
-    if not isinstance(value, float):
-        if isinstance(value, str):
-            return value
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-    return format(float(value), ".17g")
+@functools.cache
+def _row_template(types: tuple) -> str:
+    """The ``%``-template of a row whose cells have ``types``: strings as they
+    are, ints (``np.integer`` and bool among them) as integers, any other cell
+    as a float with 17 significant digits."""
+    return ",".join(
+        "%s" if issubclass(kind, str) else "%d" if issubclass(kind, (int, np.integer)) else "%.17g"
+        for kind in types
+    )
 
 
 def write_csv(path, header: list[str], rows: list[tuple]) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     lines = [",".join(header)]
-    lines += [",".join(map(_fmt, row)) for row in rows]
+    lines += [_row_template(tuple(map(type, row))) % row for row in map(tuple, rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -206,13 +208,15 @@ def run_toy(cfg: ExperimentConfig) -> int:
         _check_diverged(f"{method} transport", diverged, count)
         # some row is live, so the march kept every step's field values
         energies = res.energy if steps == 1 else bb_energy(us, model.dim)
-        after[method] = [(i, *outs[i]) for i in np.flatnonzero(live)]
+        kept = np.flatnonzero(live)
+        after[method] = [(i, *x) for i, x in zip(kept.tolist(), outs[kept].tolist())]
         distances = _dist_to_nearest_mode(outs[live], model.target)
         distance_se = float(np.std(distances, ddof=1) / math.sqrt(len(distances)))
         energy = float(np.mean(energies[live]))
         energy_rows.append((method, energy, float(np.mean(distances)), distance_se, diverged))
     # every CSV only once both methods pass, so a failed run writes none
-    _write(cfg, "particles_before.csv", coords, [(i, *pt) for i, pt in enumerate(particles.points)])
+    before = [(i, *x) for i, x in enumerate(particles.points.tolist())]
+    _write(cfg, "particles_before.csv", coords, before)
     for method, rows in after.items():
         _write(cfg, f"particles_after_{method}.csv", coords, rows)
     energy_rows.sort()  # by method

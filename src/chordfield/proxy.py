@@ -21,6 +21,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -110,8 +111,7 @@ class SharedNoiseBatch:
         # allocated before any of the n keys is made: a count too large to
         # hold fails at once
         out = _allocated(f"{self.n} noise draws", np.empty, (self.n, self.dim))
-        seed = self.seed & _MASK64
-        _philox_fill(out, ((seed, i) for i in range(self.n)))
+        _philox_fill(out, zip(repeat(self.seed & _MASK64), range(self.n)))
         out.setflags(write=False)
         return out
 
@@ -133,28 +133,34 @@ def _philox_normals(keys, shape) -> np.ndarray:
     return _philox_fill(np.empty((len(keys),) + tuple(shape)), keys)
 
 
-def _philox_fill(out: np.ndarray, keys, draw=lambda gen, row: gen.standard_normal(out=row)):
+# one state of plain ints, of which only the key changes, under _PHILOX_LOCK:
+# the setter reads plain ints faster than the elements of uint64 arrays
+_PHILOX_ZEROS = (0, 0, 0, 0)
+_PHILOX_KEYED = {"counter": _PHILOX_ZEROS, "key": None}
+_PHILOX_STATE = {
+    "bit_generator": "Philox",
+    "state": _PHILOX_KEYED,
+    "buffer": _PHILOX_ZEROS,
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+
+
+def _philox_fill(out: np.ndarray, keys, draw=None):
     """``out`` with entry i filled by ``draw(gen, out[i])``, standard normals by
     default, where ``gen`` is the shared generator re-keyed to key pair i of
     ``keys``, an iterable: it draws what a fresh ``Philox(key=pair)`` would."""
     gen = _shared_generator()
-    # one state of plain ints, its key swapped per pair: the setter reads
-    # plain ints faster than the elements of uint64 arrays
-    zeros = (0, 0, 0, 0)
-    philox = {"counter": zeros, "key": None}
-    state = {
-        "bit_generator": "Philox",
-        "state": philox,
-        "buffer": zeros,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    bits, normal = gen.bit_generator, gen.standard_normal
     with _PHILOX_LOCK:
         for i, pair in enumerate(keys):
-            philox["key"] = pair
-            gen.bit_generator.state = state
-            draw(gen, out[i])
+            _PHILOX_KEYED["key"] = pair
+            bits.state = _PHILOX_STATE
+            if draw is None:
+                normal(out=out[i])
+            else:
+                draw(gen, out[i])
     return out
 
 

@@ -127,16 +127,20 @@ def make_control_field(
 
 def _control_field(model, params, field_kind, batch_prev, batch_curr):
     """``field_kind``'s field, querying t - delta with ``batch_prev`` and t with ``batch_curr``."""
-    single = not isinstance(field_kind, tuple)
-    kinds = (field_kind,) if single else field_kind
+    if not isinstance(field_kind, tuple):
+        if field_kind not in FIELD_KINDS:
+            raise DomainError(f"field kinds must be drawn from {FIELD_KINDS}")
+        chord = Ellipsis if field_kind == CHORD else None
+        return _OneKindField(model, params.t, params.delta, chord, batch_prev, batch_curr)
+    kinds = field_kind
     if not kinds or not all(kind in FIELD_KINDS for kind in kinds):
         raise DomainError(f"field kinds must be drawn from {FIELD_KINDS}")
     if len(set(kinds)) < len(kinds):
         raise DomainError("field kinds must be distinct")
     t, delta, dim = params.t, params.delta, model.dim
     # the chord rows as a basic index, so selecting them makes a view
-    chord, fused = (Ellipsis if field_kind == CHORD else None), None
-    if not single and CHORD in kinds:
+    chord, fused = None, None
+    if CHORD in kinds:
         j = kinds.index(CHORD)
         chord = (Ellipsis, slice(j, j + 1), slice(None))
         fused = _two_time_pass(model, t, delta, batch_prev, batch_curr)
@@ -147,28 +151,45 @@ def _control_field(model, params, field_kind, batch_prev, batch_curr):
             """Of k flat rows, each point's chord row in every kind's place, then every row."""
             return np.stack((np.arange(k) // len(kinds) * len(kinds) + j, np.arange(k)))
 
+    two_queries = _OneKindField(model, t, delta, chord, batch_prev, batch_curr)
+
     def field(x, s=0.0):
         x = np.asarray(x, dtype=float)
-        if not single and x.shape[-2:] != (len(kinds), dim):
+        if x.shape[-2:] != (len(kinds), dim):
             raise DomainError(
                 f"rows {x.shape} are not (..., {len(kinds)} kinds, anchor dimension {dim})"
             )
-        if fused is not None:
-            # the chord rows (in every kind's place) at t - delta, then all at t
-            k = x.size // dim
-            both = _estimate(model, x.reshape(k, dim).take(gathered(k), 0), *fused(k))
-            # an array of this call's own, so the chord rows blend in place
-            _blend(both[0, chord_rows], both[1, chord_rows], t, delta)
-            return both[1].reshape(x.shape)
-        u = proxy_field(model, x, t, batch_curr)
-        if chord is None:
-            return u
-        # both queries are arrays of this call's own, so the chord rows blend in place
-        _blend(proxy_field(model, x[chord], t - delta, batch_prev), u[chord], t, delta)
-        return u
+        if fused is None:
+            return two_queries(x)
+        # the chord rows (in every kind's place) at t - delta, then all at t
+        k = x.size // dim
+        both = _estimate(model, x.reshape(k, dim).take(gathered(k), 0), *fused(k))
+        # an array of this call's own, so the chord rows blend in place
+        _blend(both[0, chord_rows], both[1, chord_rows], t, delta)
+        return both[1].reshape(x.shape)
 
     field.autonomous = True
     return field
+
+
+class _OneKindField:
+    """The field by two ``proxy_field`` queries: every row at t, then the ``chord`` rows (a basic
+    index; None for none) at t - delta, blended in place into the first. ``query`` and
+    ``autonomous`` are instance attributes, so ``functools.wraps`` forwards them."""
+
+    def __init__(self, model, t, delta, chord, batch_prev, batch_curr):
+        self.model, self.t, self.delta, self.chord = model, t, delta, chord
+        self.batch_prev, self.batch_curr = batch_prev, batch_curr
+        self.query, self.autonomous = None, True
+
+    def __call__(self, x, s=0.0):
+        x = np.asarray(x, dtype=float)
+        u = proxy_field(self.model, x, self.t, self.batch_curr)
+        if self.chord is not None:
+            # both queries are arrays of this call's own, so the chord rows blend in place
+            prev = proxy_field(self.model, x[self.chord], self.t - self.delta, self.batch_prev)
+            _blend(prev, u[self.chord], self.t, self.delta)
+        return u
 
 
 def _two_time_pass(model, t, delta, batch_prev, batch_curr):
@@ -290,13 +311,11 @@ def chordedit(
     if params.use_prox:
         refined = np.flatnonzero(live)
         if params.prox_shared_noise:
-            draws = (batches[i].draws[0] for i in refined)
+            draws = [batches[i].draws[0] for i in refined]
         else:
             streams = _derive_streams([seed[i] for i in refined], NS_PROX, 0)
-            draws = (_refine_draw(stream, dim) for stream in streams)
-        eps = np.empty((len(refined), dim))
-        for row, draw in zip(eps, draws):
-            row[:] = draw
+            draws = [_refine_draw(stream, dim) for stream in streams]
+        eps = np.array(draws).reshape(len(refined), dim)
         x_out = x_pred.copy()
         x_out[live] = proximal_refine(model, x_pred[live], params.t_c, None, eps=eps)
     fields = [(t - delta, queried[0]), (t, queried[1])]

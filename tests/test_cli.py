@@ -1197,3 +1197,37 @@ def test_a_query_time_below_the_floor_fails_alike_batched_row_by_row_and_in_one_
     run(experiment)
     assert "below floor" in errors[0]
     assert errors == [errors[0]] * 3
+
+
+def _fmt_oracle(value) -> str:
+    """One cell as the CSV writer formatted it cell by cell: strings as they
+    are, ints through ``int``, anything else as a float with 17 digits."""
+    if not isinstance(value, float):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+    return format(float(value), ".17g")
+
+
+def test_write_csv_bytes_equal_to_a_cell_by_cell_join(tmp_path):
+    # one row template per tuple of cell types; a column's type may change
+    # from row to row, as error_order's "diverged" cells do, and rows may be lists
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    rows = [
+        (0, -0.0, math.inf, -math.inf, math.nan, "a"),
+        (1, tiny, huge, -huge, -tiny, "b c"),
+        (np.int64(-7), np.float64(0.1), np.float32(0.1), np.float64(-0.0), np.float32("nan"), ""),
+        (True, False, 2**70, np.int32(3), np.float64(1e16), "diverged"),
+        [2, 1 / 3, "diverged", np.float64(2.5), np.float32(-np.inf), "x"],
+        ("chord", 0.25, "diverged", 3, np.uint8(255), "y"),
+        ("chord", 0.25, 1.2459787850983302, 3.0, 1e-300, "z"),
+        [np.float64(3.0), -1, np.int64(2**62), math.pi, np.float32(1e-45), "w"],
+    ]
+    header = ["a", "b", "c", "d", "e", "f"]
+    path = tmp_path / "sub" / "rows.csv"
+    experiments.write_csv(str(path), header, rows)
+    want = [",".join(header)] + [",".join(map(_fmt_oracle, row)) for row in rows]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    experiments.write_csv(str(path), header, [])
+    assert path.read_bytes() == b"a,b,c,d,e,f\n"

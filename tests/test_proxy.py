@@ -34,7 +34,9 @@ from chordfield.proxy import (
     _derive_streams,
     _draw_sum,
     _estimate,
+    _philox_fill,
     _philox_normals,
+    _shared_generator,
     derive_stream,
     noising_sample,
     proxy_field,
@@ -724,3 +726,90 @@ def test_derived_streams_equal_one_derive_stream_per_seed(index):
         for seeds in ([], SEEDS[:1], SEEDS):
             streams = _derive_streams(seeds, namespace, index)
             assert streams == [derive_stream(s, namespace, index) for s in seeds]
+
+
+def _fresh_normals(pair, dim):
+    """The first ``dim`` standard normals of a new ``Philox(key=pair)`` generator."""
+    key = np.array(pair, dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(dim)
+
+
+def _uint32_then_normal(gen, row):
+    """A callback that draws one uint32, leaving the other half of its 64 bits buffered."""
+    row[0] = gen.integers(0, 2**32, dtype=np.uint32)
+    row[1:] = gen.standard_normal(len(row) - 1)
+
+
+def _fresh_uint32_then_normal(pair, dim):
+    row = np.empty(dim)
+    key = np.array(pair, dtype=np.uint64)
+    _uint32_then_normal(np.random.Generator(np.random.Philox(key=key)), row)
+    return row
+
+
+def test_philox_fills_interleaved_with_callback_fills_draw_what_a_fresh_philox_draws():
+    # the default fill and a callback fill take turns on the shared state; the
+    # callback leaves a buffered uint32 behind, which no later key may read
+    seeds = (0, 7, 2**63 + 5, 2**64 - 1)
+    for n in (1, 4):
+        for seed in seeds:
+            keys = [(seed, i) for i in range(n)]
+            plain = _philox_fill(np.empty((n, 3)), iter(keys))
+            called = _philox_fill(np.empty((n, 3)), keys, _uint32_then_normal)
+            after = _philox_fill(np.empty((n, 3)), keys)
+            for pair, p, c, a in zip(keys, plain, called, after):
+                assert p.tobytes() == _fresh_normals(pair, 3).tobytes()
+                assert c.tobytes() == _fresh_uint32_then_normal(pair, 3).tobytes()
+                assert a.tobytes() == p.tobytes()
+    # a buffered uint32 left by the generator itself, outside any fill
+    _shared_generator().integers(0, 2**32, dtype=np.uint32)
+    assert SharedNoiseBatch(5, 2, 3).draws.tobytes() == np.stack(
+        [_fresh_normals((5, i), 3) for i in range(2)]
+    ).tobytes()
+
+
+def test_philox_fills_from_many_threads_equal_the_serial_fills():
+    # the shared key changes only under the lock, so each thread's fills are
+    # the serial ones, whatever the interleaving
+    jobs = [(seed, n) for seed in range(8) for n in (1, 3, 4)]
+    serial = {
+        (seed, n): _philox_fill(np.empty((n, 2)), [(seed, i) for i in range(n)]) for seed, n in jobs
+    }
+    barrier, failures = threading.Barrier(8, timeout=60), []
+
+    def work(offset):
+        barrier.wait()
+        for _ in range(20):
+            for seed, n in jobs[offset:] + jobs[:offset]:
+                keys = [(seed, i) for i in range(n)]
+                draw = None if (seed + offset) % 2 else _uint32_then_normal
+                got = _philox_fill(np.empty((n, 2)), keys, draw)
+                if draw is None:
+                    want = serial[(seed, n)]
+                else:
+                    want = np.stack([_fresh_uint32_then_normal(pair, 2) for pair in keys])
+                if got.tobytes() != want.tobytes():
+                    failures.append((offset, seed, n))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+def test_more_keys_than_rows_fill_every_row_then_raise_index_error():
+    # the rows are indexed as the keys come, so a surplus key fails at its row,
+    # after the rows before it are filled, and leaves the generator usable
+    out = np.zeros((2, 3))
+    with pytest.raises(IndexError, match="index 2 is out of bounds for axis 0 with size 2"):
+        _philox_fill(out, [(9, 0), (9, 1), (9, 2)])
+    assert out.tobytes() == np.stack([_fresh_normals((9, i), 3) for i in range(2)]).tobytes()
+    assert SharedNoiseBatch(9, 3, 3).draws[2].tobytes() == _fresh_normals((9, 2), 3).tobytes()

@@ -1595,3 +1595,42 @@ def test_chordedit_rows_never_exceed_their_larger_query(name, schedule, n, delta
     bound = np.maximum(np.linalg.norm(r_prev, axis=1), np.linalg.norm(r_curr, axis=1))
     excess = np.linalg.norm(res.u_hat, axis=1) - bound
     assert np.all(excess <= CONVEX_SLACK_ULP * np.spacing(bound))
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+def test_a_wrapped_one_kind_field_keeps_its_query_and_the_rows_path(kind):
+    # query and autonomous live on the field itself, so functools.wraps copies
+    # them, and rows of wrapped fields are still queried all at once
+    model, params = preset_model("two_blob_2d"), ChordParams(n=3)
+    fields = [make_control_field(model, params, kind, particle_seed(4, i)) for i in range(3)]
+    calls = []
+    wrapped = [_spied(f, calls) for f in fields]
+    for field, wrapper in zip(fields, wrapped):
+        assert wrapper.query is field.query and wrapper.query is not None
+        assert wrapper.autonomous is field.autonomous is True
+    x = np.random.default_rng(4).normal(size=(3, 2))
+    got = transport._rows_field(wrapped)(x)
+    assert calls == []
+    assert got.tobytes() == _per_row(fields)(x).tobytes()
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@pytest.mark.parametrize("shape", [(2,), (4, 2)])
+def test_each_call_of_a_one_kind_field_returns_an_array_of_its_own(kind, shape):
+    # an integrator may write into what a field returned: no later call, and
+    # no state passed in, may share that memory
+    model = preset_model("two_blob_2d")
+    field = make_control_field(model, ChordParams(n=2), kind, seed=8)
+    x = np.random.default_rng(8).normal(size=shape)
+    first, second = field(x), field(x)
+    assert not np.shares_memory(first, second) and not np.shares_memory(first, x)
+    want = second.copy()
+    first += 1.0
+    assert second.tobytes() == want.tobytes() == field(x).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["midpoint", "", None, ["chord"], "Chord"])
+def test_an_unknown_single_kind_names_the_kinds(kind):
+    with pytest.raises(DomainError) as err:
+        make_control_field(preset_model("two_blob_2d"), ChordParams(), kind, seed=0)
+    assert str(err.value) == "field kinds must be drawn from ('naive', 'chord')"
