@@ -357,19 +357,17 @@ def risk_experiment_symmetric(
     u_star: np.ndarray,
     noise_sigma: float,
     half_width: int,
-    grid_step: float,
     trials: int,
     seed: int,
 ) -> tuple[float, float]:
     """Risk comparison for a centered (non-causal) triangular smoother.
 
     Complements ``risk_experiment``: symmetric kernels have vanishing first
-    moment, hence the smaller quadratic bias regime. Only used inside the
-    verification suite; the shipped transport kernels stay causal.
+    moment, hence the smaller quadratic bias regime; the shipped transport
+    kernels stay causal.
 
     The smoother works in grid samples (``half_width`` on each side) and its
-    weights sum to one, so ``grid_step`` is ignored; it is kept for the
-    signature's sake.
+    weights sum to one.
     """
     if half_width < 1:
         raise DomainError("half_width must be >= 1")

@@ -76,12 +76,17 @@ def _row_template(types: tuple) -> str:
     )
 
 
-def write_csv(path, header: list[str], rows: list[tuple]) -> None:
+def _write_lines(path, lines: list[str]) -> None:
+    """Write ``lines`` to ``path``, each ended by LF, making its directory first."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    lines = [",".join(header)]
-    lines += [_row_template(tuple(map(type, row))) % row for row in map(tuple, rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_csv(path, header: list[str], rows: list[tuple]) -> None:
+    lines = [",".join(header)]
+    lines += [_row_template(tuple(map(type, row))) % row for row in map(tuple, rows)]
+    _write_lines(path, lines)
 
 
 def _write(cfg: ExperimentConfig, name: str, header: list[str], rows: list[tuple]) -> None:
@@ -92,10 +97,7 @@ def _write(cfg: ExperimentConfig, name: str, header: list[str], rows: list[tuple
 
 def _write_summary(cfg: ExperimentConfig, lines: list[str]) -> int:
     """Write ``summary.txt``, a run's last step; returns ``EXIT_OK``."""
-    path = os.path.join(cfg.output_dir, "summary.txt")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(os.path.join(cfg.output_dir, "summary.txt"), lines)
     return EXIT_OK
 
 
@@ -331,8 +333,6 @@ def run_risk(cfg: ExperimentConfig) -> int:
 
 def run_error_order(cfg: ExperimentConfig) -> int:
     p = read_params(cfg)
-    if len(p.h_values) < 4:
-        raise UsageError("error order needs at least 4 step sizes")
     model, params = _model_and_params(cfg)
     x0 = sample_particles(model, 1, cfg.seed).points[0]
     sweeps = _method_sweeps(model, params, cfg.seed, x0, p.h_values, p.horizon)

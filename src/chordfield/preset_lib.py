@@ -16,12 +16,6 @@ from .errors import DomainError
 PRESET_NAMES = ("two_blob_1d", "two_blob_2d", "ring_3blob_2d", "stiff_2d")
 
 
-def _condition_from_dict(data: dict) -> GaussianMixtureCondition:
-    return GaussianMixtureCondition(
-        weights=data["weights"], means=data["means"], scales=data["scales"]
-    )
-
-
 def load_preset(name: str) -> tuple[GaussianMixtureCondition, GaussianMixtureCondition]:
     """Return the (source, target) mixtures of a named preset."""
     if name not in PRESET_NAMES:
@@ -30,8 +24,7 @@ def load_preset(name: str) -> tuple[GaussianMixtureCondition, GaussianMixtureCon
         )
     path = resources.files("chordfield").joinpath("presets").joinpath(f"{name}.json")
     data = json.loads(path.read_text(encoding="utf-8"))
-    src = _condition_from_dict(data["source"])
-    tar = _condition_from_dict(data["target"])
+    src, tar = (GaussianMixtureCondition(**data[side]) for side in ("source", "target"))
     if src.dim != data["dim"] or tar.dim != data["dim"]:
         raise DomainError(f"preset {name!r} data is dimensionally inconsistent")
     return src, tar

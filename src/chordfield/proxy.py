@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import repeat
 
 import numpy as np
 
 from .backbone import BackboneModel, _head_residual, _observe, _rows
 from .errors import DomainError, _allocated
-from .schedules import Schedule, evaluate
+from .schedules import PathScalars, Schedule, evaluate
 
 _MASK64 = (1 << 64) - 1
 
@@ -168,9 +168,7 @@ def _philox_fill(out: np.ndarray, keys, draw=None):
 class ProxyField:
     """Proxy-field estimates at one anchor over a set of query times."""
 
-    anchor: np.ndarray
     samples: dict = field(default_factory=dict)
-    batch: SharedNoiseBatch | None = None
 
     def series(self) -> list[tuple[float, np.ndarray]]:
         return sorted(self.samples.items())
@@ -216,6 +214,31 @@ def _estimate(model, x_tau, alpha, noise, a_t, scalars, pair):
     return np.multiply(estimate, a_t, out=estimate)
 
 
+def _two_time_pass(model, t, delta, batch_prev, batch_curr):
+    """``_estimate``'s values for rows (2, k, d) at t - delta and t, by k, pinned by the model
+    (the times on axis 0) and kept for the last k, the only per-draw values held; None (two
+    queries), before a draw is read, where a time's values fail or its sigma is below the floor."""
+    try:
+        (a_p, s_p, at_p), (a_t, s_t, at_t) = (model._time_entry(u) for u in (t - delta, t))
+    except (DomainError, ArithmeticError):
+        return None
+    if min(s_p.sigma, s_t.sigma) < model.schedule.alpha_floor:
+        return None
+    draws = batch_prev.draws, batch_curr.draws
+    four = np.array([[s.alpha, s.sigma, s.alpha_dot, s.sigma_dot] for s in (s_p, s_t)]).T[..., None]
+    at = at_p._make(np.stack(values)[:, None] for values in zip(at_p, at_t))
+    entry = np.array([[a_p], [a_t]]), PathScalars((t - delta, t), *four), at
+
+    @lru_cache(maxsize=1)
+    def shaped(k):
+        alpha, sigma, *rest = model._pin((2, k), batch_curr.n, entry)
+        noise = sigma * np.stack(draws)[:, None]  # each time's own draws on every row
+        noise.setflags(write=False)
+        return alpha, noise, *rest
+
+    return shaped
+
+
 def _draw_sum(rows: np.ndarray) -> np.ndarray:
     """Sum over the draw axis -2, added draw by draw in order as a loop from
     zero would (the final ``+ 0.0`` turns a -0.0 total into that loop's 0.0)."""
@@ -254,6 +277,5 @@ def sample_proxy_field(
     batch: SharedNoiseBatch,
 ) -> ProxyField:
     """Evaluate the proxy field at several query times with one shared batch."""
-    x_tau = np.asarray(x_tau, dtype=float)
     samples = {float(t): proxy_field(model, x_tau, float(t), batch) for t in times}
-    return ProxyField(anchor=x_tau, samples=samples, batch=batch)
+    return ProxyField(samples=samples)

@@ -201,12 +201,6 @@ def derivatives(schedule: Schedule, t: float) -> tuple[float, float]:
     return (now.alpha - before.alpha) / h, (now.sigma - before.sigma) / h
 
 
-def derivatives_analytic(schedule: Schedule, t: float) -> tuple[float, float]:
-    """Exact (alpha_dot, sigma_dot); sigma_dot rejects sigma(t) = 0 on vp kinds."""
-    scalars = path_scalars(schedule, t)
-    return scalars.alpha_dot, scalars.sigma_dot
-
-
 def _guard(value: float, name: str, floor: float, t: float):
     if value < floor:
         raise IllConditionedMapError(

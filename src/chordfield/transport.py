@@ -27,10 +27,11 @@ from .proxy import (
     _estimate,
     _philox_fill,
     _RowsBatch,
+    _two_time_pass,
     derive_stream,
     proxy_field,
 )
-from .schedules import DATA_X0, PathScalars, path_scalars
+from .schedules import DATA_X0, path_scalars
 
 # states beyond this norm abort loudly instead of silently overflowing
 DIVERGENCE_NORM = 1e6
@@ -190,31 +191,6 @@ class _OneKindField:
             prev = proxy_field(self.model, x[self.chord], self.t - self.delta, self.batch_prev)
             _blend(prev, u[self.chord], self.t, self.delta)
         return u
-
-
-def _two_time_pass(model, t, delta, batch_prev, batch_curr):
-    """``_estimate``'s values for rows (2, k, d) at t - delta and t, by k, pinned by the model
-    (the times on axis 0) and kept for the last k, the only per-draw values held; None (two
-    queries), before a draw is read, where a time's values fail or its sigma is below the floor."""
-    try:
-        (a_p, s_p, at_p), (a_t, s_t, at_t) = (model._time_entry(u) for u in (t - delta, t))
-    except (DomainError, ArithmeticError):
-        return None
-    if min(s_p.sigma, s_t.sigma) < model.schedule.alpha_floor:
-        return None
-    draws = batch_prev.draws, batch_curr.draws
-    four = np.array([[s.alpha, s.sigma, s.alpha_dot, s.sigma_dot] for s in (s_p, s_t)]).T[..., None]
-    at = at_p._make(np.stack(values)[:, None] for values in zip(at_p, at_t))
-    entry = np.array([[a_p], [a_t]]), PathScalars((t - delta, t), *four), at
-
-    @functools.lru_cache(maxsize=1)
-    def shaped(k):
-        alpha, sigma, *rest = model._pin((2, k), batch_curr.n, entry)
-        noise = sigma * np.stack(draws)[:, None]  # each time's own draws on every row
-        noise.setflags(write=False)
-        return alpha, noise, *rest
-
-    return shaped
 
 
 def proximal_refine(

@@ -1,7 +1,9 @@
+import json
 import math
 import sys
 import threading
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from chordfield.errors import (
     DomainError,
     IllConditionedMapError,
 )
+from chordfield.preset_lib import PRESET_NAMES
 from chordfield.proxy import SharedNoiseBatch, _draw_sum, proxy_field
 from chordfield.schedules import (
     LINEAR_INTERP,
@@ -597,3 +600,13 @@ def test_queries_off_the_model_dimension_rejected(query, offset, lead, model_dim
         _QUERIES[query](model, np.zeros(lead + (model_dim + offset,)))
     want = lead if query == "log_marginal_density" else lead + (model_dim,)
     assert np.shape(_QUERIES[query](model, np.zeros(lead + (model_dim,)))) == want
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_each_preset_side_holds_exactly_the_mixture_arguments(name):
+    # load_preset passes each side to GaussianMixtureCondition as keywords, so
+    # an extra or a missing key would raise TypeError, not DomainError
+    path = resources.files("chordfield").joinpath("presets").joinpath(f"{name}.json")
+    data = json.loads(path.read_text(encoding="utf-8"))
+    for side in ("source", "target"):
+        assert sorted(data[side]) == ["means", "scales", "weights"]

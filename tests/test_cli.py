@@ -917,6 +917,14 @@ class TestErrorOrder:
         ratio = (out / "summary.txt").read_text().splitlines()[-1]
         assert ratio == "chord/naive error ratio at smallest h: nan"
 
+    def test_fewer_than_four_step_sizes_exit_two_with_the_sweeps_message(self, tmp_path, capsys):
+        # the step-size count is the sweep's rule: the run stops before any output
+        out = tmp_path / "run"
+        override = "params.h_values=[0.5,0.25,0.125]"
+        assert main(["error_order", "--out", str(out), "--override", override]) == 2
+        assert capsys.readouterr().err == "usage error: need at least 4 step sizes\n"
+        assert not out.exists() and not list(tmp_path.rglob("*.csv"))
+
     def test_query_time_below_the_floor_names_the_floor(self, tmp_path, capsys):
         # the paired field's fused pass finds sigma(1e-7) below the noise head's
         # floor before it reads its 2**62 draws, which would not fit

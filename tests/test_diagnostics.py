@@ -564,7 +564,7 @@ class TestRiskExperiment:
     def test_symmetric_kernel_variant_reduces_risk(self):
         u_star = np.full((64, 2), 0.4)
         mse_naive, mse_chord = risk_experiment_symmetric(
-            u_star, 0.3, half_width=3, grid_step=0.05, trials=200, seed=4
+            u_star, 0.3, half_width=3, trials=200, seed=4
         )
         assert mse_chord < mse_naive
 
@@ -596,7 +596,7 @@ class TestRiskExperiment:
     def test_symmetric_bit_equal_to_fancy_index_loop(self, half_width):
         t = np.arange(24) * 0.05
         u_star = np.stack([np.cos(t), t * t], axis=1)
-        got = risk_experiment_symmetric(u_star, 0.3, half_width, 0.05, 100, seed=6)
+        got = risk_experiment_symmetric(u_star, 0.3, half_width, 100, seed=6)
         offsets = np.arange(-half_width, half_width + 1)
         weights = (half_width + 1.0) - np.abs(offsets)
         weights /= weights.sum()
@@ -643,7 +643,7 @@ class TestRiskExperiment:
         t = np.arange(12) * 0.05
         u_star = np.stack([np.sin(t), 1.0 - t], axis=1)
         got = risk_experiment(u_star, 0.3, kernel, trials, seed=8)
-        got_symmetric = risk_experiment_symmetric(u_star, 0.3, 2, 0.05, trials, seed=8)
+        got_symmetric = risk_experiment_symmetric(u_star, 0.3, 2, trials, seed=8)
         lag = kernel.taps - 1
         sums = np.zeros(4)
         for trial in range(trials):
@@ -719,7 +719,7 @@ class TestRiskExperiment:
 
     def test_symmetric_series_shorter_than_support_rejected(self):
         with pytest.raises(DomainError):
-            risk_experiment_symmetric(np.zeros((4, 2)), 0.1, 2, 0.05, 100, seed=0)
+            risk_experiment_symmetric(np.zeros((4, 2)), 0.1, 2, 100, seed=0)
 
     def test_trial_floor(self):
         with pytest.raises(DomainError):

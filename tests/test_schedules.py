@@ -18,7 +18,6 @@ from chordfield.schedules import (
     Schedule,
     coefficient,
     derivatives,
-    derivatives_analytic,
     epsilon_coefficient_forms,
     evaluate,
     load_beta_table,
@@ -181,14 +180,15 @@ class TestDerivatives:
 
     def test_vp_analytic_alpha_dot(self):
         sched = vp(2.0)
-        ad, _ = derivatives_analytic(sched, 0.5)
+        ad = path_scalars(sched, 0.5).alpha_dot
         assert ad == pytest.approx(-sched.alpha(0.5), abs=1e-15)
 
     def test_vp_analytic_sigma_dot(self):
         # vp relation: sigma_dot = -(alpha / sigma) * alpha_dot
         sched = vp(2.0)
         a, s = evaluate(sched, 0.5)
-        ad, sd = derivatives_analytic(sched, 0.5)
+        scalars = path_scalars(sched, 0.5)
+        ad, sd = scalars.alpha_dot, scalars.sigma_dot
         assert sd == pytest.approx(-ad * a / s, abs=1e-15)
         # frozen from the relation above: e^-1 / sqrt(1 - e^-1)
         assert sd == pytest.approx(0.46270645737647115, abs=1e-12)
@@ -196,7 +196,8 @@ class TestDerivatives:
     def test_fd_close_to_analytic(self):
         sched = vp(2.0, fd_step=1e-3)
         ad_fd, sd_fd = derivatives(sched, 0.5)
-        ad, sd = derivatives_analytic(sched, 0.5)
+        scalars = path_scalars(sched, 0.5)
+        ad, sd = scalars.alpha_dot, scalars.sigma_dot
         assert abs(ad_fd - ad) <= 2.0 * sched.fd_step
         assert abs(sd_fd - sd) <= 2.0 * sched.fd_step
 

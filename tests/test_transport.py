@@ -1634,3 +1634,56 @@ def test_an_unknown_single_kind_names_the_kinds(kind):
     with pytest.raises(DomainError) as err:
         make_control_field(preset_model("two_blob_2d"), ChordParams(), kind, seed=0)
     assert str(err.value) == "field kinds must be drawn from ('naive', 'chord')"
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(PRESET_NAMES),
+    st.sampled_from([Schedule(kind=VP_CONST_BETA, beta0=0.5), Schedule(kind=LINEAR_INTERP)]),
+    st.sampled_from([1, 4]),
+    st.booleans(),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+)
+def test_chordedit_rows_at_zero_delta_are_the_naive_field(name, schedule, n, share, seeds):
+    # at delta = 0 both queries sit at t with t's draws, shared noise or not,
+    # so each row's field is that row's naive field and the two queries agree
+    model = preset_model(name, schedule)
+    params = ChordParams(delta=0.0, n=n, share_noise_across_times=share)
+    rows = sample_particles(model, len(seeds), seeds).points
+    res = chordedit(model, rows, params, seeds)
+    (_, r_prev), (_, r_curr) = res.fields_queried
+    assert r_prev.tobytes() == r_curr.tobytes()
+    for x, seed_i, u in zip(rows, seeds, res.u_hat):
+        naive = make_control_field(model, params, "naive", seed_i)(x)
+        assert u.tobytes() == naive.tobytes()
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(PRESET_NAMES),
+    st.sampled_from([Schedule(kind=VP_CONST_BETA, beta0=0.5), Schedule(kind=LINEAR_INTERP)]),
+    st.sampled_from([0.0, 0.1]),
+    st.booleans(),
+    st.booleans(),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+)
+def test_chordedit_rows_at_one_draw_are_the_single_noise_path(
+    name, schedule, delta, share, use_prox, seeds
+):
+    # at n = 1 the multi-noise estimator is the single-batch one, row by row
+    model = preset_model(name, schedule)
+    params = ChordParams(delta=delta, n=1, share_noise_across_times=share, use_prox=use_prox)
+    rows = sample_particles(model, len(seeds), seeds).points
+    multi = chordedit_multi_noise(model, rows, params, seeds)
+    single = chordedit(model, rows, params, seeds)
+    assert multi.live.all() and single.live.all()
+    for field in ("x_pred", "x_out", "u_hat", "energy", "live"):
+        assert getattr(multi, field).tobytes() == getattr(single, field).tobytes()
+    for (t_m, got), (t_s, want) in zip(multi.fields_queried, single.fields_queried):
+        assert t_m == t_s and got.tobytes() == want.tobytes()
+    for i, (x, seed_i) in enumerate(zip(rows, seeds)):
+        alone = chordedit(model, x, params, seed_i)
+        for field in ("x_pred", "x_out", "u_hat"):
+            assert getattr(multi, field)[i].tobytes() == getattr(alone, field).tobytes()
+        for (_, got), (_, want) in zip(multi.fields_queried, alone.fields_queried):
+            assert got[i].tobytes() == want.tobytes()
