@@ -36,7 +36,6 @@ from .diagnostics import (
     lte_check,
     projection_energy_gap,
     risk_experiment,
-    stability_margin,
 )
 from .errors import (
     DegeneratePosteriorError,
@@ -46,15 +45,13 @@ from .errors import (
 )
 from .preset_lib import load_preset
 from .proxy import ProxyField, SharedNoiseBatch, noising_sample, proxy_field
-from .schedules import Schedule, coefficient, derivatives, evaluate
+from .schedules import Schedule, coefficient, derivatives
 from .transport import (
     ParticleSet,
     TransportResult,
     chordedit,
     chordedit_multi_noise,
-    multi_step_transport,
     proximal_refine,
-    reference_solve,
 )
 
 __version__ = "0.1.0"
@@ -82,22 +79,18 @@ __all__ = [
     "consistency_proxy",
     "delta_drift",
     "derivatives",
-    "evaluate",
     "global_error_sweep",
     "kernel_smooth",
     "load_preset",
     "lte_check",
     "marginal_moments",
-    "multi_step_transport",
     "noising_sample",
     "observable",
     "posterior_x0",
     "projection_energy_gap",
     "proximal_refine",
     "proxy_field",
-    "reference_solve",
     "risk_experiment",
-    "stability_margin",
     "surrogate_objective",
     "velocity",
     "window_minimizer",

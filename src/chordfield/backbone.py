@@ -45,7 +45,6 @@ from .schedules import (
     PathScalars,
     Schedule,
     coefficient,
-    evaluate,
     path_scalars,
 )
 
@@ -188,7 +187,8 @@ def marginal_moments(
     """Noised mean and isotropic variance of one mixture component."""
     if not (0 <= component < cond.n_components):
         raise DomainError(f"component {component} out of range")
-    at = cond._stack.at(*evaluate(schedule, t))
+    scalars = path_scalars(schedule, t)
+    at = cond._stack.at(scalars.alpha, scalars.sigma)
     return at.alpha_means[component], float(at.variances[component])
 
 
@@ -421,7 +421,8 @@ def log_marginal_density(
     z = _rows(model, z)
     mixture = model.condition(cond)
     stack = mixture._stack
-    log_mass, _ = stack.log_mass(z, stack.at(*evaluate(model.schedule, t)))
+    scalars = path_scalars(model.schedule, t)
+    log_mass, _ = stack.log_mass(z, stack.at(scalars.alpha, scalars.sigma))
     peak = np.max(log_mass, axis=-1, keepdims=True)
     return peak[..., 0] + np.log(np.sum(np.exp(log_mass - peak), axis=-1))
 

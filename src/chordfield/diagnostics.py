@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .chord import SmoothingKernel, _causal_smooth, _shifted_sum
+from .chord import SmoothingKernel, _causal_smooth
 from .errors import DomainError
 from .proxy import NS_TRIAL, _derive_streams, _philox_normals
 from .transport import euler_march, integrate_rk4
@@ -54,16 +54,14 @@ class DiagnosticsReport:
         return sorted(name for name, ok in self.checks.items() if not ok)
 
 
-def bb_energy(fields, dim: int) -> float | np.ndarray:
-    """Unweighted discrete kinetic energy: mean over steps of ||u||^2 / dim,
+def bb_energy(fields) -> float | np.ndarray:
+    """Unweighted discrete kinetic energy: mean over steps of ||u||^2 / d,
     one float for S samples (d,), one per row for rows (S, ..., d)."""
     if len(fields) == 0:
         raise DomainError("bb_energy needs at least one field sample")
-    if dim < 1:
-        raise DomainError("dim must be >= 1")
     fields = np.asarray(fields, dtype=float)
     # in step order: ``sum(axis=0)`` adds a lone row's steps pairwise instead
-    energy = np.cumsum(np.vecdot(fields, fields), axis=0)[-1] / (len(fields) * dim)
+    energy = np.cumsum(np.vecdot(fields, fields), axis=0)[-1] / (len(fields) * fields.shape[-1])
     return float(energy) if fields.ndim == 2 else energy
 
 
@@ -127,24 +125,14 @@ def consistency_proxy(
     ``fn(x, t)`` is any evaluable field over the box ``bounds`` and the time
     interval ``t_range``. Central differences on a ``grid``-point lattice per
     axis. Returns the proxy and its three components
-    ``(sup||du/dt||, sup||grad u||, sup||u||)``; the middle one is the
-    ``stability_margin`` of the same lattice.
+    ``(sup||du/dt||, sup||grad u||, sup||u||)``; the middle one, the grid
+    supremum of the spatial Jacobian's spectral norm, is the stability margin.
     """
     values, dudt, jac = _lattice(fn, *_axis_grids(bounds, t_range, grid))
     sup_dt = _sup_norm(dudt)
     sup_u = _sup_norm(values)
     sup_jac = _sup_spectral(jac)
     return sup_dt + sup_jac * sup_u, (sup_dt, sup_jac, sup_u)
-
-
-def stability_margin(
-    fn,
-    bounds: list[tuple[float, float]],
-    t_range: tuple[float, float],
-    grid: int,
-) -> float:
-    """Grid supremum of the spatial Jacobian's spectral norm."""
-    return _sup_spectral(_lattice(fn, *_axis_grids(bounds, t_range, grid))[2])
 
 
 def _local_m_f(fn, corner_lo, corner_hi, t_lo, t_hi, grid=7):
@@ -351,32 +339,6 @@ def risk_experiment(
         seed,
     )
     return pairs[0] if single else pairs
-
-
-def risk_experiment_symmetric(
-    u_star: np.ndarray,
-    noise_sigma: float,
-    half_width: int,
-    trials: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Risk comparison for a centered (non-causal) triangular smoother.
-
-    Complements ``risk_experiment``: symmetric kernels have vanishing first
-    moment, hence the smaller quadratic bias regime; the shipped transport
-    kernels stay causal.
-
-    The smoother works in grid samples (``half_width`` on each side) and its
-    weights sum to one.
-    """
-    if half_width < 1:
-        raise DomainError("half_width must be >= 1")
-    offsets = np.arange(-half_width, half_width + 1)
-    weights = (half_width + 1.0) - np.abs(offsets)
-    weights /= weights.sum()
-    smooth = partial(_shifted_sum, weights=weights, shifts=offsets + half_width)
-    interior = slice(half_width, -half_width)
-    return _risk_trials(u_star, noise_sigma, [(smooth, interior)], trials, seed)[0]
 
 
 def _hat_basis(times, knots):

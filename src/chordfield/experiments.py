@@ -209,7 +209,7 @@ def run_toy(cfg: ExperimentConfig) -> int:
         diverged = count - int(live.sum())
         _check_diverged(f"{method} transport", diverged, count)
         # some row is live, so the march kept every step's field values
-        energies = res.energy if steps == 1 else bb_energy(us, model.dim)
+        energies = res.energy if steps == 1 else bb_energy(us)
         kept = np.flatnonzero(live)
         after[method] = [(i, *x) for i, x in zip(kept.tolist(), outs[kept].tolist())]
         distances = _dist_to_nearest_mode(outs[live], model.target)
@@ -263,7 +263,7 @@ def run_step_sweep(cfg: ExperimentConfig) -> int:
     for (s_steps, method), (live, _, _) in cells.items():
         _check_diverged(f"{method} at S={s_steps}", count - int(live.sum()), count)
     rows = sorted(  # by (S, method), which is unique; every cell kept a live row
-        (s_steps, method, float(np.mean(bb_energy(us, model.dim)[live])), float(np.mean(errors)))
+        (s_steps, method, float(np.mean(bb_energy(us)[live])), float(np.mean(errors)))
         for (s_steps, method), (live, us, errors) in cells.items()
     )
     _write(cfg, "step_sweep.csv", ["S", "method", "bb_energy", "endpoint_error_mean"], rows)

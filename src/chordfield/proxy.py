@@ -27,7 +27,7 @@ import numpy as np
 
 from .backbone import BackboneModel, _head_residual, _observe, _rows
 from .errors import DomainError, _allocated
-from .schedules import PathScalars, Schedule, evaluate
+from .schedules import PathScalars, Schedule, path_scalars
 
 _MASK64 = (1 << 64) - 1
 
@@ -181,8 +181,8 @@ def noising_sample(
     x_tau, eps = np.asarray(x_tau, dtype=float), np.asarray(eps, dtype=float)
     if x_tau.shape[-1:] != eps.shape[-1:]:
         raise DomainError(f"noise of shape {eps.shape} does not match the state's {x_tau.shape}")
-    a, s = evaluate(schedule, t)
-    return a * x_tau + s * eps
+    scalars = path_scalars(schedule, t)
+    return scalars.alpha * x_tau + scalars.sigma * eps
 
 
 def proxy_field(

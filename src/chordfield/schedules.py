@@ -186,12 +186,6 @@ def path_scalars(schedule: Schedule, t: float) -> PathScalars:
     return PathScalars(t, a, s, ad, None if s == 0.0 else -a * ad / s)
 
 
-def evaluate(schedule: Schedule, t: float) -> tuple[float, float]:
-    """Return (alpha(t), sigma(t)) for t in [0, 1]."""
-    scalars = path_scalars(schedule, t)
-    return scalars.alpha, scalars.sigma
-
-
 def derivatives(schedule: Schedule, t: float) -> tuple[float, float]:
     """Backward finite-difference (alpha_dot, sigma_dot) with step fd_step."""
     h = schedule.fd_step

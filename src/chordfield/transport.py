@@ -2,9 +2,11 @@
 
 The full edit is a single explicit Euler step of size ``step_scale`` along
 the chord field evaluated at the source anchor, optionally followed by one
-denoising refinement under the target condition. Multi-step variants split
-the step scale and re-anchor the field at the current state each sub-step;
-the query times stay fixed (the estimator is defined at one noise level).
+denoising refinement under the target condition. The multi-step variant,
+``toy``'s ``params.steps``, is ``euler_march`` over ``make_control_field``:
+it splits the step scale and re-anchors the field at the current state each
+sub-step; the query times stay fixed (the estimator is defined at one noise
+level).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import BackboneModel, _observe, _rows, sample_condition, velocity
+from .backbone import BackboneModel, _observe, _rows, sample_condition
 from .chord import ChordParams, _blend, chord_field
 from .errors import DivergenceError, DomainError, _allocated
 from .proxy import (
@@ -206,15 +208,18 @@ def proximal_refine(
     target-posterior mean of the clean state. The noise is one fixed draw (d,)
     shared by every row, an independent sub-stream of ``seed`` unless an
     explicit ``eps`` is supplied; an explicit ``eps`` may also hold one draw
-    per row, (..., d).
+    per row, (..., d); ``DomainError`` for any other shape.
     """
     if not (0.0 < t_c < 1.0):
         raise DomainError("t_c must lie in (0, 1)")
     x_pred = _rows(model, x_pred)
     if eps is None:
         eps = _refine_draw(derive_stream(seed, NS_PROX), model.dim)
+    eps = np.asarray(eps, dtype=float)
+    if eps.shape not in ((model.dim,), x_pred.shape):
+        raise DomainError(f"eps of shape {eps.shape} is neither ({model.dim},) nor {x_pred.shape}")
     scalars = path_scalars(model.schedule, t_c)
-    z = scalars.alpha * x_pred + scalars.sigma * np.asarray(eps, dtype=float)
+    z = scalars.alpha * x_pred + scalars.sigma * eps
     return _observe(model, model.target, z, scalars, DATA_X0)
 
 
@@ -371,30 +376,6 @@ def _rows_field(fields):
     return _control_field(*query)
 
 
-def multi_step_transport(
-    model: BackboneModel,
-    x_src: np.ndarray,
-    params: ChordParams,
-    steps: int,
-    field_kind: str,
-    seed: int,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Split the step scale over ``steps`` sub-steps, re-anchoring each time.
-
-    Every sub-step re-estimates the field at the current state (the anchor
-    follows the trajectory) and advances by ``step_scale / steps`` times the
-    field. Query times stay fixed. For one state ``x_src`` (d,), returns the
-    trajectory (including the start point) and the per-sub-step fields.
-    """
-    # kept although _march checks too: the step size below divides by steps first
-    if steps < 1:
-        raise DomainError("steps must be >= 1")
-    field = make_control_field(model, params, field_kind, seed)
-    trajectory, fields, live = euler_march(field, x_src, params.step_scale / steps, steps)
-    _raise_unless_live(live, trajectory[-1], f"sub-step {len(trajectory)}/{steps}")
-    return trajectory, fields
-
-
 def rk4_march(field, x0: np.ndarray, s_from: float, s_to: float, steps: int):
     """``_march`` by classic RK4 from ``s_from`` to ``s_to``; a step's field is its first stage."""
     span = s_to - s_from
@@ -428,30 +409,3 @@ def integrate_rk4(field, x0: np.ndarray, s_from: float, s_to: float, steps: int)
     trajectory, _, live = rk4_march(field, x0, s_from, s_to, steps)
     _raise_unless_live(live, trajectory[-1], "reference integration")
     return trajectory[-1]
-
-
-def reference_solve(
-    model: BackboneModel,
-    x0: np.ndarray,
-    cond: str,
-    t_from: float,
-    t_to: float,
-    steps: int,
-) -> np.ndarray:
-    """High-resolution reference integration of the conditional marginal flow.
-
-    Follows the exact flow of the noised marginals between the two noise
-    levels: integrating toward larger t noises the state, toward smaller t
-    denoises it to the condition's data. (The marginal-flow ODE pairs the
-    state with increasing noise level; ``velocity`` reports the generation
-    direction, hence the sign flip here.) Uses classic fixed-step
-    fourth-order integration with at least 100 steps; doubling the step count
-    moves the endpoint by less than 1e-8 on the shipped presets.
-    """
-    if steps < 100:
-        raise DomainError("reference solves need steps >= 100")
-
-    def field(x, t):
-        return -velocity(model, x, t, cond)
-
-    return integrate_rk4(field, x0, t_from, t_to, steps)

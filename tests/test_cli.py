@@ -479,12 +479,11 @@ class TestToy:
             run_params = experiments._method_params(params, method)
             ends, energies = {}, []
             for i, x in enumerate(points):
-                seed_i = transport.particle_seed(0, i)
-                try:
-                    traj, fields = transport.multi_step_transport(
-                        model, x, run_params, 3, method, seed_i
-                    )
-                except DivergenceError:
+                field = transport.make_control_field(
+                    model, run_params, method, transport.particle_seed(0, i)
+                )
+                traj, fields, live = transport.euler_march(field, x, run_params.step_scale / 3, 3)
+                if not live:
                     continue
                 ends[i] = traj[-1]
                 energies.append(_loop_energy(fields, model.dim))

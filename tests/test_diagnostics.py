@@ -26,8 +26,6 @@ from chordfield.diagnostics import (
     lte_check,
     projection_energy_gap,
     risk_experiment,
-    risk_experiment_symmetric,
-    stability_margin,
 )
 from chordfield.errors import DomainError
 from chordfield.preset_lib import load_preset
@@ -38,23 +36,23 @@ from chordfield.transport import make_control_field
 
 class TestBbEnergy:
     def test_zero_fields(self):
-        assert bb_energy([np.zeros(3)] * 5, 3) == 0.0
+        assert bb_energy([np.zeros(3)] * 5) == 0.0
 
     def test_unit_coordinates(self):
         fields = [np.array([1.0, -1.0])] * 3
-        assert bb_energy(fields, 2) == pytest.approx(1.0)
+        assert bb_energy(fields) == pytest.approx(1.0)
 
     def test_concatenation_identity(self):
         rng = np.random.default_rng(0)
         a = [rng.normal(size=2) for _ in range(3)]
         b = [rng.normal(size=2) for _ in range(5)]
-        combined = bb_energy(a + b, 2)
-        weighted = (3 * bb_energy(a, 2) + 5 * bb_energy(b, 2)) / 8
+        combined = bb_energy(a + b)
+        weighted = (3 * bb_energy(a) + 5 * bb_energy(b)) / 8
         assert combined == pytest.approx(weighted, rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            bb_energy([], 2)
+            bb_energy([])
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -64,14 +62,14 @@ def test_bb_energy_rows_bit_equal_to_the_loop_over_steps(steps, count, dim, seed
     # per sample, summed in step order, also for a lone row and for S >= 8
     rng = np.random.default_rng(seed)
     fields = rng.normal(size=(steps, count, dim)) * rng.lognormal(0.0, 3.0, (steps, count, 1))
-    got = bb_energy(fields, dim)
+    got = bb_energy(fields)
     assert got.shape == (count,)
     for j in range(count):
         want = sum(float(u @ u) for u in fields[:, j]) / (steps * dim)
         assert got[j].tobytes() == np.float64(want).tobytes()
-        alone = bb_energy(fields[:, j], dim)
+        alone = bb_energy(fields[:, j])
         assert type(alone) is float and alone == want
-        assert bb_energy(list(fields[:, j]), dim) == want
+        assert bb_energy(list(fields[:, j])) == want
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -149,15 +147,14 @@ class TestConsistencyProxy:
 
 class TestStabilityMargin:
     def test_constant_field(self):
-        assert stability_margin(
+        margin = consistency_proxy(
             lambda x, t: np.array([1.0, 2.0]), [(-1, 1), (-1, 1)], T_RANGE, 8
-        ) == pytest.approx(0.0, abs=1e-12)
+        )[1][1]
+        assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_affine_field_matches_jacobian_norm(self):
         j_mat = np.array([[1.0, 0.4], [-0.2, 2.0]])
-        got = stability_margin(
-            lambda x, t: j_mat @ x, [(-1, 1), (-1, 1)], T_RANGE, 12
-        )
+        got = consistency_proxy(lambda x, t: j_mat @ x, [(-1, 1), (-1, 1)], T_RANGE, 12)[1][1]
         assert got == pytest.approx(np.linalg.norm(j_mat, 2), rel=1e-6)
 
     def test_series_smoothing_never_raises_margin(self):
@@ -181,8 +178,8 @@ class TestStabilityMargin:
             return np.array([math.tanh(x[0])]) * sm[j]
 
         t_range = (t0, float(smoothed[-1][0]))
-        m_raw = stability_margin(raw_fn, BOUNDS_1D, t_range, 16)
-        m_smooth = stability_margin(smooth_fn, BOUNDS_1D, t_range, 16)
+        m_raw = consistency_proxy(raw_fn, BOUNDS_1D, t_range, 16)[1][1]
+        m_smooth = consistency_proxy(smooth_fn, BOUNDS_1D, t_range, 16)[1][1]
         assert m_smooth <= m_raw * (1 + 1e-9)
 
 
@@ -561,13 +558,6 @@ class TestRiskExperiment:
         )
         assert mse_naive == mse_chord
 
-    def test_symmetric_kernel_variant_reduces_risk(self):
-        u_star = np.full((64, 2), 0.4)
-        mse_naive, mse_chord = risk_experiment_symmetric(
-            u_star, 0.3, half_width=3, trials=200, seed=4
-        )
-        assert mse_chord < mse_naive
-
     @pytest.mark.parametrize("name", sorted(shipped_causal_kernels(0.05)))
     def test_bit_equal_to_list_trial_loop(self, name):
         kernel = shipped_causal_kernels(0.05)[name]
@@ -588,27 +578,6 @@ class TestRiskExperiment:
             smoothed = np.array(smoothed)
             diff_naive = noisy[lag:] - u_star[lag:]
             diff_chord = smoothed - u_star[lag:]
-            mse_naive += float((diff_naive**2).sum(axis=1).mean())
-            mse_chord += float((diff_chord**2).sum(axis=1).mean())
-        np.testing.assert_array_equal(got, (mse_naive / 100, mse_chord / 100))
-
-    @pytest.mark.parametrize("half_width", [1, 2, 5])
-    def test_symmetric_bit_equal_to_fancy_index_loop(self, half_width):
-        t = np.arange(24) * 0.05
-        u_star = np.stack([np.cos(t), t * t], axis=1)
-        got = risk_experiment_symmetric(u_star, 0.3, half_width, 100, seed=6)
-        offsets = np.arange(-half_width, half_width + 1)
-        weights = (half_width + 1.0) - np.abs(offsets)
-        weights /= weights.sum()
-        base = np.arange(half_width, 24 - half_width)
-        mse_naive = mse_chord = 0.0
-        for trial in range(100):
-            noisy = u_star + 0.3 * trial_noise(6, trial, u_star.shape)
-            smooth = np.zeros_like(noisy[base])
-            for off, w in zip(offsets, weights):
-                smooth += w * noisy[base + off]
-            diff_naive = noisy[base] - u_star[base]
-            diff_chord = smooth - u_star[base]
             mse_naive += float((diff_naive**2).sum(axis=1).mean())
             mse_chord += float((diff_chord**2).sum(axis=1).mean())
         np.testing.assert_array_equal(got, (mse_naive / 100, mse_chord / 100))
@@ -643,27 +612,18 @@ class TestRiskExperiment:
         t = np.arange(12) * 0.05
         u_star = np.stack([np.sin(t), 1.0 - t], axis=1)
         got = risk_experiment(u_star, 0.3, kernel, trials, seed=8)
-        got_symmetric = risk_experiment_symmetric(u_star, 0.3, 2, trials, seed=8)
         lag = kernel.taps - 1
-        sums = np.zeros(4)
+        sums = np.zeros(2)
         for trial in range(trials):
             noisy = u_star + 0.3 * trial_noise(8, trial, u_star.shape)
             causal = sum(
                 w * noisy[lag - i : len(t) - i]
                 for i, w in enumerate(kernel.weights * kernel.grid_step)
             )
-            centered = np.zeros_like(noisy[2:-2])
-            for off, w in zip(range(-2, 3), np.array([1.0, 2.0, 3.0, 2.0, 1.0]) / 9.0):
-                centered += w * noisy[2 + off : len(t) - 2 + off]
-            pairs = [
-                (noisy[lag:], u_star[lag:]),
-                (causal, u_star[lag:]),
-                (noisy[2:-2], u_star[2:-2]),
-                (centered, u_star[2:-2]),
-            ]
+            pairs = [(noisy[lag:], u_star[lag:]), (causal, u_star[lag:])]
             for k, (values, truth) in enumerate(pairs):
                 sums[k] += float(((values - truth) ** 2).sum(axis=1).mean())
-        np.testing.assert_array_equal(got + got_symmetric, tuple(sums / trials))
+        np.testing.assert_array_equal(got, tuple(sums / trials))
 
     @settings(max_examples=15, derandomize=True, database=None, deadline=None)
     @given(
@@ -717,9 +677,9 @@ class TestRiskExperiment:
         with pytest.raises(DomainError, match="u_star must be finite"):
             risk_experiment(u_star, 0.2, dirac_kernel(0.05), 100, seed=0)
 
-    def test_symmetric_series_shorter_than_support_rejected(self):
-        with pytest.raises(DomainError):
-            risk_experiment_symmetric(np.zeros((4, 2)), 0.1, 2, 100, seed=0)
+    def test_series_shorter_than_causal_support_rejected(self):
+        with pytest.raises(DomainError, match="series shorter than the smoother support"):
+            risk_experiment(np.zeros((4, 2)), 0.1, uniform_causal_kernel(5, 0.05), 100, seed=0)
 
     def test_trial_floor(self):
         with pytest.raises(DomainError):

@@ -19,7 +19,6 @@ from chordfield.schedules import (
     coefficient,
     derivatives,
     epsilon_coefficient_forms,
-    evaluate,
     load_beta_table,
     path_scalars,
 )
@@ -40,37 +39,38 @@ def generic_const(beta0=2.0, m=101, **kw):
 
 class TestEvaluate:
     def test_vp_at_zero(self):
-        a, s = evaluate(vp(), 0.0)
-        assert a == 1.0 and s == 0.0
+        scalars = path_scalars(vp(), 0.0)
+        assert scalars.alpha == 1.0 and scalars.sigma == 0.0
 
     def test_linear_midpoint(self):
-        assert evaluate(linear(), 0.5) == (0.5, 0.5)
+        scalars = path_scalars(linear(), 0.5)
+        assert (scalars.alpha, scalars.sigma) == (0.5, 0.5)
 
     def test_vp_midpoint_against_closed_form(self):
         # oracle: evaluate exp(-0.5) and sqrt(1 - e^-1) in 64-bit arithmetic
-        a, s = evaluate(vp(2.0), 0.5)
-        assert a == pytest.approx(math.exp(-0.5), abs=1e-15)
-        assert s == pytest.approx(math.sqrt(1.0 - math.exp(-1.0)), abs=1e-15)
+        scalars = path_scalars(vp(2.0), 0.5)
+        assert scalars.alpha == pytest.approx(math.exp(-0.5), abs=1e-15)
+        assert scalars.sigma == pytest.approx(math.sqrt(1.0 - math.exp(-1.0)), abs=1e-15)
 
     def test_vp_identity_along_path(self):
         sched = vp(3.0)
         for t in np.linspace(0.0, 1.0, 41):
-            a, s = evaluate(sched, float(t))
+            scalars = path_scalars(sched, float(t))
+            a, s = scalars.alpha, scalars.sigma
             assert abs(a * a + s * s - 1.0) <= 1e-12
 
     def test_generic_matches_const_beta(self):
         g, c = generic_const(2.0), vp(2.0)
         for t in np.linspace(0.0, 1.0, 17):
-            ag, sg = evaluate(g, float(t))
-            ac, sc = evaluate(c, float(t))
-            assert ag == pytest.approx(ac, abs=1e-14)
-            assert sg == pytest.approx(sc, abs=1e-13)
+            pg, pc = path_scalars(g, float(t)), path_scalars(c, float(t))
+            assert pg.alpha == pytest.approx(pc.alpha, abs=1e-14)
+            assert pg.sigma == pytest.approx(pc.sigma, abs=1e-13)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
-            evaluate(vp(), -0.01)
+            path_scalars(vp(), -0.01)
         with pytest.raises(DomainError):
-            evaluate(vp(), 1.01)
+            path_scalars(vp(), 1.01)
 
     def test_alpha_strictly_decreasing(self):
         sched = vp(1.0)
@@ -154,11 +154,9 @@ class TestPathScalars:
         )
 
     @pytest.mark.parametrize("kind", sorted(SCHEDULES))
-    def test_out_of_range_rejected_like_evaluate(self, kind):
+    def test_out_of_range_rejected_by_path_scalars(self, kind):
         sched = self.SCHEDULES[kind]()
         for t in (-1e-12, 1.0 + 1e-12, math.nan):
-            with pytest.raises(DomainError):
-                evaluate(sched, t)
             with pytest.raises(DomainError):
                 path_scalars(sched, t)
 
@@ -186,8 +184,8 @@ class TestDerivatives:
     def test_vp_analytic_sigma_dot(self):
         # vp relation: sigma_dot = -(alpha / sigma) * alpha_dot
         sched = vp(2.0)
-        a, s = evaluate(sched, 0.5)
         scalars = path_scalars(sched, 0.5)
+        a, s = scalars.alpha, scalars.sigma
         ad, sd = scalars.alpha_dot, scalars.sigma_dot
         assert sd == pytest.approx(-ad * a / s, abs=1e-15)
         # frozen from the relation above: e^-1 / sqrt(1 - e^-1)
@@ -252,7 +250,8 @@ class TestCoefficient:
     def test_general_forms_match_vp_simplifications(self):
         sched = vp(1.5)
         for t in np.linspace(0.1, 0.9, 9):
-            a, s = evaluate(sched, float(t))
+            scalars = path_scalars(sched, float(t))
+            a, s = scalars.alpha, scalars.sigma
             b = sched.beta(float(t))
             assert coefficient(NOISE_EPS, sched, float(t)) == pytest.approx(
                 -b / (2 * s), rel=1e-12
@@ -327,7 +326,8 @@ class TestBetaTable:
         times, betas = load_beta_table(path)
         sched = Schedule(kind=VP_GENERIC, beta_times=times, beta_values=betas)
         assert sched.beta(0.5) == pytest.approx(1.25)
-        a, s = evaluate(sched, 1.0)
+        scalars = path_scalars(sched, 1.0)
+        a, s = scalars.alpha, scalars.sigma
         assert abs(a * a + s * s - 1.0) <= 1e-12
 
     def test_header_required(self, tmp_path):

@@ -15,6 +15,7 @@ from chordfield.backbone import (
     GaussianMixtureCondition,
     posterior_x0,
     sample_condition,
+    velocity,
 )
 from chordfield.chord import ChordParams, chord_field
 from chordfield.errors import (
@@ -44,10 +45,8 @@ from chordfield.transport import (
     euler_march,
     integrate_rk4,
     make_control_field,
-    multi_step_transport,
     particle_seed,
     proximal_refine,
-    reference_solve,
     rk4_march,
     sample_particles,
 )
@@ -73,6 +72,13 @@ def identical_model(dim=2):
 
 
 DEFAULTS = ChordParams()  # the documented transport defaults
+
+
+def marginal_flow(model, cond):
+    """The exact flow of the condition's noised marginals in t: toward larger t
+    it noises the state, toward smaller t it denoises it to the condition's data
+    (``velocity`` reports the generation direction, hence the sign flip)."""
+    return lambda x, t: -velocity(model, x, t, cond)
 
 
 class TestChordedit:
@@ -158,7 +164,7 @@ class TestChordedit:
         x = np.array([-2.0])
         res = chordedit(model, x, DEFAULTS, seed=11)
         z = model.schedule.alpha(0.9) * x + model.schedule.sigma(0.9) * 0.3
-        ref = reference_solve(model, z, "tar", 0.9, 0.0, steps=1000)
+        ref = integrate_rk4(marginal_flow(model, "tar"), z, 0.9, 0.0, 1000)
         # both the transport output and the reference denoised point live in
         # the target basin (positive half-line for this preset)
         assert res.x_out[0] > 0 and ref[0] > 0
@@ -314,16 +320,19 @@ class TestMultiStep:
         x = np.array([-2.0, 0.6])
         params = ChordParams(use_prox=False)
         res = chordedit(model, x, params, seed=9)
-        traj, fields = multi_step_transport(model, x, params, 1, "chord", seed=9)
+        field = make_control_field(model, params, "chord", 9)
+        traj, fields, live = euler_march(field, x, params.step_scale, 1)
+        assert live
         np.testing.assert_array_equal(traj[-1], res.x_pred)
         np.testing.assert_array_equal(fields[0], res.u_hat)
 
     def test_identical_conditions_constant_trajectory(self):
         model = identical_model()
         x = np.array([0.2, 0.2])
-        traj, fields = multi_step_transport(
-            model, x, ChordParams(use_prox=False), 4, "chord", seed=2
-        )
+        params = ChordParams(use_prox=False)
+        field = make_control_field(model, params, "chord", 2)
+        traj, fields, live = euler_march(field, x, params.step_scale / 4, 4)
+        assert live and len(traj) == 5
         for pt in traj:
             np.testing.assert_array_equal(pt, x)
         for f in fields:
@@ -334,54 +343,14 @@ class TestMultiStep:
         x = np.array([-2.0, -0.6])
         params = ChordParams(use_prox=False)
         for steps in (1, 4, 8):
-            traj, fields = multi_step_transport(
-                model, x, params, steps, "chord", seed=5
-            )
             h = params.step_scale / steps
+            field = make_control_field(model, params, "chord", 5)
+            traj, fields, live = euler_march(field, x, h, steps)
+            assert live and len(fields) == steps
             for x_n, x_next, u in zip(traj, traj[1:], fields):
                 lhs = np.linalg.norm(x_next)
                 rhs = np.linalg.norm(x_n) + h * np.linalg.norm(u)
                 assert lhs <= rhs * (1.0 + 1e-12)
-
-    def test_divergence_guard(self):
-        model = preset_model("two_blob_1d")
-
-        class Explosive:
-            schedule = model.schedule
-            source = model.source
-            target = model.target
-            output_kind = model.output_kind
-            dim = 1
-
-        # drive the state over the norm guard with an absurd step scale
-        params = ChordParams(step_scale=1e9, use_prox=False, t=0.9, delta=0.15)
-        with pytest.raises(DivergenceError) as err:
-            multi_step_transport(
-                model, np.array([-2.0]), params, 2, "naive", seed=0
-            )
-        assert err.value.last_state is not None
-
-    def test_divergence_names_the_sub_step_and_keeps_the_last_good_state(
-        self, monkeypatch
-    ):
-        # u = 99 x with sub-steps of 1: the state grows 100-fold a sub-step,
-        # reaches exactly the limit after the third and runs away in the fourth
-        import chordfield.transport as transport
-
-        monkeypatch.setattr(
-            transport, "make_control_field", lambda *args: lambda x, s=0.0: 99.0 * x
-        )
-        params = ChordParams(step_scale=5.0, use_prox=False)
-        with pytest.raises(DivergenceError, match=r"during sub-step 4/5$") as err:
-            multi_step_transport(preset_model(), np.array([1.0]), params, 5, "naive", 0)
-        np.testing.assert_array_equal(err.value.last_state, [DIVERGENCE_NORM])
-
-    def test_invalid_step_count(self):
-        model = preset_model("two_blob_1d")
-        with pytest.raises(DomainError):
-            multi_step_transport(
-                model, np.array([-2.0]), DEFAULTS, 0, "chord", seed=0
-            )
 
 
 class TestReferenceSolve:
@@ -391,14 +360,14 @@ class TestReferenceSolve:
             schedule=Schedule(kind=VP_CONST_BETA, beta0=2.0), source=mix, target=mix
         )
         # the origin is the fixed point of a centered unit-variance vp flow
-        out = reference_solve(model, np.array([0.0]), "src", 0.9, 0.1, steps=200)
+        out = integrate_rk4(marginal_flow(model, "src"), np.array([0.0]), 0.9, 0.1, 200)
         assert abs(out[0]) <= 1e-12
 
     def test_self_convergence(self):
         model = preset_model("two_blob_1d")
         x = np.array([0.5])
-        a = reference_solve(model, x, "tar", 0.9, 0.05, steps=400)
-        b = reference_solve(model, x, "tar", 0.9, 0.05, steps=800)
+        a = integrate_rk4(marginal_flow(model, "tar"), x, 0.9, 0.05, 400)
+        b = integrate_rk4(marginal_flow(model, "tar"), x, 0.9, 0.05, 800)
         assert np.linalg.norm(a - b) < 1e-8
 
     def test_single_gaussian_affine_flow_closed_form(self):
@@ -416,13 +385,8 @@ class TestReferenceSolve:
             return m1 + math.sqrt(v1 / v0) * (x0 - m0)
 
         for x0, t0, t1 in [(0.3, 0.2, 0.8), (1.6, 0.8, 0.1)]:
-            got = reference_solve(model, np.array([x0]), "src", t0, t1, steps=800)
+            got = integrate_rk4(marginal_flow(model, "src"), np.array([x0]), t0, t1, 800)
             assert got[0] == pytest.approx(flow_map(x0, t0, t1), abs=1e-8)
-
-    def test_step_floor_enforced(self):
-        model = preset_model("two_blob_1d")
-        with pytest.raises(DomainError):
-            reference_solve(model, np.array([0.0]), "src", 0.9, 0.1, steps=50)
 
 
 class TestControlField:
@@ -1305,6 +1269,22 @@ def test_refinement_off_the_model_dimension_rejected(shape):
     # a state of d - 1 or d + 1 coordinates would broadcast against the draw
     with pytest.raises(DomainError, match="anchor dimension"):
         proximal_refine(preset_model("two_blob_2d"), np.zeros(shape), 0.3, seed=0)
+
+
+@pytest.mark.parametrize(
+    "x_shape, eps_shape",
+    [((2, 2), (3,)), ((2, 2), (3, 2)), ((2, 2), (1,)), ((2, 2), (1, 2)), ((2,), (2, 2))],
+)
+def test_refinement_draw_neither_one_nor_one_per_row_rejected(monkeypatch, x_shape, eps_shape):
+    # even an eps that would broadcast against the states is named, before the posterior
+    def no_posterior(*args):
+        raise AssertionError("posterior read before eps was checked")
+
+    monkeypatch.setattr(transport, "_observe", no_posterior)
+    with pytest.raises(DomainError, match=rf"eps of shape \({eps_shape[0]},"):
+        proximal_refine(
+            preset_model("two_blob_2d"), np.zeros(x_shape), 0.3, seed=0, eps=np.zeros(eps_shape)
+        )
 
 
 def _per_row(fields):
