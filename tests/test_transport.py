@@ -352,6 +352,33 @@ class TestMultiStep:
                 rhs = np.linalg.norm(x_n) + h * np.linalg.norm(u)
                 assert lhs <= rhs * (1.0 + 1e-12)
 
+    def test_divergence_guard(self):
+        model = preset_model("two_blob_1d")
+        # drive the state over the norm guard with an absurd step scale
+        params = ChordParams(step_scale=1e9, use_prox=False, t=0.9, delta=0.15)
+        field = make_control_field(model, params, "naive", 0)
+        traj, fields, live = euler_march(field, np.array([-2.0]), params.step_scale / 2, 2)
+        assert not live and len(fields) < 2
+        assert np.linalg.norm(traj[-1]) <= DIVERGENCE_NORM
+
+    def test_divergence_names_the_sub_step_and_keeps_the_last_good_state(self):
+        # u = 99 x with sub-steps of 1: the state grows 100-fold a sub-step,
+        # reaches exactly the limit after the third and runs away in the fourth
+        params = ChordParams(step_scale=5.0, use_prox=False)
+        traj, fields, live = euler_march(
+            lambda x, s=0.0: 99.0 * x, np.array([1.0]), params.step_scale / 5, 5
+        )
+        assert not live
+        # the march stops at the sub-step that trips: 3 good ones, so sub-step 4/5
+        assert len(fields) + 1 == 4 and len(traj) == 4
+        np.testing.assert_array_equal(traj[-1], [DIVERGENCE_NORM])
+
+    def test_invalid_step_count(self):
+        model = preset_model("two_blob_1d")
+        field = make_control_field(model, DEFAULTS, "chord", 0)
+        with pytest.raises(DomainError):
+            euler_march(field, np.array([-2.0]), DEFAULTS.step_scale, 0)
+
 
 class TestReferenceSolve:
     def test_stationary_point_unmoved(self):
