@@ -17,11 +17,13 @@ residual between conditions; ``_head`` alone chooses it.
 The posterior kernel splits its work into what depends on the time only
 (``_Stack.at``) and what depends on the rows. A model keeps the time-only
 part of each query time the proxy field asks for, so a transport run, whose
-query times never change, builds it once, and per draw count keeps it pinned
-to the shapes of one anchor's kernel pass while that fits ``_PIN_BYTES``. The
-kernel and the heads take pinned values, or those of times stacked on a leading
-axis, as arrays, which take no scalar branch (sigma = 0, the eps-head floor), so
-a time whose sigma is below the floor is queried with the floats.
+query times never change, builds it once. Per draw count and shape of rows it
+keeps that part pinned to the shapes the rows' kernel pass meets, so no kernel
+op broadcasts it; rows whose pins would pass ``_PIN_BYTES`` take those of one
+anchor, and an anchor whose pins would pass it the floats. The kernel and the
+heads take pinned values, or those of times stacked on a leading axis, as
+arrays, which take no scalar branch (sigma = 0, the eps-head floor), so a time
+whose sigma is below the floor is queried with the floats.
 """
 
 from __future__ import annotations
@@ -141,28 +143,34 @@ class BackboneModel:
                 self._times[key] = entry
         return entry
 
-    def _time_values(self, t: float, n: int):
-        """alpha, sigma, coefficient, PathScalars and ``_pair`` slice at t for n draws: pinned
-        and kept by (t, n) where sigma clears the floor and they fit; else the floats."""
-        values = self._pins.get((t, n))
+    def _time_values(self, t: float, n: int, rows: tuple = ()):
+        """alpha, sigma, coefficient, PathScalars and ``_pair`` slice at t for n draws of rows
+        of shape ``rows``: pinned at those rows' shapes and kept by (t, n, *rows) where sigma
+        clears the floor and they fit; else one anchor's pins, kept by (t, n), where those
+        fit; else the floats."""
+        key = (t, n, *rows)
+        values = self._pins.get(key)
         if values is None:
             entry = a_t, s, pair = self._time_entry(t)
             values = (s.alpha, s.sigma, a_t, s, pair)
-            # alpha and sigma (n, d), the path scalars (n, 2, d) and the slice, 8 bytes each
-            fits = 8 * n * (10 * self.dim + sum(map(np.size, pair))) <= _PIN_BYTES
-            if s.sigma >= self.schedule.alpha_floor and fits:
-                values = self._pin((), n, entry)
+            # alpha and sigma (n, d), the path scalars (n, 2, d) and the slice per row, 8 bytes each
+            fits = 8 * math.prod(rows) * n * (10 * self.dim + sum(map(np.size, pair))) <= _PIN_BYTES
+            above = s.sigma >= self.schedule.alpha_floor
+            if above and fits:
+                values = self._pin(rows, n, entry, 0)
                 with _TIMES_LOCK:
                     if len(self._pins) >= _TIME_ENTRIES:
                         self._pins.clear()
-                    self._pins[t, n] = values
+                    self._pins[key] = values
+            elif above and rows:
+                return self._time_values(t, n)
         return values
 
-    def _pin(self, rows: tuple, n: int, entry):
-        """A ``_time_entry`` (its arrays may lead with axes that meet those of rows) as fresh
-        read-only ``_time_values`` of the shapes a kernel pass over rows of n draws meets:
-        rows + (n, d), rows + (d,), rows + (n, 2 mixtures, d) and rows + (n, ...)."""
-        (a_t, s, pair), lead, d = entry, len(rows), self.dim
+    def _pin(self, rows: tuple, n: int, entry, lead: int):
+        """A ``_time_entry``, whose arrays lead with ``lead`` axes that meet the last ``lead``
+        of rows, as fresh read-only ``_time_values`` of the shapes a kernel pass over rows of n
+        draws meets: rows + (n, d), rows + (d,), rows + (n, 2 mixtures, d) and rows + (n, ...)."""
+        (a_t, s, pair), d = entry, self.dim
         values = (s.alpha, s.sigma, a_t, s.alpha, s.sigma, s.alpha_dot, s.sigma_dot, *pair)
         tails = [(n, d)] * 2 + [(d,)] + [(n, 2, d)] * 4 + [(n,) + np.shape(v)[lead:] for v in pair]
         pins = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -92,6 +92,25 @@ def _shared_generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
 
 
+class _once:
+    """An attribute computed by ``func(instance)`` at first read and kept in the
+    instance's ``__dict__``, which later reads find first, as this defines no ``__set__``.
+    Unlike ``functools.cached_property`` it takes no lock: threads that race on a first read
+    each compute the value, and the last one keeps its own."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass
 class SharedNoiseBatch:
     """n standard-normal vectors in R^dim, deterministic in (seed, n, dim)."""
@@ -106,7 +125,7 @@ class SharedNoiseBatch:
         if self.dim < 1:
             raise DomainError("a noise batch needs dim >= 1")
 
-    @cached_property
+    @_once
     def draws(self) -> np.ndarray:
         # allocated before any of the n keys is made: a count too large to
         # hold fails at once
@@ -122,7 +141,7 @@ class _RowsBatch:
     def __init__(self, batches):
         self.batches, self.n, self.dim = batches, batches[0].n, batches[0].dim
 
-    @cached_property
+    @_once
     def draws(self) -> np.ndarray:
         return _allocated("rows of noise draws", np.stack, [b.draws for b in self.batches])
 
@@ -201,7 +220,8 @@ def proxy_field(
     x_tau = _rows(model, x_tau)
     if batch.dim != model.dim:
         raise DomainError("anchor dimension does not match the noise batch")
-    alpha, sigma, a_t, scalars, pair = model._time_values(t, batch.n)
+    rows = x_tau.shape[:-1]
+    alpha, sigma, a_t, scalars, pair = model._time_values(t, batch.n, rows)
     return _estimate(model, x_tau, alpha, sigma * batch.draws, a_t, scalars, pair)
 
 
@@ -231,7 +251,7 @@ def _two_time_pass(model, t, delta, batch_prev, batch_curr):
 
     @lru_cache(maxsize=1)
     def shaped(k):
-        alpha, sigma, *rest = model._pin((2, k), batch_curr.n, entry)
+        alpha, sigma, *rest = model._pin((2, k), batch_curr.n, entry, 2)
         noise = sigma * np.stack(draws)[:, None]  # each time's own draws on every row
         noise.setflags(write=False)
         return alpha, noise, *rest

@@ -1206,6 +1206,36 @@ def test_a_query_time_below_the_floor_fails_alike_batched_row_by_row_and_in_one_
     assert errors == [errors[0]] * 3
 
 
+@pytest.mark.parametrize(
+    "experiment, overrides", [("step_sweep", ["params.particles=3"]), ("toy", ["params.steps=3"])]
+)
+def test_runs_without_room_for_single_time_pins_write_the_same_bytes(
+    tmp_path, monkeypatch, experiment, overrides
+):
+    # with no bytes for pins every single-time query takes its time's floats, and only the
+    # fused two-time pass pins (its own leading axes, 2); the files must not change
+    from chordfield import backbone
+
+    pin, leads = backbone.BackboneModel._pin, []
+
+    def counting(self, rows, n, entry, lead):
+        leads.append(lead)
+        return pin(self, rows, n, entry, lead)
+
+    monkeypatch.setattr(backbone.BackboneModel, "_pin", counting)
+    flags = [arg for override in overrides for arg in ("--override", override)]
+    files, single = [], []
+    for room in (backbone._PIN_BYTES, 0):
+        monkeypatch.setattr(backbone, "_PIN_BYTES", room)
+        leads.clear()
+        out = tmp_path / f"room_{room}"
+        assert main([experiment, "--out", str(out), "--seed", "0", *flags]) == 0
+        files.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+        single.append(leads.count(0))
+    assert files[0] == files[1] and len(files[0]) >= 2
+    assert single[0] > 0 and single[1] == 0
+
+
 def _fmt_oracle(value) -> str:
     """One cell as the CSV writer formatted it cell by cell: strings as they
     are, ints through ``int``, anything else as a float with 17 digits."""

@@ -32,6 +32,7 @@ from chordfield.proxy import (
     NS_TRIAL,
     SharedNoiseBatch,
     _derive_streams,
+    _RowsBatch,
     _draw_sum,
     _estimate,
     _philox_fill,
@@ -122,6 +123,30 @@ class TestSharedNoiseBatch:
             derive_stream(42, ns, idx) for ns in range(1, 7) for idx in range(32)
         }
         assert len(seen) == 6 * 32
+
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_a_batch_computes_its_draws_once(self, monkeypatch, rows):
+        from chordfield import proxy
+
+        fills = []
+        fill = proxy._philox_fill
+
+        def counting(out, keys, draw=None):
+            fills.append(out.shape)
+            return fill(out, keys, draw)
+
+        monkeypatch.setattr(proxy, "_philox_fill", counting)
+        batches = [SharedNoiseBatch(seed=s, n=3, dim=2) for s in (4, 5)]
+        batch = _RowsBatch(batches) if rows else batches[0]
+        first = batch.draws
+        assert batch.draws is first
+        assert fills == [(3, 2)] * (2 if rows else 1)
+        # the class attribute is the descriptor itself, whose func is the fill
+        cls = type(batch)
+        assert cls.draws is cls.__dict__["draws"]
+        assert cls.draws.func(batch).tobytes() == first.tobytes()
+        # a fresh fill for a batch; rows restack the draws their batches keep
+        assert len(fills) == 2
 
 
 class TestNoisingSample:
@@ -681,6 +706,79 @@ def test_pins_from_many_threads_stay_bounded_and_exact():
     assert len(sizes) == 8 * 2 * len(want)
     assert not mismatches
     assert max(sizes) <= _TIME_ENTRIES
+
+
+def _row_batches(p, n, dim, seed=0):
+    """One shared batch of n draws, and a ``_RowsBatch`` of p per-row batches of n draws."""
+    return SharedNoiseBatch(seed=seed, n=n, dim=dim), _RowsBatch(
+        [SharedNoiseBatch(seed=seed + 1 + i, n=n, dim=dim) for i in range(p)]
+    )
+
+
+def test_rows_pins_are_read_only_and_shaped_to_the_rows():
+    model, (p, n, d) = model_2d(), (3, 4, 2)
+    x = np.linspace(-1.0, 1.0, p * d).reshape(p, d)
+    proxy_field(model, x, 0.8, SharedNoiseBatch(seed=1, n=n, dim=d))
+    assert set(model._pins) == {(0.8, n, p)}
+    alpha, sigma, a_t, scalars, pair = model._pins[0.8, n, p]
+    assert alpha.shape == sigma.shape == (p, n, d) and a_t.shape == (p, d)
+    assert scalars.alpha.shape == scalars.sigma.shape == (p, n, 2, d)
+    assert scalars.alpha_dot.shape == scalars.sigma_dot.shape == (p, n, 2, d)
+    assert pair.alpha.shape == pair.sigma.shape == (p, n)
+    assert pair.alpha_means.shape == pair.pull.shape == pair.means.shape == (p, n, 4, d)
+    assert pair.variances.shape == pair.log_norm.shape == pair.log_weights.shape == (p, n, 4)
+    # the values of one anchor's pins, broadcast to the rows
+    one_alpha, one_sigma, one_a_t, one_scalars, one_pair = model_2d()._time_values(0.8, n)
+    four = (scalars.alpha, scalars.sigma, scalars.alpha_dot, scalars.sigma_dot)
+    one_four = (one_scalars.alpha, one_scalars.sigma, one_scalars.alpha_dot, one_scalars.sigma_dot)
+    pinned = (alpha, sigma, a_t, *four, *pair)
+    anchor = (one_alpha, one_sigma, one_a_t, *one_four, *one_pair)
+    for value, one in zip(pinned, anchor):
+        assert value.tobytes() == np.broadcast_to(one, value.shape).tobytes()
+    for value in pinned:
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0.0
+
+
+@pytest.mark.parametrize("p", [1, 3, 40])
+@pytest.mark.parametrize("n", [1, 4])
+def test_rows_pinned_proxy_field_bytes_equal_to_the_unpinned_estimate(p, n):
+    # every schedule kind and head, one shared batch and per-row batches, each query
+    # twice, so that the second reads the kept pins
+    x = np.random.default_rng(p * n).normal(size=(p, 2)) * 2.0
+    for schedule in SCHEDULES:
+        above, _ = _floor_times(schedule)
+        for kind in PARAMETERIZATION_KINDS:
+            model = model_2d(output_kind=kind, schedule=schedule)
+            for batch in _row_batches(p, n, 2, seed=7):
+                for t in (0.3, 0.8, 1.0, above):
+                    want = _bytes_or_error(lambda: _unpinned_estimate(model, x, t, batch))
+                    for _ in range(2):
+                        assert _bytes_or_error(lambda: proxy_field(model, x, t, batch)) == want
+                    assert ((t, n, p) in model._pins) == (not isinstance(want, type))
+
+
+def test_rows_whose_pins_pass_the_size_bound_take_one_anchors_pins():
+    model, n = model_2d(), 4
+    # one anchor's pins fit, and those of the smallest row count past the bound do not
+    p = _PIN_BYTES // _pinned_bytes(model_2d()._time_values(0.8, n)) + 1
+    x = np.random.default_rng(3).normal(size=(p, 2))
+    for batch in _row_batches(p, n, 2, seed=2):
+        got = proxy_field(model, x, 0.8, batch)
+        assert got.tobytes() == _unpinned_estimate(model, x, 0.8, batch).tobytes()
+        assert set(model._pins) == {(0.8, n)}
+    fewer = x[: p - 1]
+    proxy_field(model, fewer, 0.8, SharedNoiseBatch(seed=2, n=n, dim=2))
+    assert set(model._pins) == {(0.8, n), (0.8, n, p - 1)}
+
+
+def test_pins_over_many_row_counts_stay_bounded_and_exact():
+    model, batch = model_2d(), SharedNoiseBatch(seed=8, n=2, dim=2)
+    x = np.random.default_rng(5).normal(size=(3 * _TIME_ENTRIES, 2))
+    for p in range(1, 3 * _TIME_ENTRIES + 1):
+        got = proxy_field(model, x[:p], 0.8, batch)
+        assert got.tobytes() == _unpinned_estimate(model, x[:p], 0.8, batch).tobytes()
+        assert (0.8, 2, p) in model._pins and len(model._pins) <= _TIME_ENTRIES
 
 
 @pytest.mark.parametrize("dim", [1, 3])
