@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -28,10 +29,11 @@ from chordfield.diagnostics import (
     risk_experiment,
 )
 from chordfield.errors import DomainError
-from chordfield.preset_lib import load_preset
-from chordfield.proxy import NS_TRIAL, derive_stream
+from chordfield.experiments import _chord_rows_field
+from chordfield.preset_lib import PRESET_NAMES, load_preset
+from chordfield.proxy import NS_TRIAL, _two_time_pass, derive_stream
 from chordfield.schedules import LINEAR_INTERP, VP_CONST_BETA, VP_GENERIC, Schedule
-from chordfield.transport import make_control_field
+from chordfield.transport import _batches, make_control_field, sample_particles
 
 
 class TestBbEnergy:
@@ -352,6 +354,38 @@ def test_lte_rows_equal_one_check_per_state(drawn, count, h, grid, seed):
         want = lte_check(field, x, 0.0, h, ref_steps=16, grid=grid)
         assert all(type(v) is float for v in want)
         np.testing.assert_array_equal((observed[k], bound[k]), want)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        Schedule(kind=LINEAR_INTERP),
+        Schedule(kind=VP_CONST_BETA, beta0=1.0),
+        Schedule(
+            kind=VP_GENERIC,
+            beta_times=np.linspace(0.0, 1.0, 6),
+            beta_values=0.1 + 4.0 * np.linspace(0.0, 1.0, 6) ** 2,
+        ),
+    ],
+    ids=lambda schedule: schedule.kind,
+)
+def test_lte_check_through_the_fused_chord_field_is_the_string_kind_check(name, schedule):
+    # at t = 0.7 both times go through one kernel pass; at t = 1e-7 sigma is
+    # below the floor, and the fused field falls back to two queries
+    model = BackboneModel(schedule, *load_preset(name))
+    states = sample_particles(model, 3, 11).points
+    check = functools.partial(lte_check, t=0.0, h=0.1, ref_steps=32)
+    below = ChordParams(t=1e-7, delta=5e-8)
+    for params, fused in ((ChordParams(t=0.7, delta=0.2, n=2), True), (below, False)):
+        batches = _batches(params, 5, model.dim)
+        assert (_two_time_pass(model, params.t, params.delta, *batches) is not None) == fused
+        rows = _chord_rows_field(model, params, 5)
+        assert rows.autonomous
+        want = check(make_control_field(model, params, "chord", 5), states)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(check(rows, states), want))
+        # one state (d,) in and out
+        assert check(rows, states[0]) == (float(want[0][0]), float(want[1][0]))
 
 
 class TestGlobalErrorSweep:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -1694,3 +1695,52 @@ def test_chordedit_rows_at_one_draw_are_the_single_noise_path(
             assert getattr(multi, field)[i].tobytes() == getattr(alone, field).tobytes()
         for (_, got), (_, want) in zip(multi.fields_queried, alone.fields_queried):
             assert got[i].tobytes() == want.tobytes()
+
+
+def test_a_march_holds_two_arrays_and_no_object_per_step():
+    # 4,096 RK4 steps over 2 rows: the states and the first stages are two arrays
+    # of 16 * steps * rows * d bytes between them; a list of per-step views and
+    # values held about 1.4 MB here
+    x0 = np.array([[0.5, -1.0], [2.0, 0.25]])
+    field = lambda x, s: -x  # noqa: E731
+    integrate_rk4(field, x0, 0.0, 1.0, 8)  # numpy's first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        integrate_rk4(field, x0, 0.0, 1.0, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4096 * x0.size + 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "march, tame_taken",
+    # u = x with steps of 1: a state grows 2-fold an Euler step and about
+    # 2.708-fold an RK4 step, so from norm 1 the guard trips at step 20 or 14
+    [
+        (lambda field, x, steps: euler_march(field, x, 1.0, steps), 19),
+        (lambda field, x, steps: rk4_march(field, x, 0.0, float(steps), steps), 13),
+    ],
+    ids=["euler", "rk4"],
+)
+def test_march_returns_arrays_cut_to_the_steps_taken(march, tame_taken):
+    field = lambda x, s: x  # noqa: E731
+    for x0 in (np.array([1e-9, 0.0]), np.full((3, 2), 1e-9), np.full((2, 3, 1), 1e-9)):
+        trajectory, fields, live = march(field, x0, 5)
+        assert trajectory.shape == (6,) + x0.shape and fields.shape == (5,) + x0.shape
+        assert live.shape == x0.shape[:-1] and live.all()
+        assert trajectory[0].tobytes() == x0.tobytes() and fields[0].tobytes() == x0.tobytes()
+    # one state stops at its last good step
+    trajectory, fields, live = march(field, np.array([1.0]), 25)
+    assert not live and trajectory.shape == (tame_taken + 1, 1) and fields.shape == (tame_taken, 1)
+    # a row that trips is frozen while the other goes on to the end
+    trajectory, fields, live = march(field, np.array([[1.0], [1e-12]]), 25)
+    assert live.tolist() == [False, True] and trajectory.shape == (26, 2, 1)
+    assert fields.shape == (25, 2, 1) and (trajectory[tame_taken:, 0] == trajectory[-1, 0]).all()
+    # every row trips: the march stops at the last step some row kept
+    trajectory, fields, live = march(field, np.array([[1.0], [-1.0]]), 25)
+    assert not live.any() and trajectory.shape == (tame_taken + 1, 2, 1)
+    assert fields.shape == (tame_taken, 2, 1)
+    # a first step that trips keeps no step and no field value
+    trajectory, fields, live = march(field, np.array([2e6]), 25)
+    assert not live and trajectory.tolist() == [[2e6]] and len(fields) == 0
